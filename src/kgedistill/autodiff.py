@@ -7,9 +7,11 @@ reverse topological order and accumulates into the ``grad`` array of every
 reachable leaf. Under :func:`no_grad` the same ops return plain constants,
 so inference and detached teacher extraction carry no graph.
 
-All ops are deterministic: matrix products go through BLAS with a fixed
-thread count, scatter-accumulation uses ``np.add.at`` (sequential, index
-order), so two runs over the same inputs produce bit-identical outputs.
+Ops are deterministic for a given BLAS build and thread count, which the
+caller pins (for instance with ``OPENBLAS_NUM_THREADS`` set before numpy is
+imported); nothing here sets it. Scatter-accumulation uses ``np.add.at``
+(sequential, index order). Under those conditions two runs over the same
+inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -355,10 +357,16 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
 
     ``loss`` must be a scalar. Gradients add onto existing ``grad`` contents,
-    so callers zero them between steps.
+    so callers zero them between steps. Each contribution to a leaf is added
+    into its ``grad`` as soon as it is computed; on zeroed gradients this
+    gives the same bits as summing the contributions first.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if not loss._parents:
+        if loss.requires_grad:
+            _accumulate(loss, np.ones_like(loss.data))
+        return
 
     # Iterative post-order DFS; recursion would overflow on long chains.
     topo: list[Tensor] = []
@@ -382,16 +390,22 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if not node._parents:
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
-            continue
         for parent, vjp in zip(node._parents, node._vjps):
             contribution = vjp(g)
+            if not parent._parents:
+                _accumulate(parent, contribution)
+                continue
+            # Interior sums stay out of place: a VJP may hand the same array
+            # to two parents (identity VJPs such as add's do).
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + contribution
             else:
                 grads[key] = contribution
+
+
+def _accumulate(leaf: Tensor, contribution: np.ndarray) -> None:
+    """Add one contribution straight into the ``grad`` buffer the leaf owns."""
+    if leaf.grad is None:
+        leaf.grad = np.zeros_like(leaf.data)
+    leaf.grad += contribution

@@ -1,7 +1,7 @@
 """Command-line surface: prepare, train, evaluate, export, count parameters.
 
 Exit codes: 0 success, 2 configuration or input-schema problem, 3 numeric
-abort (non-finite loss), 1 anything else.
+abort (non-finite loss or infinite KL divergence), 1 anything else.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from pathlib import Path
 
 from .config import load_run_config
 from .data import augment_reciprocal, build_filter_index, group_queries, load_dataset
-from .errors import CheckpointError, ConfigError, ParseError, TrainingAbort
+from .errors import CheckpointError, ConfigError, DivergenceError, ParseError, TrainingAbort
 from .evaluation import evaluate
 from .models import count_parameters
 from .training import Trainer, load_checkpoint, model_from_checkpoint
 
-METRIC_KEYS = ("epoch", "loss_bce", "loss_kl", "beta", "lr")
+METRIC_KEYS = ("epoch", "loss_bce", "loss_kl", "loss_total", "beta", "lr")
 
 
 def _require(cfg_value: str, key: str) -> str:
@@ -172,7 +172,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TrainingAbort as exc:
+    except (TrainingAbort, DivergenceError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -11,7 +11,7 @@ weight 1.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -137,8 +137,12 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        """Default-filled echo of the config, as stored in checkpoints."""
-        return {
+        """Default-filled echo of the config, as stored in checkpoints.
+
+        Optional keys left unset (``d_r``, ``batchnorm``, ``k_b``) are
+        omitted, so :meth:`from_dict` reads the document back unchanged.
+        """
+        doc = {
             "dataset_dir": self.dataset_dir,
             "output_dir": self.output_dir,
             "model": {
@@ -151,7 +155,15 @@ class RunConfig:
                 "dropout3": self.model.dropout_output,
                 "batchnorm": self.model.batchnorm,
             },
-            "train": asdict(self.train),
+            "train": {
+                "batch_size": self.train.batch_size,
+                "lr": self.train.learning_rate,
+                "lr_decay": self.train.lr_decay,
+                "label_smoothing": self.train.label_smoothing,
+                "epochs": self.train.epochs,
+                "seed": self.train.seed,
+                "eval_every": self.train.eval_every,
+            },
             "isd": {
                 "enabled": self.isd.enabled,
                 "m_exponent": self.isd.m_exponent,
@@ -160,6 +172,9 @@ class RunConfig:
                 "static_input": self.isd.static_input,
             },
         }
+        for section in ("model", "isd"):
+            doc[section] = {k: v for k, v in doc[section].items() if v is not None}
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":

@@ -9,7 +9,7 @@ fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -226,13 +226,49 @@ def build_filter_index(store: TripleStore) -> FilterIndex:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class SparseTargets:
+    """A multi-label target matrix of ``shape`` held as its positives.
+
+    Entry ``(rows[k], cols[k])`` holds ``on`` and every other entry holds
+    ``off``; positions are distinct and sorted row-major. One-to-N training
+    rows have a handful of positives among tens of thousands of entities,
+    so this form is a few kilobytes where the dense matrix is ~160 MB.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    shape: tuple
+    on: float = 1.0
+    off: float = 0.0
+
+    def __post_init__(self):
+        n_rows, n_cols = (int(n) for n in self.shape)
+        object.__setattr__(self, "shape", (n_rows, n_cols))
+        rows = np.asarray(self.rows, dtype=np.int64)
+        cols = np.asarray(self.cols, dtype=np.int64)
+        if rows.shape != cols.shape or rows.ndim != 1:
+            raise ValueError(f"sparse targets: row ids {rows.shape} vs column ids {cols.shape}")
+        for name, ids, bound in (("row", rows, n_rows), ("column", cols, n_cols)):
+            if ids.size and (ids.min() < 0 or ids.max() >= bound):
+                raise ValueError(f"sparse targets: {name} id outside [0, {bound})")
+        flat = np.unique(rows * n_cols + cols)
+        object.__setattr__(self, "rows", flat // n_cols)
+        object.__setattr__(self, "cols", flat % n_cols)
+
+    def dense(self) -> np.ndarray:
+        y = np.full(self.shape, self.off)
+        y[self.rows, self.cols] = self.on
+        return y
+
+
 @dataclass
 class Batch:
     """A block of (head, relation) queries with their training tails.
 
-    ``targets()`` materializes the multi-label 0/1 matrix on demand; at
-    40k-entity scale a dense row block is ~160 MB, so batches keep the
-    sparse form until the loss needs it.
+    ``targets()`` gives the multi-label 0/1 matrix in sparse form; call its
+    ``dense()`` for the full ``len(batch)`` x ``n_entities`` array, which at
+    40k-entity scale is ~160 MB.
     """
 
     heads: np.ndarray
@@ -243,11 +279,11 @@ class Batch:
     def __len__(self) -> int:
         return len(self.heads)
 
-    def targets(self) -> np.ndarray:
-        y = np.zeros((len(self.heads), self.n_entities))
-        for i, t in enumerate(self.tails):
-            y[i, t] = 1.0
-        return y
+    def targets(self) -> SparseTargets:
+        """1 at each (row, training tail), 0 elsewhere."""
+        rows = np.repeat(np.arange(len(self.tails)), [len(t) for t in self.tails])
+        cols = np.concatenate(self.tails) if self.tails else rows
+        return SparseTargets(rows, cols, (len(self.heads), self.n_entities))
 
 
 def group_queries(store: TripleStore) -> list:
@@ -302,11 +338,21 @@ def make_batches(
     return batches
 
 
-def label_smooth(targets: np.ndarray, epsilon: float) -> np.ndarray:
-    """Blend hard targets toward uniform: (1 - eps) * y + eps / N."""
+def label_smooth(targets, epsilon: float):
+    """Blend hard targets toward uniform: (1 - eps) * y + eps / N.
+
+    Takes a dense array or :class:`SparseTargets`; the sparse form maps its
+    ``on`` and ``off`` values by the same formula, so it stays exact.
+    """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"label smoothing must lie in [0, 1), got {epsilon}")
     if epsilon == 0.0:
         return targets
     n = targets.shape[-1]
+    if isinstance(targets, SparseTargets):
+        return replace(
+            targets,
+            on=(1.0 - epsilon) * targets.on + epsilon / n,
+            off=(1.0 - epsilon) * targets.off + epsilon / n,
+        )
     return (1.0 - epsilon) * targets + epsilon / n

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .autodiff import Tensor, backward, custom_node, no_grad
 from .config import RunConfig
-from .data import TripleStore, group_queries, label_smooth, make_batches
+from .data import SparseTargets, TripleStore, group_queries, label_smooth, make_batches
 from .distill import SemanticBlock, TeacherCache, beta_at_epoch, distill_loss, extract, total_loss
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingAbort
 from .models import EmbeddingModel
@@ -43,28 +42,106 @@ def lr_at_epoch(epoch: int, lr_initial: float, decay: float) -> float:
     return lr_initial * decay**epoch
 
 
+# Row blocks of the BCE kernel and slices of the Adam update span about this
+# many elements, so their scratch buffers stay in the L2 cache.
+_BLOCK_ELEMENTS = 1 << 14
+
+
 def bce_loss(logits: Tensor, targets) -> Tensor:
     """Multi-label binary cross entropy over all entities, from logits.
 
-    Computed in the stable form mean(softplus(u) - y * u), which never
-    exponentiates a positive logit; the gradient is (sigmoid(u) - y) / size.
+    ``targets`` is a dense array shaped like the logits, or
+    :class:`~kgedistill.data.SparseTargets` (as returned by ``Batch.targets``
+    and mapped by ``label_smooth``), whose entries are ``on`` at the
+    positives and ``off`` everywhere else.
+
+    The value is mean(softplus(u) - y * u) with softplus(u) computed as
+    max(u, 0) + log1p(exp(-|u|)), which never exponentiates a positive
+    logit. In the sparse form sum(y * u) is off * sum(u) plus (on - off)
+    times the sum over the positives, so no dense target matrix is built.
+    One pass over row blocks also stores the residual sigmoid(u) - y, with
+    the sigmoid taken from the same exp(-|u|), and the gradient is
+    g * residual / size.
     """
-    y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
-    if logits.shape != y.shape:
-        raise ShapeError(f"bce_loss: logits {logits.shape} vs targets {y.shape}")
-    if y.size and (y.min() < 0.0 or y.max() > 1.0):
-        raise ValueError("bce_loss targets must lie in [0, 1]")
     u = logits.data
-    value = float(np.mean(np.logaddexp(0.0, u) - y * u))
+    sparse = isinstance(targets, SparseTargets)
+    if sparse:
+        y, shape = None, targets.shape
+        low, high = min(targets.on, targets.off), max(targets.on, targets.off)
+    else:
+        y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
+        shape = y.shape
+        low, high = (y.min(), y.max()) if y.size else (0.0, 0.0)
+    if logits.shape != shape:
+        raise ShapeError(f"bce_loss: logits {logits.shape} vs targets {shape}")
+    if low < 0.0 or high > 1.0:
+        raise ValueError("bce_loss targets must lie in [0, 1]")
+
+    width = u.shape[-1] if u.ndim else 1
+    u2 = u.reshape(-1, width)
+    y2 = None if sparse else y.reshape(-1, width)
+    residual = np.empty_like(u2)
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    blocks = [slice(start, start + step) for start in range(0, len(u2), step)]
+    scratch = np.empty((2, min(step, len(u2)), width))
+    softplus_sum = yu_sum = u_sum = 0.0
+    for rows in blocks:
+        ub, rb = u2[rows], residual[rows]
+        t1, t2 = scratch[0, : len(ub)], scratch[1, : len(ub)]
+        np.abs(ub, out=t1)
+        np.negative(t1, out=t1)
+        np.exp(t1, out=t1)
+        softplus_sum += float(np.log1p(t1, out=t2).sum())
+        softplus_sum += float(np.maximum(ub, 0.0, out=t2).sum())
+        _sigmoid(ub, t1, rb, t2)
+        if sparse:
+            u_sum += float(ub.sum())
+            rb -= targets.off
+        else:
+            yb = y2[rows]
+            yu_sum += float(np.multiply(yb, ub, out=t2).sum())
+            rb -= yb
+    if sparse:
+        u_pos = u2[targets.rows, targets.cols]
+        yu_sum = targets.off * u_sum + (targets.on - targets.off) * float(u_pos.sum())
+        e_pos = np.exp(-np.abs(u_pos))
+        sigmoid_pos = _sigmoid(u_pos, e_pos, np.empty_like(u_pos), np.empty_like(u_pos))
+        residual[targets.rows, targets.cols] = sigmoid_pos - targets.on
+    value = (softplus_sum - yu_sum) / u.size if u.size else float("nan")
+    pending = [residual]
 
     def vjp(g):
-        return g * (expit(u) - y) / u.size
+        # Each backward pass calls a node's VJP once; the residual buffer is
+        # scaled in place and handed on, so no second N-wide array is made.
+        if not pending:
+            raise RuntimeError("bce_loss gradient was already taken; rebuild the loss")
+        grad = pending.pop()
+        for rows in blocks:
+            gb = grad[rows]
+            np.multiply(g, gb, out=gb)
+            gb /= u.size
+        return grad.reshape(u.shape)
 
     return custom_node(np.float64(value), (logits,), (vjp,))
 
 
+def _sigmoid(u: np.ndarray, e: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """exp(min(u, 0)) / (1 + e) with ``e = exp(-|u|)``: the logistic function
+    without overflow and with full relative precision in both tails."""
+    np.minimum(u, 0.0, out=out)
+    np.exp(out, out=out)
+    np.divide(out, np.add(e, 1.0, out=scratch), out=out)
+    return out
+
+
 class Adam:
-    """Bias-corrected Adam over named parameters (beta 0.9/0.999, eps 1e-8)."""
+    """Bias-corrected Adam over named parameters (beta 0.9/0.999, eps 1e-8).
+
+    The update runs over slices of about ``_BLOCK_ELEMENTS`` elements with
+    two small scratch buffers, so each slice stays in cache through the
+    whole update. Every operation is elementwise and in the order of the
+    textbook formula, so the result does not depend on the slicing.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -84,17 +161,35 @@ class Adam:
         self.step_count += 1
         correction1 = 1.0 - self.beta1**self.step_count
         correction2 = 1.0 - self.beta2**self.step_count
+        scratch = np.empty((2, _BLOCK_ELEMENTS))
         for name, p in self.named_params:
             if not p.trainable:
                 continue
-            g = p.grad
-            m = self.moment1[name]
-            v = self.moment2[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+            flat = [_flat(a, name) for a in (p.data, p.grad, self.moment1[name], self.moment2[name])]
+            for start in range(0, flat[0].size, _BLOCK_ELEMENTS):
+                w, g, m, v = (a[start : start + _BLOCK_ELEMENTS] for a in flat)
+                t1, t2 = scratch[0, : len(w)], scratch[1, : len(w)]
+                # m = beta1 * m + (1 - beta1) * g
+                m *= self.beta1
+                m += np.multiply(1.0 - self.beta1, g, out=t1)
+                # v = beta2 * v + (1 - beta2) * g^2
+                v *= self.beta2
+                np.multiply(g, g, out=t1)
+                v += np.multiply(1.0 - self.beta2, t1, out=t1)
+                # w -= lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(m, correction1, out=t1)
+                np.multiply(lr, t1, out=t1)
+                np.divide(v, correction2, out=t2)
+                np.sqrt(t2, out=t2)
+                t2 += self.eps
+                w -= np.divide(t1, t2, out=t1)
+
+
+def _flat(a: np.ndarray, name: str) -> np.ndarray:
+    """A flat view of ``a``; updates through it must reach the array itself."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"Adam needs C-contiguous arrays for parameter {name}")
+    return a.reshape(-1)
 
 
 class Trainer:

@@ -1,0 +1,69 @@
+"""Run-config schema: strict parsing and the checkpoint round trip."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgedistill.config import RunConfig
+from kgedistill.errors import ConfigError
+
+unit = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
+optional_dim = st.none() | st.integers(1, 64)
+
+
+@st.composite
+def run_configs(draw) -> RunConfig:
+    kind = draw(st.sampled_from(["distmult", "complex", "tucker", "lowfer"]))
+    d_e = 2 * draw(st.integers(1, 32))
+    model = {
+        "kind": kind,
+        "d_e": d_e,
+        "k_l": draw(st.integers(1, 8)),
+        "dropout1": draw(unit),
+        "dropout2": draw(unit),
+        "dropout3": draw(unit),
+        "batchnorm": draw(st.none() | st.booleans()),
+        "d_r": d_e if kind in ("distmult", "complex") else draw(optional_dim),
+    }
+    train = {
+        "batch_size": draw(st.integers(1, 1024)),
+        "lr": draw(st.floats(min_value=1e-6, max_value=1.0)),
+        "lr_decay": draw(st.floats(min_value=0.01, max_value=1.0)),
+        "label_smoothing": draw(unit),
+        "epochs": draw(st.integers(1, 2000)),
+        "seed": draw(st.integers(0, 2**31)),
+        "eval_every": draw(st.integers(0, 10)),
+    }
+    isd = {
+        "enabled": draw(st.booleans()),
+        "m_exponent": draw(st.floats(min_value=-3.0, max_value=6.0)),
+        "k_b": draw(optional_dim),
+        "beta_init": draw(st.floats(min_value=0.0, max_value=1.0)),
+        "static_input": draw(st.booleans()),
+    }
+    doc = {
+        "dataset_dir": draw(st.text(max_size=8)),
+        "output_dir": draw(st.text(max_size=8)),
+        "model": {k: v for k, v in model.items() if v is not None},
+        "train": train,
+        "isd": {k: v for k, v in isd.items() if v is not None},
+    }
+    return RunConfig.from_dict(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_configs())
+def test_to_dict_round_trips(config):
+    assert RunConfig.from_dict(config.to_dict()) == config
+
+
+def test_to_dict_omits_unset_optional_keys():
+    doc = RunConfig.from_dict({}).to_dict()
+    assert "d_r" not in doc["model"] and "batchnorm" not in doc["model"]
+    assert "k_b" not in doc["isd"]
+    assert doc["train"]["lr"] == 0.001
+
+
+def test_unknown_key_rejected():
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"train": {"learning_rate": 0.01}})

@@ -145,7 +145,7 @@ class TestMakeBatches:
         store = make_store(tmp_path, [("a", "r", "b"), ("a", "r", "c"), ("d", "r", "b")])
         batches = make_batches(store, 2, RngState(1, "shuffle"))
         batch = batches[0]
-        y = batch.targets()
+        y = batch.targets().dense()
         for i in range(len(batch)):
             row = y[i]
             expected = np.zeros(store.n_entities)
@@ -161,7 +161,7 @@ class TestMakeBatches:
     def test_all_rows_have_a_positive(self, tmp_path):
         store = self._store(tmp_path)
         for batch in make_batches(store, 4, RngState(5, "shuffle")):
-            assert (batch.targets().sum(axis=1) >= 1).all()
+            assert (batch.targets().dense().sum(axis=1) >= 1).all()
 
 
 class TestHeadRankingViaReciprocal:

@@ -1,0 +1,293 @@
+"""BCE loss, Adam, leaf gradient accumulation, and bit-exact resume."""
+
+import mpmath
+import numpy as np
+import pytest
+from conftest import assert_gradients_match, synthetic_triples, write_dataset
+from scipy.special import expit
+
+from kgedistill import training
+from kgedistill.autodiff import (
+    Parameter,
+    Tensor,
+    backward,
+    gather_rows,
+    matmul,
+    mul,
+    tensor_sum,
+    transpose,
+)
+from kgedistill.config import RunConfig
+from kgedistill.data import (
+    Batch,
+    SparseTargets,
+    augment_reciprocal,
+    label_smooth,
+    load_dataset,
+)
+from kgedistill.training import Adam, Trainer, bce_loss
+
+
+def rel_err(a, b) -> float:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    scale = max(np.abs(b).max(initial=0.0), 1e-300)
+    return float(np.abs(a - b).max(initial=0.0) / scale)
+
+
+def random_batch(rng, n_rows=6, n_entities=50, max_tails=4) -> Batch:
+    tails = tuple(
+        rng.choice(n_entities, rng.integers(1, max_tails + 1), replace=False)
+        for _ in range(n_rows)
+    )
+    return Batch(
+        heads=np.arange(n_rows), relations=np.zeros(n_rows, dtype=np.int64),
+        tails=tails, n_entities=n_entities,
+    )
+
+
+def loss_and_grad(logits: np.ndarray, targets):
+    p = Parameter(logits.copy())
+    loss = bce_loss(p, targets)
+    backward(loss)
+    return float(loss.data), p.grad
+
+
+# ---------------------------------------------------------------------------
+# BCE on sparse and dense targets
+# ---------------------------------------------------------------------------
+
+class TestBceLoss:
+    @pytest.mark.parametrize("block", [64, 1 << 14])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_sparse_matches_dense(self, monkeypatch, block, epsilon):
+        monkeypatch.setattr(training, "_BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(3)
+        batch = random_batch(rng)
+        logits = rng.normal(0.0, 4.0, (len(batch), batch.n_entities))
+        sparse = label_smooth(batch.targets(), epsilon)
+        dense = label_smooth(batch.targets().dense(), epsilon)
+        value_s, grad_s = loss_and_grad(logits, sparse)
+        value_d, grad_d = loss_and_grad(logits, dense)
+        assert rel_err(value_s, value_d) <= 1e-12
+        assert rel_err(grad_s, grad_d) <= 1e-14
+
+    def test_matches_logaddexp_formula(self):
+        rng = np.random.default_rng(4)
+        batch = random_batch(rng)
+        logits = rng.normal(0.0, 3.0, (len(batch), batch.n_entities))
+        y = label_smooth(batch.targets().dense(), 0.1)
+        value, grad = loss_and_grad(logits, label_smooth(batch.targets(), 0.1))
+        assert rel_err(value, np.mean(np.logaddexp(0.0, logits) - y * logits)) <= 1e-12
+        assert rel_err(grad, (expit(logits) - y) / logits.size) <= 1e-14
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_matches_mpmath(self, epsilon):
+        logits = np.array([[-40.0, -3.5, 0.0, 2.25, 35.0], [1e-9, -1e-9, 7.0, -7.0, -700.0]])
+        targets = label_smooth(SparseTargets([0, 1, 1], [3, 0, 2], logits.shape), epsilon)
+        value, grad = loss_and_grad(logits, targets)
+        with mpmath.workdps(50):
+            pairs = [
+                (mpmath.mpf(u), mpmath.mpf(t))
+                for u, t in zip(logits.ravel().tolist(), targets.dense().ravel().tolist())
+            ]
+            exact = float(sum(mpmath.log1p(mpmath.exp(u)) - t * u for u, t in pairs) / logits.size)
+            exact_grad = np.array(
+                [float((1 / (1 + mpmath.exp(-u)) - t) / logits.size) for u, t in pairs]
+            )
+        assert abs(value - exact) <= 1e-14 * abs(exact)
+        assert rel_err(grad.ravel(), exact_grad) <= 1e-15
+        if epsilon == 0.0:
+            # Hard targets: the off-target entries are sigmoid(u) itself, so
+            # each must keep full relative precision, even at 1e-304.
+            off = targets.dense().ravel() == 0.0
+            np.testing.assert_allclose(grad.ravel()[off], exact_grad[off], rtol=4e-16, atol=0.0)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(5)
+        batch = random_batch(rng, n_rows=3, n_entities=7, max_tails=2)
+        targets = label_smooth(batch.targets(), 0.1)
+        p = Parameter(rng.normal(0.0, 2.0, (3, 7)))
+        assert_gradients_match(lambda: bce_loss(p, targets) * 3.0, [p])
+
+    def test_zero_epsilon_keeps_hard_targets(self):
+        targets = SparseTargets([0], [1], (1, 3))
+        assert label_smooth(targets, 0.0) is targets
+        value, grad = loss_and_grad(np.array([[0.0, 0.0, 0.0]]), targets)
+        assert value == pytest.approx(np.log(2.0))
+        np.testing.assert_array_equal(grad, [[0.5 / 3, -0.5 / 3, 0.5 / 3]])
+
+    def test_smoothing_maps_on_and_off_exactly(self):
+        targets = label_smooth(SparseTargets([0, 0], [1, 3], (1, 4)), 0.1)
+        np.testing.assert_array_equal(
+            targets.dense(), label_smooth(np.array([[0.0, 1.0, 0.0, 1.0]]), 0.1)
+        )
+
+    def test_out_of_range_tail_raises(self):
+        batch = Batch(np.array([0, 1]), np.array([0, 0]), (np.array([1]), np.array([5])), 5)
+        with pytest.raises(ValueError):
+            batch.targets()
+        with pytest.raises(ValueError):
+            SparseTargets([0], [-1], (1, 5))
+
+    def test_repeated_tails_count_once(self):
+        batch = Batch(np.array([0]), np.array([0]), (np.array([2, 2, 1]),), 4)
+        targets = batch.targets()
+        assert targets.cols.tolist() == [1, 2]
+        np.testing.assert_array_equal(targets.dense(), [[0.0, 1.0, 1.0, 0.0]])
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            bce_loss(Tensor(np.zeros((2, 3))), SparseTargets([0], [0], (2, 4)))
+
+    def test_second_backward_over_one_graph_raises(self):
+        p = Parameter(np.zeros((1, 3)))
+        loss = bce_loss(p, SparseTargets([0], [1], (1, 3)))
+        backward(loss)
+        with pytest.raises(RuntimeError):
+            backward(loss)
+
+
+# ---------------------------------------------------------------------------
+# Adam
+# ---------------------------------------------------------------------------
+
+def adam_one_shot(p, g, m, v, lr, step):
+    """The unblocked update, written as the textbook formula."""
+    b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+    c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def test_blocked_adam_matches_one_shot_formula():
+    block = training._BLOCK_ELEMENTS
+    shapes = [(7,), (2 * block + 3,), (130, 257), (block // 64, 64), (3, 1)]
+    rng = np.random.default_rng(9)
+    params = [(f"p{i}", Parameter(rng.normal(size=s))) for i, s in enumerate(shapes)]
+    ref = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for _, p in params]
+    adam = Adam(params)
+    for step in range(1, 5):
+        lr = 0.01 * 0.9**step
+        for (_, p), (w, m, v) in zip(params, ref):
+            p.grad[...] = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)
+            adam_one_shot(w, p.grad, m, v, lr, step)
+        adam.step(lr)
+        for (name, p), (w, m, v) in zip(params, ref):
+            assert p.data.tobytes() == w.tobytes(), name
+            assert adam.moment1[name].tobytes() == m.tobytes(), name
+            assert adam.moment2[name].tobytes() == v.tobytes(), name
+
+
+def test_adam_rejects_non_contiguous_parameter():
+    p = Parameter(np.zeros((4, 4)))
+    p.data = p.data.T
+    p.grad = np.zeros((4, 4)).T
+    with pytest.raises(ValueError):
+        Adam([("p", p)]).step(0.1)
+
+
+# ---------------------------------------------------------------------------
+# Leaf gradients
+# ---------------------------------------------------------------------------
+
+def backward_sum_then_add(loss: Tensor) -> None:
+    """Reference backward pass: same traversal as ``backward``, but every
+    contribution to a node is summed first and then added to the leaf."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in visited)
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if not node._parents:
+            node.grad += g
+            continue
+        for parent, vjp in zip(node._parents, node._vjps):
+            c = vjp(g)
+            grads[id(parent)] = grads[id(parent)] + c if id(parent) in grads else c
+
+
+def test_leaf_direct_accumulation_is_bit_identical():
+    """One table feeds a gather, a transposed product and a square."""
+    rng = np.random.default_rng(11)
+    table_init, other_init = rng.normal(size=(6, 5)), rng.normal(size=(4, 5))
+
+    def build():
+        table, other = Parameter(table_init.copy()), Parameter(other_init.copy())
+        rows = gather_rows(table, np.array([0, 3, 3, 1]))
+        scores = matmul(mul(rows, other), transpose(table))
+        loss = bce_loss(scores, SparseTargets([0, 2], [4, 1], scores.shape))
+        return table, other, loss + tensor_sum(mul(table, table)) * 0.01
+
+    t1, o1, loss1 = build()
+    backward(loss1)
+    t2, o2, loss2 = build()
+    backward_sum_then_add(loss2)
+    assert t1.grad.tobytes() == t2.grad.tobytes()
+    assert o1.grad.tobytes() == o2.grad.tobytes()
+
+
+def test_identity_vjp_feeding_two_interior_parents():
+    """add hands one array to both parents; summing into it in place would
+    change the other parent's gradient too."""
+    p = Parameter(np.array([1.0, 2.0]))
+    a, b = p * 2.0, p * 3.0
+    d = (a + a) + (b + b)
+    backward(tensor_sum(d * d))
+    # d = 10p, so the loss is 100 p^2
+    np.testing.assert_array_equal(p.grad, 200.0 * p.data)
+
+
+# ---------------------------------------------------------------------------
+# Resume
+# ---------------------------------------------------------------------------
+
+def _store(tmp_path):
+    train, valid, test = synthetic_triples(30, 3, n_train=90, n_valid=8, n_test=8)
+    return augment_reciprocal(load_dataset(write_dataset(tmp_path / "memo", train, valid, test)))
+
+
+def _state(trainer: Trainer) -> dict:
+    return {k: np.array(v, copy=True) for k, v in trainer._named_tensors().items()}
+
+
+@pytest.mark.parametrize(
+    "model, isd",
+    [
+        ({"kind": "distmult", "d_e": 8}, {"enabled": True, "m_exponent": 1.0}),
+        ({"kind": "tucker", "d_e": 6, "d_r": 4, "batchnorm": True}, {}),
+    ],
+)
+def test_resume_is_bit_exact(tmp_path, model, isd):
+    store = _store(tmp_path)
+    doc = {"model": model, "train": {"batch_size": 16, "epochs": 6, "seed": 5}, "isd": isd}
+    straight = Trainer(store, RunConfig.from_dict(doc))
+    for _ in range(6):
+        straight.train_epoch()
+
+    first = Trainer(store, RunConfig.from_dict(doc))
+    for _ in range(3):
+        first.train_epoch()
+    first.save(tmp_path / "ckpt")
+    resumed = Trainer.resume(tmp_path / "ckpt", store)
+    for _ in range(3):
+        resumed.train_epoch()
+
+    assert resumed.metrics_history == straight.metrics_history
+    want, got = _state(straight), _state(resumed)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
