@@ -112,18 +112,14 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, as_tensor(other))
 
-    def __pow__(self, exponent):
-        return pow_scalar(self, exponent)
-
 
 class Parameter(Tensor):
     """A trainable leaf tensor. ``grad`` is always allocated and zeroed."""
 
-    __slots__ = ("trainable",)
+    __slots__ = ()
 
-    def __init__(self, data, trainable: bool = True):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.trainable = trainable
 
 
 def as_tensor(value) -> Tensor:
@@ -199,20 +195,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     return _node(-a.data, (a,), (lambda g: -g,))
-
-
-def pow_scalar(a: Tensor, exponent: float) -> Tensor:
-    e = float(exponent)
-    return _node(a.data ** e, (a,), (lambda g: g * e * a.data ** (e - 1.0),))
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-    return _node(out_data, (a,), (lambda g: g * out_data,))
-
-
-def log(a: Tensor) -> Tensor:
-    return _node(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:

@@ -83,11 +83,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"unknown split {args.split!r}, expected train, valid or test")
     ckpt = load_checkpoint(args.checkpoint)
     store = augment_reciprocal(load_dataset(args.dataset_dir))
-    if store.n_entities != ckpt.n_entities or store.n_relations != ckpt.n_relations:
-        raise ConfigError(
-            f"dataset has {store.n_entities} entities / {store.n_relations} relations "
-            f"after augmentation, checkpoint expects {ckpt.n_entities} / {ckpt.n_relations}"
-        )
+    ckpt.check_vocab(store)
     model = model_from_checkpoint(ckpt)
     report = evaluate(model, store, build_filter_index(store), split=args.split)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

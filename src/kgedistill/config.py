@@ -1,18 +1,20 @@
 """Configuration objects and the strict JSON run-config schema.
 
-A run config is a single JSON document. Unknown keys are rejected (typos in
-hyperparameter names must not silently fall back to defaults), and omitted
-keys fill in the standard defaults: batch size 512, Adam at learning rate
-0.001 with per-epoch decay 0.99, label smoothing 0.1, dropout 0.3/0.2/0.3,
-at most 1500 epochs, distillation temperature 10^5, and initial mixing
-weight 1.
+The four dataclasses below are the schema. A run config is a single JSON
+document whose keys are their field names: top-level ``dataset_dir`` and
+``output_dir`` plus one object per section (``model``, ``train``, ``isd``).
+Each field's annotation is the type its key accepts and its default is the
+value an omitted key takes. Unknown keys are rejected (typos in
+hyperparameter names must not silently fall back to defaults), and an
+optional field is left unset by omitting its key, never by ``null``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 
@@ -30,9 +32,9 @@ class ModelConfig:
     d_e: int = 100
     d_r: int | None = None
     k_l: int = 30
-    dropout_input: float = 0.3
-    dropout_hidden: float = 0.2
-    dropout_output: float = 0.3
+    dropout1: float = 0.3  # input dropout, on the head embedding
+    dropout2: float = 0.2  # hidden dropout, on the interaction vector
+    dropout3: float = 0.3  # output dropout, before the entity contraction
     batchnorm: bool | None = None
 
     @property
@@ -61,7 +63,7 @@ class ModelConfig:
             raise ConfigError(f"relation dimension must be >= 1, got {self.rel_dim}")
         if self.kind == "lowfer" and self.k_l < 1:
             raise ConfigError(f"lowfer factorization rank must be >= 1, got {self.k_l}")
-        for name in ("dropout_input", "dropout_hidden", "dropout_output"):
+        for name in ("dropout1", "dropout2", "dropout3"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {rate}")
@@ -97,7 +99,7 @@ class TrainConfig:
     """Optimization schedule and loop bookkeeping."""
 
     batch_size: int = 512
-    learning_rate: float = 0.001
+    lr: float = 0.001
     lr_decay: float = 0.99
     label_smoothing: float = 0.1
     epochs: int = 1500
@@ -107,8 +109,8 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -139,154 +141,60 @@ class RunConfig:
     def to_dict(self) -> dict:
         """Default-filled echo of the config, as stored in checkpoints.
 
-        Optional keys left unset (``d_r``, ``batchnorm``, ``k_b``) are
-        omitted, so :meth:`from_dict` reads the document back unchanged.
+        Every field is emitted under its own name, sections as nested
+        objects; optional fields left unset are omitted, so
+        :meth:`from_dict` reads the document back unchanged.
         """
-        doc = {
-            "dataset_dir": self.dataset_dir,
-            "output_dir": self.output_dir,
-            "model": {
-                "kind": self.model.kind,
-                "d_e": self.model.d_e,
-                "d_r": self.model.d_r,
-                "k_l": self.model.k_l,
-                "dropout1": self.model.dropout_input,
-                "dropout2": self.model.dropout_hidden,
-                "dropout3": self.model.dropout_output,
-                "batchnorm": self.model.batchnorm,
-            },
-            "train": {
-                "batch_size": self.train.batch_size,
-                "lr": self.train.learning_rate,
-                "lr_decay": self.train.lr_decay,
-                "label_smoothing": self.train.label_smoothing,
-                "epochs": self.train.epochs,
-                "seed": self.train.seed,
-                "eval_every": self.train.eval_every,
-            },
-            "isd": {
-                "enabled": self.isd.enabled,
-                "m_exponent": self.isd.m_exponent,
-                "k_b": self.isd.k_b,
-                "beta_init": self.isd.beta_init,
-                "static_input": self.isd.static_input,
-            },
-        }
-        for section in ("model", "isd"):
-            doc[section] = {k: v for k, v in doc[section].items() if v is not None}
-        return doc
+        return _to_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        return _parse_run_config(doc)
+        """Parse and validate a run-config document (see the module docstring)."""
+        return _from_dict(cls, doc, "").validate()
 
 
 # ---------------------------------------------------------------------------
-# Strict JSON parsing
+# Strict JSON parsing, driven by the dataclass fields
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = {
-    "kind": str,
-    "d_e": int,
-    "d_r": int,
-    "k_l": int,
-    "dropout1": float,
-    "dropout2": float,
-    "dropout3": float,
-    "batchnorm": bool,
-}
-_TRAIN_KEYS = {
-    "batch_size": int,
-    "lr": float,
-    "lr_decay": float,
-    "label_smoothing": float,
-    "epochs": int,
-    "seed": int,
-    "eval_every": int,
-}
-_ISD_KEYS = {
-    "enabled": bool,
-    "m_exponent": float,
-    "k_b": int,
-    "beta_init": float,
-    "static_input": bool,
-}
-_TOP_KEYS = {"dataset_dir", "output_dir", "model", "train", "isd"}
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_section(doc: dict, allowed: dict, path: str) -> dict:
+def _to_dict(obj) -> dict:
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _to_dict(value)
+        if value is not None:
+            doc[f.name] = value
+    return doc
+
+
+def _from_dict(cls, doc, path: str):
     if not isinstance(doc, dict):
-        raise ConfigError(f"config section {path!r} must be an object")
-    out = {}
+        raise ConfigError(
+            f"config section {path!r} must be an object" if path else "config root must be a JSON object"
+        )
+    hints = get_type_hints(cls)
+    values = {}
     for key, value in doc.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {path}.{key}")
-        want = allowed[key]
-        if want is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"config key {path}.{key} must be a number")
-            value = float(value)
-        elif want is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"config key {path}.{key} must be an integer")
-        elif want is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"config key {path}.{key} must be true or false")
-        elif want is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {path}.{key} must be a string")
-        out[key] = value
-    return out
+        where = f"{path}.{key}" if path else key
+        if key not in hints:
+            raise ConfigError(f"unknown config key {where}")
+        hint = hints[key]
+        values[key] = _from_dict(hint, value, where) if is_dataclass(hint) else _value(value, hint, where)
+    return cls(**values)
 
 
-def _parse_run_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    for key in doc:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown config key {key}")
-    for key in ("dataset_dir", "output_dir"):
-        if key in doc and not isinstance(doc[key], str):
-            raise ConfigError(f"config key {key} must be a string")
-
-    model_doc = _check_section(doc.get("model", {}), _MODEL_KEYS, "model")
-    train_doc = _check_section(doc.get("train", {}), _TRAIN_KEYS, "train")
-    isd_doc = _check_section(doc.get("isd", {}), _ISD_KEYS, "isd")
-
-    model = ModelConfig(
-        kind=model_doc.get("kind", "distmult"),
-        d_e=model_doc.get("d_e", 100),
-        d_r=model_doc.get("d_r"),
-        k_l=model_doc.get("k_l", 30),
-        dropout_input=model_doc.get("dropout1", 0.3),
-        dropout_hidden=model_doc.get("dropout2", 0.2),
-        dropout_output=model_doc.get("dropout3", 0.3),
-        batchnorm=model_doc.get("batchnorm"),
-    )
-    train = TrainConfig(
-        batch_size=train_doc.get("batch_size", 512),
-        learning_rate=train_doc.get("lr", 0.001),
-        lr_decay=train_doc.get("lr_decay", 0.99),
-        label_smoothing=train_doc.get("label_smoothing", 0.1),
-        epochs=train_doc.get("epochs", 1500),
-        seed=train_doc.get("seed", 0),
-        eval_every=train_doc.get("eval_every", 0),
-    )
-    isd = DistillConfig(
-        enabled=isd_doc.get("enabled", False),
-        m_exponent=isd_doc.get("m_exponent", 5.0),
-        k_b=isd_doc.get("k_b"),
-        beta_init=isd_doc.get("beta_init", 1.0),
-        static_input=isd_doc.get("static_input", False),
-    )
-    cfg = RunConfig(
-        dataset_dir=doc.get("dataset_dir", ""),
-        output_dir=doc.get("output_dir", ""),
-        model=model,
-        train=train,
-        isd=isd,
-    )
-    return cfg.validate()
+def _value(value, hint, where: str):
+    """``value`` checked against a field annotation: bools are never numbers,
+    ints are accepted as floats, and ``None`` is never accepted."""
+    want = next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    accepted = (int, float) if want is float else want
+    if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config key {where} must be {_EXPECTED[want]}")
+    return float(value) if want is float else value
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -296,4 +204,4 @@ def load_run_config(path: str | Path) -> RunConfig:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return _parse_run_config(doc)
+    return RunConfig.from_dict(doc)

@@ -60,10 +60,6 @@ class SemanticBlock:
             ("w_expand", self.w_expand),
         ]
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
-
 
 class TeacherCache:
     """The detached semantic vector from the previous training iteration.

@@ -3,8 +3,8 @@
 Every known-true completion other than the target is removed from the
 candidate list before ranking. Head prediction is realized as tail
 prediction under the reciprocal relation, so a single scoring pass per
-direction suffices. Ties share the average of the tied positions by
-default, which keeps constant-score degenerate models honest.
+direction suffices. Ties share the average of the tied positions, which
+keeps constant-score degenerate models honest.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from .autodiff import no_grad
 from .data import FilterIndex, TripleStore
 from .errors import ConfigError
 from .models import EmbeddingModel
-
-TIE_POLICIES = ("average", "optimistic", "pessimistic")
-
 
 @dataclass
 class DirectionMetrics:
@@ -58,23 +55,16 @@ class MetricsReport:
         }
 
 
-def filtered_rank(
-    scores: np.ndarray,
-    true_id: int,
-    filter_ids,
-    tie_policy: str = "average",
-) -> float:
+def filtered_rank(scores: np.ndarray, true_id: int, filter_ids) -> float:
     """Rank of the true entity after removing other known-true candidates.
 
     ``filter_ids`` are the known true completions for the query; the true
-    entity itself always stays in the candidate list. With the default
-    policy, k tied candidates share rank 1 + greater + k/2.
+    entity itself always stays in the candidate list. The true entity and
+    k candidates tied with it share rank 1 + greater + k/2.
     """
     scores = np.asarray(scores)
     if not 0 <= true_id < scores.shape[0]:
         raise IndexError(f"true entity id {true_id} out of range for {scores.shape[0]} scores")
-    if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
     keep = np.ones(scores.shape[0], dtype=bool)
     filter_ids = np.asarray(filter_ids, dtype=np.int64)
     if filter_ids.size:
@@ -84,11 +74,7 @@ def filtered_rank(
     true_score = scores[true_id]
     greater = int((candidates > true_score).sum())
     ties = int((candidates == true_score).sum()) - 1
-    if tie_policy == "average":
-        return 1.0 + greater + ties / 2.0
-    if tie_policy == "optimistic":
-        return 1.0 + greater
-    return 1.0 + greater + ties
+    return 1.0 + greater + ties / 2.0
 
 
 def rank_split(
@@ -97,7 +83,6 @@ def rank_split(
     filter_index: FilterIndex,
     split: str = "test",
     batch_size: int = 512,
-    tie_policy: str = "average",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Head- and tail-direction filtered ranks for every original triple.
 
@@ -122,7 +107,7 @@ def rank_split(
             for i in range(stop - start):
                 h, r = int(queries_h[start + i]), int(queries_r[start + i])
                 ranks[start + i] = filtered_rank(
-                    logits[i], int(true_ids[start + i]), filter_index.tails(h, r), tie_policy
+                    logits[i], int(true_ids[start + i]), filter_index.tails(h, r)
                 )
         return ranks
 
@@ -150,12 +135,9 @@ def evaluate(
     filter_index: FilterIndex,
     split: str = "test",
     batch_size: int = 512,
-    tie_policy: str = "average",
 ) -> MetricsReport:
     """Filtered MRR and Hits@{1,3,10}, averaged over both directions."""
-    head_ranks, tail_ranks = rank_split(
-        model, store, filter_index, split, batch_size, tie_policy
-    )
+    head_ranks, tail_ranks = rank_split(model, store, filter_index, split, batch_size)
     head = _direction_metrics(head_ranks)
     tail = _direction_metrics(tail_ranks)
     return MetricsReport(

@@ -128,11 +128,3 @@ class BatchNorm:
 
     def buffers(self):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        if name == "running_mean":
-            self.running_mean = value.copy()
-        elif name == "running_var":
-            self.running_var = value.copy()
-        else:
-            raise KeyError(name)

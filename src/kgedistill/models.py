@@ -171,10 +171,6 @@ class EmbeddingModel:
                 out.extend((f"{prefix}.{n}", b) for n, b in bn.buffers())
         return out
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
-
     # -- forward pass ----------------------------------------------------------
 
     def interaction(self, h_emb: Tensor, r_emb: Tensor) -> Tensor:
@@ -200,12 +196,12 @@ class EmbeddingModel:
         r = gather_rows(self.relation_embeddings, relations)
         if self.bn_input is not None:
             h = self.bn_input(h, training)
-        h = dropout(h, cfg.dropout_input, rng, training)
+        h = dropout(h, cfg.dropout1, rng, training)
         z = self.interaction(h, r)
-        z = dropout(z, cfg.dropout_hidden, rng, training)
+        z = dropout(z, cfg.dropout2, rng, training)
         if self.bn_output is not None:
             z = self.bn_output(z, training)
-        z = dropout(z, cfg.dropout_output, rng, training)
+        z = dropout(z, cfg.dropout3, rng, training)
         return matmul(z, transpose(self.entity_embeddings))
 
 

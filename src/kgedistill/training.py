@@ -10,6 +10,7 @@ bit-identical parameters to "distillation disabled".
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -163,8 +164,6 @@ class Adam:
         correction2 = 1.0 - self.beta2**self.step_count
         scratch = np.empty((2, _BLOCK_ELEMENTS))
         for name, p in self.named_params:
-            if not p.trainable:
-                continue
             flat = [_flat(a, name) for a in (p.data, p.grad, self.moment1[name], self.moment2[name])]
             for start in range(0, flat[0].size, _BLOCK_ELEMENTS):
                 w, g, m, v = (a[start : start + _BLOCK_ELEMENTS] for a in flat)
@@ -247,7 +246,7 @@ class Trainer:
             raise ValueError(f"epoch {ep} is outside the configured schedule of {cfg.epochs}")
 
         beta = beta_at_epoch(ep, cfg.epochs, dcfg.beta_init) if dcfg.enabled else 0.0
-        lr = lr_at_epoch(ep, cfg.learning_rate, cfg.lr_decay)
+        lr = lr_at_epoch(ep, cfg.lr, cfg.lr_decay)
         # With beta exactly 0 the KL term cannot contribute, so the whole
         # distillation path is skipped; this keeps the run bit-identical to
         # a distillation-disabled run.
@@ -300,15 +299,14 @@ class Trainer:
     # -- checkpointing ---------------------------------------------------------
 
     def _named_tensors(self) -> dict:
-        tensors = {f"model.{n}": p.data for n, p in self.model.named_parameters()}
-        tensors.update((f"model.{n}", b) for n, b in self.model.named_buffers())
+        """Every array a checkpoint restores, by name: model parameters and
+        buffers, block parameters, and both Adam moments."""
+        tensors = _model_tensors(self.model)
         if self.block is not None:
             tensors.update((f"block.{n}", p.data) for n, p in self.block.named_parameters())
         for name in self.adam.moment1:
             tensors[f"adam.m.{name}"] = self.adam.moment1[name]
             tensors[f"adam.v.{name}"] = self.adam.moment2[name]
-        if self.teacher.present:
-            tensors["teacher.vector"] = self.teacher.vector
         return tensors
 
     def save(self, directory: str | Path) -> None:
@@ -316,6 +314,8 @@ class Trainer:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         tensors = self._named_tensors()
+        if self.teacher.present:
+            tensors["teacher.vector"] = self.teacher.vector
         manifest = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
@@ -323,10 +323,7 @@ class Trainer:
             "epoch": self.epoch,
             "seed": self.run_config.train.seed,
             "adam_step": self.adam.step_count,
-            "rng": {
-                "shuffle": _state_to_json(self.rng_shuffle.state),
-                "dropout": _state_to_json(self.rng_dropout.state),
-            },
+            "rng": {"shuffle": self.rng_shuffle.state, "dropout": self.rng_dropout.state},
             "teacher_present": self.teacher.present,
             "metrics_history": self.metrics_history,
             "tensors": sorted(tensors),
@@ -348,33 +345,14 @@ class Trainer:
     def resume(cls, directory: str | Path, store: TripleStore) -> "Trainer":
         """Rebuild a trainer from a checkpoint, bit-exact with the saved run."""
         ckpt = load_checkpoint(directory)
-        config = RunConfig.from_dict(ckpt.manifest["config"])
-        if store.n_entities != ckpt.n_entities or store.n_relations != ckpt.n_relations:
-            raise ConfigError(
-                f"dataset has {store.n_entities} entities / {store.n_relations} relations, "
-                f"checkpoint expects {ckpt.n_entities} / {ckpt.n_relations}"
-            )
-        trainer = cls(store, config)
-        for name, p in trainer._named_parameters():
-            if name not in ckpt.tensors:
-                raise CheckpointError(f"checkpoint is missing tensor {name}")
-            _assign(p.data, ckpt.tensors[name], name)
-        for name, buf in trainer.model.named_buffers():
-            key = f"model.{name}"
-            if key not in ckpt.tensors:
-                raise CheckpointError(f"checkpoint is missing tensor {key}")
-            _assign(buf, ckpt.tensors[key], key)
-        for name in trainer.adam.moment1:
-            for prefix, store_dict in (("adam.m.", trainer.adam.moment1), ("adam.v.", trainer.adam.moment2)):
-                key = prefix + name
-                if key not in ckpt.tensors:
-                    raise CheckpointError(f"checkpoint is missing tensor {key}")
-                _assign(store_dict[name], ckpt.tensors[key], key)
+        ckpt.check_vocab(store)
+        trainer = cls(store, ckpt.config)
+        _load_tensors(trainer._named_tensors(), ckpt.tensors)
         trainer.adam.step_count = ckpt.manifest["adam_step"]
         trainer.epoch = ckpt.manifest["epoch"]
         trainer.metrics_history = list(ckpt.manifest["metrics_history"])
-        trainer.rng_shuffle.set_state(_state_from_json(ckpt.manifest["rng"]["shuffle"]))
-        trainer.rng_dropout.set_state(_state_from_json(ckpt.manifest["rng"]["dropout"]))
+        trainer.rng_shuffle.set_state(ckpt.manifest["rng"]["shuffle"])
+        trainer.rng_dropout.set_state(ckpt.manifest["rng"]["dropout"])
         if ckpt.manifest["teacher_present"]:
             trainer.teacher.refresh(ckpt.tensors["teacher.vector"])
         return trainer
@@ -411,6 +389,19 @@ class Checkpoint:
     def config(self) -> RunConfig:
         return RunConfig.from_dict(self.manifest["config"])
 
+    def check_vocab(self, store: TripleStore) -> None:
+        """Raise :class:`ConfigError` unless ``store`` (reciprocal-augmented)
+        names the same entities and relations as the checkpoint, in order."""
+        for kind, saved, names in (
+            ("entities", self.entities, store.vocab.entities),
+            ("relations", self.relations, store.vocab.relations),
+        ):
+            if saved != names:
+                raise ConfigError(
+                    f"dataset {kind} differ from the checkpoint's "
+                    f"({len(names)} vs {len(saved)} names, compared in order)"
+                )
+
 
 def _write_tensor(path: Path, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
@@ -422,49 +413,50 @@ def _write_tensor(path: Path, arr: np.ndarray) -> None:
 
 
 def _read_tensor(path: Path) -> np.ndarray:
+    """Read one tensor file; the body goes straight into the returned array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _TENSOR_MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes, not a tensor file")
-    if len(raw) < 8:
-        raise CheckpointError(f"{path}: truncated header")
-    (rank,) = struct.unpack_from("<I", raw, 4)
-    if rank > _MAX_RANK:
-        raise CheckpointError(f"{path}: implausible tensor rank {rank}")
-    header_end = 8 + 8 * rank
-    if len(raw) < header_end:
-        raise CheckpointError(f"{path}: truncated dimension header")
-    dims = struct.unpack_from(f"<{rank}Q", raw, 8)
-    expected = int(np.prod(dims, dtype=np.int64)) if rank else 1
-    body = raw[header_end:]
-    if len(body) != expected * 8:
-        raise CheckpointError(
-            f"{path}: expected {expected * 8} data bytes for shape {dims}, got {len(body)}"
-        )
-    return np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(dims)
+        header = fh.read(8)
+        if header[:4] != _TENSOR_MAGIC:
+            raise CheckpointError(f"{path}: bad magic bytes, not a tensor file")
+        if len(header) < 8:
+            raise CheckpointError(f"{path}: truncated header")
+        (rank,) = struct.unpack_from("<I", header, 4)
+        if rank > _MAX_RANK:
+            raise CheckpointError(f"{path}: implausible tensor rank {rank}")
+        raw_dims = fh.read(8 * rank)
+        if len(raw_dims) < 8 * rank:
+            raise CheckpointError(f"{path}: truncated dimension header")
+        dims = struct.unpack(f"<{rank}Q", raw_dims)
+        expected = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        body = os.fstat(fh.fileno()).st_size - 8 - 8 * rank
+        if body != expected * 8:
+            raise CheckpointError(
+                f"{path}: expected {expected * 8} data bytes for shape {dims}, got {body}"
+            )
+        out = np.empty(dims, dtype="<f8")
+        if fh.readinto(out.data) != body:
+            raise CheckpointError(f"{path}: file shrank while it was read")
+    return out.astype(np.float64, copy=False)
 
 
-def _assign(target: np.ndarray, value: np.ndarray, name: str) -> None:
-    if target.shape != value.shape:
-        raise CheckpointError(
-            f"tensor {name} has shape {value.shape}, expected {target.shape}"
-        )
-    target[...] = value
+def _load_tensors(targets: dict, tensors: dict) -> None:
+    """Copy each checkpoint tensor into the array of the same name in ``targets``."""
+    for name, target in targets.items():
+        if name not in tensors:
+            raise CheckpointError(f"checkpoint is missing tensor {name}")
+        value = tensors[name]
+        if target.shape != value.shape:
+            raise CheckpointError(
+                f"tensor {name} has shape {value.shape}, expected {target.shape}"
+            )
+        target[...] = value
 
 
-def _state_to_json(state: dict) -> dict:
-    def convert(v):
-        if isinstance(v, dict):
-            return {k: convert(x) for k, x in v.items()}
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        return v
-
-    return convert(state)
-
-
-def _state_from_json(state: dict) -> dict:
-    return state
+def _model_tensors(model: EmbeddingModel) -> dict:
+    """The model's parameters and buffers under their checkpoint names."""
+    tensors = {f"model.{n}": p.data for n, p in model.named_parameters()}
+    tensors.update((f"model.{n}", b) for n, b in model.named_buffers())
+    return tensors
 
 
 def load_checkpoint(directory: str | Path) -> Checkpoint:
@@ -508,14 +500,5 @@ def model_from_checkpoint(ckpt: Checkpoint) -> EmbeddingModel:
     model = EmbeddingModel(
         config.model, ckpt.n_entities, ckpt.n_relations, RngState(0, "unused-init")
     )
-    for name, p in model.named_parameters():
-        key = f"model.{name}"
-        if key not in ckpt.tensors:
-            raise CheckpointError(f"checkpoint is missing tensor {key}")
-        _assign(p.data, ckpt.tensors[key], key)
-    for name, buf in model.named_buffers():
-        key = f"model.{name}"
-        if key not in ckpt.tensors:
-            raise CheckpointError(f"checkpoint is missing tensor {key}")
-        _assign(buf, ckpt.tensors[key], key)
+    _load_tensors(_model_tensors(model), ckpt.tensors)
     return model

@@ -1,5 +1,7 @@
 """Run-config schema: strict parsing and the checkpoint round trip."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,3 +69,58 @@ def test_to_dict_omits_unset_optional_keys():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"train": {"learning_rate": 0.01}})
+
+
+# Literal outputs of the previous hand-written to_dict; checkpoints store this
+# document, so its keys, order and value types must not drift.
+DEFAULT_DOC = {
+    "dataset_dir": "",
+    "output_dir": "",
+    "model": {"kind": "distmult", "d_e": 100, "k_l": 30, "dropout1": 0.3, "dropout2": 0.2, "dropout3": 0.3},
+    "train": {"batch_size": 512, "lr": 0.001, "lr_decay": 0.99, "label_smoothing": 0.1,
+              "epochs": 1500, "seed": 0, "eval_every": 0},
+    "isd": {"enabled": False, "m_exponent": 5.0, "beta_init": 1.0, "static_input": False},
+}
+FULL_INPUT = {
+    "dataset_dir": "data/wn18rr",
+    "output_dir": "runs/x",
+    "model": {"kind": "tucker", "d_e": 32, "d_r": 16, "k_l": 4, "dropout1": 0.25, "dropout2": 0.5,
+              "dropout3": 0, "batchnorm": False},
+    "train": {"batch_size": 128, "lr": 0.005, "lr_decay": 1, "label_smoothing": 0.0, "epochs": 20,
+              "seed": 7, "eval_every": 5},
+    "isd": {"enabled": True, "m_exponent": 2, "k_b": 12, "beta_init": 0.5, "static_input": True},
+}
+FULL_DOC = {
+    "dataset_dir": "data/wn18rr",
+    "output_dir": "runs/x",
+    "model": {"kind": "tucker", "d_e": 32, "d_r": 16, "k_l": 4, "dropout1": 0.25, "dropout2": 0.5,
+              "dropout3": 0.0, "batchnorm": False},
+    "train": {"batch_size": 128, "lr": 0.005, "lr_decay": 1.0, "label_smoothing": 0.0, "epochs": 20,
+              "seed": 7, "eval_every": 5},
+    "isd": {"enabled": True, "m_exponent": 2.0, "k_b": 12, "beta_init": 0.5, "static_input": True},
+}
+
+
+@pytest.mark.parametrize("given, expected", [({}, DEFAULT_DOC), (FULL_INPUT, FULL_DOC)])
+def test_to_dict_golden_format(given, expected):
+    # json.dumps tells 0 from 0.0 and sees key order, which == on dicts does not.
+    assert json.dumps(RunConfig.from_dict(given).to_dict()) == json.dumps(expected)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"extra": 1},
+        {"model": {"d_r": None}},
+        {"train": {"epochs": True}},
+        {"train": {"lr": "0.1"}},
+        {"isd": [True]},
+        {"dataset_dir": 3},
+        [],
+    ],
+    ids=["unknown-key", "null-optional", "bool-as-int", "string-as-number", "non-object-section",
+         "non-string-dataset-dir", "non-object-root"],
+)
+def test_malformed_documents_rejected(doc):
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(doc)

@@ -196,9 +196,9 @@ class TestForwardPipeline:
         defaults = dict(
             kind=kind,
             d_e=6,
-            dropout_input=0.0,
-            dropout_hidden=0.0,
-            dropout_output=0.0,
+            dropout1=0.0,
+            dropout2=0.0,
+            dropout3=0.0,
             batchnorm=False,
         )
         defaults.update(kwargs)
@@ -233,7 +233,7 @@ class TestForwardPipeline:
             np.testing.assert_array_equal(got, want)
 
     def test_training_forward_reproducible_with_seed(self):
-        model = self._model(dropout_input=0.3, dropout_hidden=0.2, dropout_output=0.3)
+        model = self._model(dropout1=0.3, dropout2=0.2, dropout3=0.3)
         heads, rels = np.array([0, 1, 2]), np.array([0, 1, 2])
         a = model.forward(heads, rels, training=True, rng=RngState(7, "drop")).data
         b = model.forward(heads, rels, training=True, rng=RngState(7, "drop")).data

@@ -1,5 +1,7 @@
 """BCE loss, Adam, leaf gradient accumulation, and bit-exact resume."""
 
+import struct
+
 import mpmath
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from kgedistill.data import (
     label_smooth,
     load_dataset,
 )
-from kgedistill.training import Adam, Trainer, bce_loss
+from kgedistill.errors import CheckpointError, ConfigError
+from kgedistill.training import Adam, Trainer, bce_loss, lr_at_epoch
 
 
 def rel_err(a, b) -> float:
@@ -255,13 +258,20 @@ def test_identity_vjp_feeding_two_interior_parents():
 # Resume
 # ---------------------------------------------------------------------------
 
-def _store(tmp_path):
-    train, valid, test = synthetic_triples(30, 3, n_train=90, n_valid=8, n_test=8)
-    return augment_reciprocal(load_dataset(write_dataset(tmp_path / "memo", train, valid, test)))
+def _store(tmp_path, rename=None):
+    """The memorization graph; ``rename`` maps entity names to new ones."""
+    splits = synthetic_triples(30, 3, n_train=90, n_valid=8, n_test=8)
+    rename = rename or {}
+    train, valid, test = ([(rename.get(h, h), r, rename.get(t, t)) for h, r, t in rows] for rows in splits)
+    directory = write_dataset(tmp_path / ("renamed" if rename else "memo"), train, valid, test)
+    return augment_reciprocal(load_dataset(directory))
 
 
 def _state(trainer: Trainer) -> dict:
-    return {k: np.array(v, copy=True) for k, v in trainer._named_tensors().items()}
+    tensors = trainer._named_tensors()
+    if trainer.teacher.present:
+        tensors["teacher.vector"] = trainer.teacher.vector
+    return {k: np.array(v, copy=True) for k, v in tensors.items()}
 
 
 @pytest.mark.parametrize(
@@ -291,3 +301,56 @@ def test_resume_is_bit_exact(tmp_path, model, isd):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_resume_rejects_a_renamed_entity(tmp_path):
+    store = _store(tmp_path)
+    trainer = Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}, "train": {"batch_size": 16}}))
+    trainer.save(tmp_path / "ckpt")
+    renamed = _store(tmp_path, rename={"e0": "x0"})
+    assert (renamed.n_entities, renamed.n_relations) == (store.n_entities, store.n_relations)
+    with pytest.raises(ConfigError, match="entities"):
+        Trainer.resume(tmp_path / "ckpt", renamed)
+
+
+# ---------------------------------------------------------------------------
+# Learning-rate schedule and tensor files
+# ---------------------------------------------------------------------------
+
+def test_lr_at_epoch():
+    assert lr_at_epoch(0, 0.01, 0.5) == 0.01
+    assert lr_at_epoch(3, 0.01, 0.5) == 0.01 * 0.125
+    assert lr_at_epoch(1000, 0.01, 1.0) == 0.01
+    with pytest.raises(ValueError):
+        lr_at_epoch(-1, 0.01, 0.5)
+
+
+def _header(rank: int, *dims: int) -> bytes:
+    return training._TENSOR_MAGIC + struct.pack("<I", rank) + struct.pack(f"<{len(dims)}Q", *dims)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"NOPE" + bytes(16), "bad magic"),
+        (training._TENSOR_MAGIC + b"\x01", "truncated header"),
+        (_header(9) + bytes(72), "implausible tensor rank 9"),
+        (_header(2, 3), "truncated dimension header"),
+        (_header(1, 3) + bytes(16), "expected 24 data bytes .* got 16"),
+        (_header(1, 3) + bytes(32), "expected 24 data bytes .* got 32"),
+    ],
+    ids=["bad-magic", "short-header", "rank-over-8", "short-dims", "short-body", "trailing-bytes"],
+)
+def test_corrupt_tensor_file_rejected(tmp_path, content, message):
+    path = tmp_path / "t.bin"
+    path.write_bytes(content)
+    with pytest.raises(CheckpointError, match=message):
+        training._read_tensor(path)
+
+
+def test_tensor_file_round_trip(tmp_path):
+    for value in (np.arange(12.0).reshape(3, 4), np.zeros((0, 5)), np.array([-0.0, np.inf, 1e-310])):
+        training._write_tensor(tmp_path / "t.bin", value)
+        got = training._read_tensor(tmp_path / "t.bin")
+        assert got.dtype == np.float64 and got.shape == value.shape and got.flags.writeable
+        assert got.tobytes() == value.tobytes()
