@@ -17,7 +17,6 @@ inputs produce bit-identical outputs.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable
 
 import numpy as np
 

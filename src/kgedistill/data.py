@@ -192,23 +192,61 @@ def augment_reciprocal(store: TripleStore) -> TripleStore:
 
 
 class FilterIndex:
-    """Map from (head, relation) to every tail observed in any split."""
+    """Every tail observed in any split, per (head, relation) query, in CSR form.
 
-    def __init__(self, mapping: dict):
-        self._mapping = mapping
+    A query is coded as ``head * n_relations + relation``. ``keys`` holds the
+    distinct codes, sorted; the tails of ``keys[i]`` are
+    ``indices[indptr[i]:indptr[i + 1]]``, sorted and distinct. Only queries
+    that occur get a row, so the index grows with the number of triples, not
+    with ``n_entities * n_relations``.
+    """
+
+    def __init__(self, keys: np.ndarray, indptr: np.ndarray, indices: np.ndarray, n_relations: int):
+        self.keys = keys
+        self.indptr = indptr
+        self.indices = indices
+        self.n_relations = n_relations
+
+    def rows(self, heads, relations) -> tuple[np.ndarray, np.ndarray]:
+        """``(start, stop)`` of each query's tails in ``indices``.
+
+        An unseen query, including one whose relation id is out of range,
+        gets the empty row ``(0, 0)``.
+        """
+        heads = np.asarray(heads, dtype=np.int64)
+        relations = np.asarray(relations, dtype=np.int64)
+        codes = heads * self.n_relations + relations
+        n_keys = len(self.keys)
+        pos = np.searchsorted(self.keys, codes)
+        found = (relations >= 0) & (relations < self.n_relations) & (pos < n_keys)
+        found[found] = self.keys[pos[found]] == codes[found]
+        start = np.where(found, self.indptr[pos], 0)
+        stop = np.where(found, self.indptr[np.minimum(pos + 1, n_keys)], 0)
+        return start, stop
 
     def tails(self, head: int, relation: int) -> np.ndarray:
         """All known true tails for the query, sorted; empty if unseen."""
-        got = self._mapping.get((head, relation))
-        if got is None:
-            return np.empty(0, dtype=np.int64)
-        return got
+        start, stop = self.rows([head], [relation])
+        return self.indices[start[0] : stop[0]]
+
+    def batch_tails(self, heads, relations) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, tail)`` pairs: every known tail of every query, row by row.
+
+        ``row`` is the query's position in ``heads``/``relations``.
+        """
+        start, stop = self.rows(heads, relations)
+        counts = stop - start
+        rows = np.repeat(np.arange(len(counts)), counts)
+        # Pair k of a query's run reads indices[start + k].
+        runs = np.cumsum(counts) - counts
+        return rows, self.indices[np.arange(counts.sum()) + np.repeat(start - runs, counts)]
 
     def __len__(self) -> int:
-        return len(self._mapping)
+        return len(self.keys)
 
     def __contains__(self, query) -> bool:
-        return query in self._mapping
+        start, stop = self.rows([query[0]], [query[1]])
+        return bool(stop[0] > start[0])  # every indexed query has a tail
 
 
 def build_filter_index(store: TripleStore) -> FilterIndex:
@@ -217,13 +255,15 @@ def build_filter_index(store: TripleStore) -> FilterIndex:
     Call after reciprocal augmentation so head queries (inverse relations)
     are covered too.
     """
-    mapping: dict[tuple[int, int], set] = {}
-    for name in _SPLITS:
-        for h, r, t in store.split(name):
-            mapping.setdefault((int(h), int(r)), set()).add(int(t))
-    return FilterIndex(
-        {k: np.asarray(sorted(v), dtype=np.int64) for k, v in mapping.items()}
-    )
+    triples = np.concatenate([store.split(name) for name in _SPLITS])
+    codes = triples[:, 0] * store.n_relations + triples[:, 1]
+    order = np.lexsort((triples[:, 2], codes))
+    codes, tails = codes[order], triples[order, 2]
+    distinct = np.ones(len(codes), dtype=bool)
+    distinct[1:] = (codes[1:] != codes[:-1]) | (tails[1:] != tails[:-1])
+    codes, tails = codes[distinct], tails[distinct]
+    keys, starts = np.unique(codes, return_index=True)
+    return FilterIndex(keys, np.append(starts, len(codes)), tails, store.n_relations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,14 +329,25 @@ class Batch:
 def group_queries(store: TripleStore) -> list:
     """Distinct (head, relation) train queries with their tail id arrays.
 
-    Order is first appearance in the train split, so the result is
-    deterministic for a given store.
+    Queries come in order of first appearance in the train split, and each
+    query's tails in train order, so the result is deterministic for a
+    given store.
     """
-    grouped: dict[tuple[int, int], list] = {}
-    for h, r, t in store.train:
-        grouped.setdefault((int(h), int(r)), []).append(int(t))
+    train = store.train
+    if len(train) == 0:
+        return []
+    codes = train[:, 0] * store.n_relations + train[:, 1]
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    bounds = np.append(starts, len(codes)).tolist()
+    first = order[starts]  # the train row where each query first appears
+    tails = train[order, 2]
+    groups = np.argsort(first)
+    heads, relations = train[first[groups], 0].tolist(), train[first[groups], 1].tolist()
     return [
-        (h, r, np.asarray(ts, dtype=np.int64)) for (h, r), ts in grouped.items()
+        (h, r, tails[bounds[g] : bounds[g + 1]])
+        for g, h, r in zip(groups.tolist(), heads, relations)
     ]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, as_tensor, gather_rows, matmul, mean, no_grad, reshape, transpose
+from .autodiff import Parameter, Tensor, as_tensor, gather_rows, matmul, mean, no_grad, reshape
 from .config import DistillConfig
 from .data import Batch
 from .errors import ShapeError

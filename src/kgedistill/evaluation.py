@@ -5,6 +5,12 @@ candidate list before ranking. Head prediction is realized as tail
 prediction under the reciprocal relation, so a single scoring pass per
 direction suffices. Ties share the average of the tied positions, which
 keeps constant-score degenerate models honest.
+
+Ranking is array-native: each block of query rows is scored in one forward
+pass and ranked by one kernel. The kernel counts, per row, the candidates
+scoring above and equal to the target, then subtracts the known-true
+candidates, gathered from the :class:`FilterIndex` CSR rows with the target
+itself left in. The rank is ``1 + greater + ties / 2``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,11 @@ from .autodiff import no_grad
 from .data import FilterIndex, TripleStore
 from .errors import ConfigError
 from .models import EmbeddingModel
+
+# Score elements compared per pass of the ranking kernel, so the boolean
+# mask it reuses stays small.
+_RANK_BLOCK = 1 << 17
+
 
 @dataclass
 class DirectionMetrics:
@@ -31,17 +42,25 @@ class DirectionMetrics:
         return {"mrr": self.mrr, "h1": self.h1, "h3": self.h3, "h10": self.h10}
 
 
+def _mean_of_directions(name: str) -> property:
+    return property(
+        lambda self: (getattr(self.head, name) + getattr(self.tail, name)) / 2.0,
+        doc=f"{name} averaged over the head and tail directions.",
+    )
+
+
 @dataclass
 class MetricsReport:
-    """Combined and per-direction filtered ranking metrics."""
+    """Per-direction filtered ranking metrics and their two-direction means."""
 
-    mrr: float
-    h1: float
-    h3: float
-    h10: float
     head: DirectionMetrics
     tail: DirectionMetrics
     n_test: int
+
+    mrr = _mean_of_directions("mrr")
+    h1 = _mean_of_directions("h1")
+    h3 = _mean_of_directions("h3")
+    h10 = _mean_of_directions("h10")
 
     def to_dict(self) -> dict:
         return {
@@ -55,26 +74,53 @@ class MetricsReport:
         }
 
 
+def _rank_rows(
+    scores: np.ndarray, true_ids: np.ndarray, known_rows: np.ndarray, known_ids: np.ndarray
+) -> np.ndarray:
+    """Filtered average-tie rank of ``true_ids[i]`` within ``scores[i]``.
+
+    Entity ``known_ids[k]`` is a known-true candidate of row
+    ``known_rows[k]``; the pairs must be distinct, and a pair naming the
+    row's target is ignored.
+    """
+    n_rows, n_cols = scores.shape
+    target = scores[np.arange(n_rows), true_ids]
+    greater = np.empty(n_rows, dtype=np.int64)
+    equal = np.empty(n_rows, dtype=np.int64)
+    step = max(1, _RANK_BLOCK // n_cols)
+    mask = np.empty((min(step, n_rows), n_cols), dtype=bool)
+    for start in range(0, n_rows, step):
+        block, block_target = scores[start : start + step], target[start : start + step, None]
+        m = mask[: len(block)]
+        for out, compare in ((greater, np.greater), (equal, np.equal)):
+            compare(block, block_target, out=m)
+            for i in range(len(block)):
+                out[start + i] = np.count_nonzero(m[i])
+    known = known_ids != true_ids[known_rows]
+    rows, ids = known_rows[known], known_ids[known]
+    values, t = scores[rows, ids], target[rows]
+    greater -= np.bincount(rows[values > t], minlength=n_rows)
+    ties = equal - 1 - np.bincount(rows[values == t], minlength=n_rows)
+    return 1.0 + greater + ties / 2.0
+
+
 def filtered_rank(scores: np.ndarray, true_id: int, filter_ids) -> float:
     """Rank of the true entity after removing other known-true candidates.
 
-    ``filter_ids`` are the known true completions for the query; the true
-    entity itself always stays in the candidate list. The true entity and
-    k candidates tied with it share rank 1 + greater + k/2.
+    ``filter_ids`` are the known true completions for the query, in any
+    order and possibly repeated; the true entity itself always stays in the
+    candidate list. The true entity and k candidates tied with it share rank
+    1 + greater + k/2.
     """
     scores = np.asarray(scores)
-    if not 0 <= true_id < scores.shape[0]:
-        raise IndexError(f"true entity id {true_id} out of range for {scores.shape[0]} scores")
-    keep = np.ones(scores.shape[0], dtype=bool)
-    filter_ids = np.asarray(filter_ids, dtype=np.int64)
-    if filter_ids.size:
-        keep[filter_ids] = False
-    keep[true_id] = True
-    candidates = scores[keep]
-    true_score = scores[true_id]
-    greater = int((candidates > true_score).sum())
-    ties = int((candidates == true_score).sum()) - 1
-    return 1.0 + greater + ties / 2.0
+    n = scores.shape[0]
+    if not 0 <= true_id < n:
+        raise IndexError(f"true entity id {true_id} out of range for {n} scores")
+    filter_ids = np.unique(np.asarray(filter_ids, dtype=np.int64))
+    if filter_ids.size and not (0 <= filter_ids[0] and filter_ids[-1] < n):
+        raise IndexError(f"filter ids outside [0, {n})")
+    rows = np.zeros(filter_ids.size, dtype=np.int64)
+    return float(_rank_rows(scores[None, :], np.array([true_id]), rows, filter_ids)[0])
 
 
 def rank_split(
@@ -87,7 +133,9 @@ def rank_split(
     """Head- and tail-direction filtered ranks for every original triple.
 
     Returns ``(head_ranks, tail_ranks)`` aligned with the split's
-    original-direction triples (reciprocal copies are skipped).
+    original-direction triples (reciprocal copies are skipped). Each block
+    of ``batch_size`` queries is scored in one forward pass and ranked as a
+    whole.
     """
     if not store.augmented:
         raise ConfigError("ranking requires a reciprocal-augmented store")
@@ -101,14 +149,11 @@ def rank_split(
     def direction_ranks(queries_h, queries_r, true_ids):
         ranks = np.empty(len(queries_h))
         for start in range(0, len(queries_h), batch_size):
-            stop = min(start + batch_size, len(queries_h))
+            block = slice(start, start + batch_size)
             with no_grad():
-                logits = model.forward(queries_h[start:stop], queries_r[start:stop]).data
-            for i in range(stop - start):
-                h, r = int(queries_h[start + i]), int(queries_r[start + i])
-                ranks[start + i] = filtered_rank(
-                    logits[i], int(true_ids[start + i]), filter_index.tails(h, r)
-                )
+                logits = model.forward(queries_h[block], queries_r[block]).data
+            known = filter_index.batch_tails(queries_h[block], queries_r[block])
+            ranks[block] = _rank_rows(logits, true_ids[block], *known)
         return ranks
 
     heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
@@ -138,14 +183,8 @@ def evaluate(
 ) -> MetricsReport:
     """Filtered MRR and Hits@{1,3,10}, averaged over both directions."""
     head_ranks, tail_ranks = rank_split(model, store, filter_index, split, batch_size)
-    head = _direction_metrics(head_ranks)
-    tail = _direction_metrics(tail_ranks)
     return MetricsReport(
-        mrr=(head.mrr + tail.mrr) / 2.0,
-        h1=(head.h1 + tail.h1) / 2.0,
-        h3=(head.h3 + tail.h3) / 2.0,
-        h10=(head.h10 + tail.h10) / 2.0,
-        head=head,
-        tail=tail,
+        head=_direction_metrics(head_ranks),
+        tail=_direction_metrics(tail_ranks),
         n_test=int(len(head_ranks)),
     )

@@ -4,12 +4,15 @@
 ``__dict__`` and raises ``KeyError`` on a missing one, which would crash
 every traced benchmark run. The untimed path calls further names directly
 (config parsing, checkpoint load and restore, ``grad_enabled``), so it runs
-here once on the benchmark's small replica graph.
+here once on the benchmark's small replica graph, and so does the ranking
+path with the benchmark's own rank oracle.
 """
 
 import importlib
 import sys
 from pathlib import Path
+
+from kgedistill import evaluation
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "kgebench"
 
@@ -56,3 +59,13 @@ def test_untimed_path_runs_on_the_replica_graph(tmp_path):
     assert ops.attempted == 5
     names = {s.name for s in tracer.spans}
     assert {"distill.extract", "training.save", "training.load_checkpoint"} <= names
+
+
+def test_eval_path_ranks_pass_the_oracle(tmp_path):
+    bench, gen = (_import(name) for name in ("bench", "gen"))
+    splits = gen.write_graph(bench.REPLICA_SHAPE, 5, tmp_path / "data")
+    store, trainer, filter_index = bench.set_up(bench.WORKLOADS["fb15k237_eval"], tmp_path / "data", 5)
+    head, tail = evaluation.rank_split(trainer.model, store, filter_index, "test", bench.RANK_BATCH)
+    ops = bench.Ops()
+    bench.check_ranks(store, trainer.model, splits, head, tail, 5, ops)
+    assert (ops.failed, ops.attempted) == (0, 1), ops.notes

@@ -6,8 +6,11 @@ import re
 import numpy as np
 
 from kgedistill import cli
+from kgedistill.config import RunConfig
+from kgedistill.data import augment_reciprocal, build_filter_index, load_dataset
 from kgedistill.errors import DivergenceError
-from kgedistill.training import load_checkpoint
+from kgedistill.evaluation import evaluate
+from kgedistill.training import Trainer, load_checkpoint
 
 
 def test_train_then_evaluate(tmp_path, memorization_dataset_dir, capsys):
@@ -46,6 +49,31 @@ def test_train_then_evaluate(tmp_path, memorization_dataset_dir, capsys):
         (renamed / f"{split}.txt").write_text(re.sub(r"\be0\b", "x0", text))
     assert cli.main(["evaluate", str(out_dir / "checkpoint"), str(renamed)]) == 2
     assert "entities" in capsys.readouterr().err
+
+
+# `evaluate` on the memorization graph for a seed-3 DistMult at its
+# initialisation. The literals are a golden record of the report format and
+# of every bit of its values.
+GOLDEN_REPORT = {
+    "mrr": 0.1592401703721153, "h1": 0.0625, "h3": 0.0625, "h10": 0.4375,
+    "head": {"mrr": 0.22795138888888888, "h1": 0.125, "h3": 0.125, "h10": 0.625},
+    "tail": {"mrr": 0.09052895185534168, "h1": 0.0, "h3": 0.0, "h10": 0.25},
+    "n_test": 8,
+}
+
+
+def test_evaluate_report_is_unchanged(tmp_path, memorization_dataset_dir, capsys):
+    store = augment_reciprocal(load_dataset(memorization_dataset_dir))
+    config = RunConfig.from_dict({"model": {"kind": "distmult", "d_e": 8}, "train": {"seed": 3}})
+    trainer = Trainer(store, config)
+    report = evaluate(trainer.model, store, build_filter_index(store))
+    # Compared as JSON text, so key order and the last bit of each float count.
+    assert json.dumps(report.to_dict()) == json.dumps(GOLDEN_REPORT)
+
+    trainer.save(tmp_path / "checkpoint")
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(tmp_path / "checkpoint"), str(memorization_dataset_dir)]) == 0
+    assert capsys.readouterr().out == json.dumps(GOLDEN_REPORT, indent=2, sort_keys=True) + "\n"
 
 
 def test_divergence_maps_to_exit_3(monkeypatch, capsys):

@@ -121,6 +121,18 @@ class TestFilterIndex:
             expected = sorted({int(t) for hh, rr, t in everything if hh == h and rr == r})
             assert index.tails(h, r).tolist() == expected
 
+    def test_rows_of_unseen_queries_are_empty(self, tmp_path):
+        # Entities a=0, b=1; one relation. Query (0, 1) has the same code as
+        # the indexed (1, 0), so only the relation range check rejects it.
+        store = make_store(tmp_path, [("a", "r", "b"), ("b", "r", "a"), ("b", "r", "b")])
+        index = build_filter_index(store)
+        start, stop = index.rows([0, 1, 0, -1, 7, 0], [0, 0, 1, 0, 0, -1])
+        assert index.indices[start[0] : stop[0]].tolist() == [1]
+        assert index.indices[start[1] : stop[1]].tolist() == [0, 1]
+        assert start[2:].tolist() == stop[2:].tolist() == [0, 0, 0, 0]
+        assert (0, 0) in index and (0, 1) not in index and (7, 0) not in index
+        assert index.tails(0, 1).size == 0
+
 
 class TestMakeBatches:
     def _store(self, tmp_path):
@@ -198,6 +210,20 @@ class TestLabelSmooth:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             label_smooth(np.ones((1, 2)), 1.0)
+
+
+def test_group_queries_matches_a_dict_loop(tmp_path):
+    # Queries repeat across the train split, interleaved with others.
+    train = [("a", "r", "b"), ("c", "s", "a"), ("a", "r", "c"), ("b", "r", "a"),
+             ("c", "s", "b"), ("a", "s", "c"), ("a", "r", "a"), ("c", "s", "c")]
+    store = augment_reciprocal(make_store(tmp_path, train))
+    grouped = {}
+    for h, r, t in store.train.tolist():
+        grouped.setdefault((h, r), []).append(t)
+    got = [(h, r, tails.tolist()) for h, r, tails in group_queries(store)]
+    assert got == [(h, r, tails) for (h, r), tails in grouped.items()]
+    assert all(type(h) is int and type(r) is int for h, r, _ in got)
+    assert group_queries(make_store(tmp_path / "empty", [], [("a", "r", "b")])) == []
 
 
 def test_group_queries_is_deterministic(tmp_path):

@@ -1,11 +1,15 @@
 """Filtered ranking: tie handling, filtering, and MRR/Hits@k by hand."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgedistill.config import ModelConfig
 from kgedistill.data import TripleStore, Vocabulary, augment_reciprocal, build_filter_index
-from kgedistill.evaluation import evaluate, filtered_rank
+from kgedistill.evaluation import evaluate, filtered_rank, rank_split
 from kgedistill.models import EmbeddingModel
 from kgedistill.rng import RngState
 
@@ -37,6 +41,88 @@ class TestFilteredRank:
     def test_out_of_range_id_raises(self, true_id):
         with pytest.raises(IndexError):
             filtered_rank(np.zeros(4), true_id, [])
+
+    @pytest.mark.parametrize("filter_id", [4, -1])
+    def test_out_of_range_filter_id_raises(self, filter_id):
+        with pytest.raises(IndexError):
+            filtered_rank(np.zeros(4), 0, [1, filter_id])
+
+
+def reference_rank(scores, true_id: int, known) -> float:
+    """Average-tie filtered rank, candidate by candidate."""
+    target = scores[true_id]
+    greater = ties = 0
+    for candidate, score in enumerate(scores):
+        if candidate == true_id or candidate in known:
+            continue
+        greater += int(score > target)
+        ties += int(score == target)
+    return 1.0 + greater + ties / 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=12), st.data())
+def test_filtered_rank_matches_brute_force(scores, data):
+    # Few distinct scores make ties common; filter lists may be empty (an
+    # unseen query), name the target, or repeat ids.
+    n = len(scores)
+    true_id = data.draw(st.integers(0, n - 1))
+    filter_ids = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    got = filtered_rank(np.array(scores, dtype=np.float64), true_id, filter_ids)
+    assert got == reference_rank(scores, true_id, set(filter_ids))
+
+
+@st.composite
+def ranking_cases(draw):
+    """A small augmented store, integer DistMult embeddings and a filter index.
+
+    With integer embeddings of dimension 2 every score is a small integer,
+    computed exactly whatever the batch shape, and ties are common. The
+    filter index covers either every split or the train split alone, so
+    some test queries are unseen by it.
+    """
+    n_ent, n_rel = draw(st.integers(2, 7)), draw(st.integers(1, 3))
+    triple = st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1), st.integers(0, n_ent - 1))
+    train, test = draw(st.lists(triple, max_size=25)), draw(st.lists(triple, min_size=1, max_size=25))
+    vocab = Vocabulary()
+    for i in range(n_ent):
+        vocab.add_entity(f"e{i}")
+    for i in range(n_rel):
+        vocab.add_relation(f"r{i}")
+    store = augment_reciprocal(TripleStore(vocab, _triples(*train), _triples(), _triples(*test), n_rel))
+    weights = st.integers(-2, 2)
+    entities = np.array(draw(st.lists(st.tuples(weights, weights), min_size=n_ent, max_size=n_ent)))
+    relations = np.array(draw(st.lists(st.tuples(weights, weights), min_size=2 * n_rel, max_size=2 * n_rel)))
+    filtered = store if draw(st.booleans()) else replace(store, test=store.train[:0])
+    return store, entities, relations, filtered
+
+
+@settings(max_examples=150, deadline=None)
+@given(ranking_cases())
+def test_rank_split_matches_brute_force(case):
+    store, entities, relations, filtered = case
+    config = ModelConfig(kind="distmult", d_e=2, dropout1=0.0, dropout2=0.0, dropout3=0.0)
+    model = EmbeddingModel(config, store.n_entities, store.n_relations, RngState(0))
+    model.entity_embeddings.data[:] = entities
+    model.relation_embeddings.data[:] = relations
+    index = build_filter_index(filtered)
+    known_triples = np.concatenate([filtered.train, filtered.valid, filtered.test]).tolist()
+
+    def reference(queries_h, queries_r, true_ids):
+        ranks = []
+        for h, r, t in zip(queries_h.tolist(), queries_r.tolist(), true_ids.tolist()):
+            scores = ((entities[h] * relations[r]) @ entities.T).tolist()
+            known = {x for a, b, x in known_triples if (a, b) == (h, r)}
+            ranks.append(reference_rank(scores, t, known))
+        return ranks
+
+    n_rel = store.base_relation_count
+    h, r, t = store.test[store.test[:, 1] < n_rel].T
+    want_head, want_tail = reference(t, r + n_rel, h), reference(h, r, t)
+    for batch_size in (1, 3, 512):
+        head, tail = rank_split(model, store, index, "test", batch_size)
+        assert head.tolist() == want_head
+        assert tail.tolist() == want_tail
 
 
 def _triples(*rows) -> np.ndarray:

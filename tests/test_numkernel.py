@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import assert_gradients_match, numeric_gradient, relative_error
+from conftest import assert_gradients_match
 
 from kgedistill.autodiff import (
     Parameter,
