@@ -9,9 +9,11 @@ so inference and detached teacher extraction carry no graph.
 
 Ops are deterministic for a given BLAS build and thread count, which the
 caller pins (for instance with ``OPENBLAS_NUM_THREADS`` set before numpy is
-imported); nothing here sets it. Scatter-accumulation uses ``np.add.at``
-(sequential, index order). Under those conditions two runs over the same
-inputs produce bit-identical outputs.
+imported); nothing here sets it. The row lookup's gradient scatter-adds
+with ``np.add.at`` (sequential, in index order) straight into the table's
+``grad``, so the rows of a repeated id are added one after the other rather
+than summed first. Under those conditions two runs over the same inputs
+produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -137,6 +139,16 @@ def _node(data: np.ndarray, parents, vjps) -> Tensor:
     return out
 
 
+def _with_leaf_add(vjp, add_into):
+    """Give ``vjp`` an in-place form for leaf parents.
+
+    ``add_into(g, grad)`` adds the same contribution that ``vjp(g)`` returns
+    straight into ``grad``, without building it as a full-size array.
+    """
+    vjp.add_into = add_into
+    return vjp
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     if grad.shape == shape:
@@ -209,11 +221,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return _node(
-        a.data @ b.data,
-        (a, b),
-        (lambda g: g @ b.data.T, lambda g: a.data.T @ g),
-    )
+
+    def vjp_b(g):
+        return a.data.T @ g
+
+    if a.shape[0] == 1:
+        # With a single left row, b's gradient is the outer product of that
+        # row and g: a rank-1 update that a leaf takes a few rows at a time.
+        vjp_b = _with_leaf_add(vjp_b, lambda g, grad: _add_outer(a.data[0], g[0], grad))
+    return _node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, vjp_b))
+
+
+# Row blocks of the rank-1 gradient update span about this many elements.
+_OUTER_BLOCK_ELEMENTS = 1 << 14
+
+
+def _add_outer(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """out += outer(x, y), through one scratch buffer of a few rows."""
+    step = max(1, _OUTER_BLOCK_ELEMENTS // max(len(y), 1))
+    scratch = np.empty((min(step, len(x)), len(y)))
+    for start in range(0, len(x), step):
+        xb = x[start : start + step]
+        block = scratch[: len(xb)]
+        np.multiply.outer(xb, y, out=block)
+        out[start : start + step] += block
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -290,7 +321,10 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(out, ids, g)
         return out
 
-    return _node(table.data[ids], (table,), (vjp,))
+    def add_into(g, grad):
+        np.add.at(grad, ids, g)
+
+    return _node(table.data[ids], (table,), (_with_leaf_add(vjp, add_into),))
 
 
 def halves(a: Tensor) -> tuple:
@@ -339,14 +373,17 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be a scalar. Gradients add onto existing ``grad`` contents,
     so callers zero them between steps. Each contribution to a leaf is added
-    into its ``grad`` as soon as it is computed; on zeroed gradients this
-    gives the same bits as summing the contributions first.
+    into its ``grad`` as soon as it is computed, and a VJP with an in-place
+    form (the row lookup, a product with a single left row) adds into it
+    directly. On zeroed gradients the result has the same bits as summing
+    the contributions first, except where a looked-up row repeats after the
+    leaf already holds a contribution: those rows are added one at a time.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss._parents:
         if loss.requires_grad:
-            _accumulate(loss, np.ones_like(loss.data))
+            _leaf_grad(loss)[...] += 1.0
         return
 
     # Iterative post-order DFS; recursion would overflow on long chains.
@@ -372,10 +409,14 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         for parent, vjp in zip(node._parents, node._vjps):
-            contribution = vjp(g)
             if not parent._parents:
-                _accumulate(parent, contribution)
+                add_into = getattr(vjp, "add_into", None)
+                if add_into is not None:
+                    add_into(g, _leaf_grad(parent))
+                else:
+                    _leaf_grad(parent)[...] += vjp(g)
                 continue
+            contribution = vjp(g)
             # Interior sums stay out of place: a VJP may hand the same array
             # to two parents (identity VJPs such as add's do).
             key = id(parent)
@@ -385,8 +426,8 @@ def backward(loss: Tensor) -> None:
                 grads[key] = contribution
 
 
-def _accumulate(leaf: Tensor, contribution: np.ndarray) -> None:
-    """Add one contribution straight into the ``grad`` buffer the leaf owns."""
+def _leaf_grad(leaf: Tensor) -> np.ndarray:
+    """The ``grad`` buffer the leaf owns, allocated (zeroed) on first use."""
     if leaf.grad is None:
         leaf.grad = np.zeros_like(leaf.data)
-    leaf.grad += contribution
+    return leaf.grad

@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import struct
+import uuid
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +47,42 @@ def lr_at_epoch(epoch: int, lr_initial: float, decay: float) -> float:
     return lr_initial * decay**epoch
 
 
-# Row blocks of the BCE kernel and slices of the Adam update span about this
-# many elements, so their scratch buffers stay in the L2 cache.
+# Row blocks of the BCE kernel span about _BLOCK_ELEMENTS elements, so their
+# scratch buffers stay in the L2 cache; they also fix the order in which its
+# partial sums are added. The Adam update runs over slices of
+# _ADAM_BLOCK_ELEMENTS: any slicing gives the same bits, and larger slices
+# mean fewer ufunc calls per step.
 _BLOCK_ELEMENTS = 1 << 14
+_ADAM_BLOCK_ELEMENTS = 1 << 16
+
+# The BCE and Adam loops hand each worker thread one contiguous range of
+# whole blocks; numpy releases the GIL inside its ufuncs, so the ranges run
+# on separate cores. The pool starts on first use, with one thread per
+# usable core, and a loop with fewer than this many blocks per worker runs
+# inline on the calling thread.
+_WORKERS = len(os.sched_getaffinity(0))
+_MIN_BLOCKS_PER_WORKER = 4
+_pool: ThreadPoolExecutor | None = None
+
+
+def _run_blocks(n_blocks: int, work) -> None:
+    """Call ``work(first, stop)`` on contiguous ranges covering ``range(n_blocks)``.
+
+    Each worker gets one range; the ranges depend on the worker count, so
+    ``work`` must give the same result however its blocks are grouped.
+    """
+    global _pool
+    workers = min(_WORKERS, n_blocks // _MIN_BLOCKS_PER_WORKER)
+    if workers <= 1:
+        work(0, n_blocks)
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="kgedistill")
+    cuts = [n_blocks * i // workers for i in range(workers + 1)]
+    futures = [_pool.submit(work, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def bce_loss(logits: Tensor, targets) -> Tensor:
@@ -63,6 +100,11 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
     One pass over row blocks also stores the residual sigmoid(u) - y, with
     the sigmoid taken from the same exp(-|u|), and the gradient is
     g * residual / size.
+
+    Both passes run on the module's worker pool (one thread per usable
+    core), a contiguous range of row blocks per worker. The per-block
+    partial sums are added on the calling thread in block order, so the
+    value and the gradient do not depend on the number of workers.
     """
     u = logits.data
     sparse = isinstance(targets, SparseTargets)
@@ -83,31 +125,45 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
     y2 = None if sparse else y.reshape(-1, width)
     residual = np.empty_like(u2)
     step = max(1, _BLOCK_ELEMENTS // max(width, 1))
-    blocks = [slice(start, start + step) for start in range(0, len(u2), step)]
-    scratch = np.empty((2, min(step, len(u2)), width))
-    softplus_sum = yu_sum = u_sum = 0.0
-    for rows in blocks:
-        ub, rb = u2[rows], residual[rows]
-        t1, t2 = scratch[0, : len(ub)], scratch[1, : len(ub)]
-        np.abs(ub, out=t1)
-        np.negative(t1, out=t1)
-        np.exp(t1, out=t1)
-        softplus_sum += float(np.log1p(t1, out=t2).sum())
-        softplus_sum += float(np.maximum(ub, 0.0, out=t2).sum())
-        _sigmoid(ub, t1, rb, t2)
-        if sparse:
-            u_sum += float(ub.sum())
-            rb -= targets.off
-        else:
-            yb = y2[rows]
-            yu_sum += float(np.multiply(yb, ub, out=t2).sum())
-            rb -= yb
+    n_blocks = -(-len(u2) // step)
+    # Per block: sum of log1p(exp(-|u|)), sum of max(u, 0), and sum(u)
+    # (sparse targets) or sum(y * u) (dense targets).
+    partials = np.empty((n_blocks, 3))
+
+    def forward_blocks(first: int, stop: int) -> None:
+        scratch = np.empty((2, min(step, len(u2)), width))
+        for i in range(first, stop):
+            rows = slice(i * step, (i + 1) * step)
+            ub, rb = u2[rows], residual[rows]
+            t1, t2 = scratch[0, : len(ub)], scratch[1, : len(ub)]
+            np.abs(ub, out=t1)
+            np.negative(t1, out=t1)
+            np.exp(t1, out=t1)
+            partials[i, 0] = np.log1p(t1, out=t2).sum()
+            partials[i, 1] = np.maximum(ub, 0.0, out=t2).sum()
+            _sigmoid(ub, t1, rb, t2)
+            if sparse:
+                partials[i, 2] = ub.sum()
+                rb -= targets.off
+            else:
+                yb = y2[rows]
+                partials[i, 2] = np.multiply(yb, ub, out=t2).sum()
+                rb -= yb
+
+    _run_blocks(n_blocks, forward_blocks)
+    softplus_sum = third_sum = 0.0
+    for log1p_sum, max_sum, third in partials.tolist():
+        softplus_sum += log1p_sum
+        softplus_sum += max_sum
+        third_sum += third
     if sparse:
         u_pos = u2[targets.rows, targets.cols]
-        yu_sum = targets.off * u_sum + (targets.on - targets.off) * float(u_pos.sum())
+        yu_sum = targets.off * third_sum + (targets.on - targets.off) * float(u_pos.sum())
         e_pos = np.exp(-np.abs(u_pos))
         sigmoid_pos = _sigmoid(u_pos, e_pos, np.empty_like(u_pos), np.empty_like(u_pos))
         residual[targets.rows, targets.cols] = sigmoid_pos - targets.on
+    else:
+        yu_sum = third_sum
     value = (softplus_sum - yu_sum) / u.size if u.size else float("nan")
     pending = [residual]
 
@@ -117,10 +173,14 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
         if not pending:
             raise RuntimeError("bce_loss gradient was already taken; rebuild the loss")
         grad = pending.pop()
-        for rows in blocks:
-            gb = grad[rows]
-            np.multiply(g, gb, out=gb)
-            gb /= u.size
+
+        def scale_blocks(first: int, stop: int) -> None:
+            for i in range(first, stop):
+                gb = grad[i * step : (i + 1) * step]
+                np.multiply(g, gb, out=gb)
+                gb /= u.size
+
+        _run_blocks(n_blocks, scale_blocks)
         return grad.reshape(u.shape)
 
     return custom_node(np.float64(value), (logits,), (vjp,))
@@ -128,9 +188,13 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
 
 def _sigmoid(u: np.ndarray, e: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """exp(min(u, 0)) / (1 + e) with ``e = exp(-|u|)``: the logistic function
-    without overflow and with full relative precision in both tails."""
-    np.minimum(u, 0.0, out=out)
-    np.exp(out, out=out)
+    without overflow and with full relative precision in both tails.
+
+    exp(min(u, 0)) is e where u <= 0 and 1 where u > 0; since e <= 1 it is
+    max(e, u > 0), which needs no second exponential.
+    """
+    np.greater(u, 0.0, out=out, casting="unsafe")
+    np.maximum(e, out, out=out)
     np.divide(out, np.add(e, 1.0, out=scratch), out=out)
     return out
 
@@ -138,10 +202,12 @@ def _sigmoid(u: np.ndarray, e: np.ndarray, out: np.ndarray, scratch: np.ndarray)
 class Adam:
     """Bias-corrected Adam over named parameters (beta 0.9/0.999, eps 1e-8).
 
-    The update runs over slices of about ``_BLOCK_ELEMENTS`` elements with
-    two small scratch buffers, so each slice stays in cache through the
-    whole update. Every operation is elementwise and in the order of the
-    textbook formula, so the result does not depend on the slicing.
+    The update runs over slices of about ``_ADAM_BLOCK_ELEMENTS`` elements
+    with two small scratch buffers per worker, so each slice stays in cache
+    through the whole update, and the slices of a parameter are shared out
+    over the module's worker pool (one thread per usable core). Every
+    operation is elementwise and in the order of the textbook formula, so
+    the result depends neither on the slicing nor on the number of workers.
     """
 
     beta1 = 0.9
@@ -162,26 +228,34 @@ class Adam:
         self.step_count += 1
         correction1 = 1.0 - self.beta1**self.step_count
         correction2 = 1.0 - self.beta2**self.step_count
-        scratch = np.empty((2, _BLOCK_ELEMENTS))
         for name, p in self.named_params:
             flat = [_flat(a, name) for a in (p.data, p.grad, self.moment1[name], self.moment2[name])]
-            for start in range(0, flat[0].size, _BLOCK_ELEMENTS):
-                w, g, m, v = (a[start : start + _BLOCK_ELEMENTS] for a in flat)
-                t1, t2 = scratch[0, : len(w)], scratch[1, : len(w)]
-                # m = beta1 * m + (1 - beta1) * g
-                m *= self.beta1
-                m += np.multiply(1.0 - self.beta1, g, out=t1)
-                # v = beta2 * v + (1 - beta2) * g^2
-                v *= self.beta2
-                np.multiply(g, g, out=t1)
-                v += np.multiply(1.0 - self.beta2, t1, out=t1)
-                # w -= lr * (m / c1) / (sqrt(v / c2) + eps)
-                np.divide(m, correction1, out=t1)
-                np.multiply(lr, t1, out=t1)
-                np.divide(v, correction2, out=t2)
-                np.sqrt(t2, out=t2)
-                t2 += self.eps
-                w -= np.divide(t1, t2, out=t1)
+            n_slices = -(-flat[0].size // _ADAM_BLOCK_ELEMENTS)
+            _run_blocks(n_slices, partial(self._update, flat, lr, correction1, correction2))
+
+    def _update(self, flat: list, lr: float, correction1: float, correction2: float,
+                first: int, stop: int) -> None:
+        """Update slices ``first`` to ``stop`` of one parameter, whose flat
+        parameter, gradient and moment arrays are ``flat``."""
+        block = _ADAM_BLOCK_ELEMENTS
+        scratch = np.empty((2, min(block, flat[0].size)))
+        for start in range(first * block, min(stop * block, flat[0].size), block):
+            w, g, m, v = (a[start : start + block] for a in flat)
+            t1, t2 = scratch[0, : len(w)], scratch[1, : len(w)]
+            # m = beta1 * m + (1 - beta1) * g
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=t1)
+            # v = beta2 * v + (1 - beta2) * g^2
+            v *= self.beta2
+            np.multiply(g, g, out=t1)
+            v += np.multiply(1.0 - self.beta2, t1, out=t1)
+            # w -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, correction1, out=t1)
+            np.multiply(lr, t1, out=t1)
+            np.divide(v, correction2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += self.eps
+            w -= np.divide(t1, t2, out=t1)
 
 
 def _flat(a: np.ndarray, name: str) -> np.ndarray:
@@ -310,9 +384,30 @@ class Trainer:
         return tensors
 
     def save(self, directory: str | Path) -> None:
-        """Write a resumable checkpoint: manifest, vocab, one file per tensor."""
+        """Write a resumable checkpoint: manifest, vocab, one file per tensor.
+
+        The files are written into a fresh sibling directory that is then
+        renamed to ``directory``. A checkpoint already there is first moved
+        aside and deleted once the new one is in place, so a save that fails
+        while writing leaves the earlier checkpoint as it was and removes its
+        own partial files.
+        """
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
+        directory.parent.mkdir(parents=True, exist_ok=True)
+        staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}.tmp")
+        staging.mkdir()
+        try:
+            self._write_checkpoint(staging)
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+        aside = staging.with_suffix(".old")
+        if directory.exists():
+            os.replace(directory, aside)
+        os.replace(staging, directory)
+        shutil.rmtree(aside, ignore_errors=True)
+
+    def _write_checkpoint(self, directory: Path) -> None:
         tensors = self._named_tensors()
         if self.teacher.present:
             tensors["teacher.vector"] = self.teacher.vector

@@ -1,6 +1,10 @@
 """BCE loss, Adam, leaf gradient accumulation, and bit-exact resume."""
 
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 from conftest import assert_gradients_match, synthetic_triples, write_dataset
 from scipy.special import expit
 
-from kgedistill import training
+from kgedistill import autodiff, training
 from kgedistill.autodiff import (
     Parameter,
     Tensor,
@@ -19,7 +23,7 @@ from kgedistill.autodiff import (
     tensor_sum,
     transpose,
 )
-from kgedistill.config import RunConfig
+from kgedistill.config import ModelConfig, RunConfig
 from kgedistill.data import (
     Batch,
     SparseTargets,
@@ -27,8 +31,11 @@ from kgedistill.data import (
     label_smooth,
     load_dataset,
 )
+from kgedistill.distill import SemanticBlock, distill_loss, extract, total_loss
 from kgedistill.errors import CheckpointError, ConfigError
-from kgedistill.training import Adam, Trainer, bce_loss, lr_at_epoch
+from kgedistill.models import EmbeddingModel
+from kgedistill.rng import RngState
+from kgedistill.training import Adam, Trainer, bce_loss, load_checkpoint, lr_at_epoch
 
 
 def rel_err(a, b) -> float:
@@ -112,6 +119,16 @@ class TestBceLoss:
         p = Parameter(rng.normal(0.0, 2.0, (3, 7)))
         assert_gradients_match(lambda: bce_loss(p, targets) * 3.0, [p])
 
+    def test_sigmoid_equals_the_exp_of_min_form(self):
+        """The numerator max(e, u > 0) is exp(min(u, 0)) bit for bit."""
+        tiny = np.finfo(float).tiny
+        u = np.array([-np.inf, -800.0, -700.0, -36.0, -1.0, -tiny, -0.0, 0.0, tiny,
+                      1e-300, 0.5, 1.0, 36.0, 700.0, 800.0, np.inf])
+        u = np.concatenate([u, np.random.default_rng(5).normal(0.0, 30.0, 1000)])
+        e = np.exp(-np.abs(u))
+        got = training._sigmoid(u, e, np.empty_like(u), np.empty_like(u))
+        assert got.tobytes() == (np.exp(np.minimum(u, 0.0)) / (1.0 + e)).tobytes()
+
     def test_zero_epsilon_keeps_hard_targets(self):
         targets = SparseTargets([0], [1], (1, 3))
         assert label_smooth(targets, 0.0) is targets
@@ -166,7 +183,7 @@ def adam_one_shot(p, g, m, v, lr, step):
 
 
 def test_blocked_adam_matches_one_shot_formula():
-    block = training._BLOCK_ELEMENTS
+    block = training._ADAM_BLOCK_ELEMENTS
     shapes = [(7,), (2 * block + 3,), (130, 257), (block // 64, 64), (3, 1)]
     rng = np.random.default_rng(9)
     params = [(f"p{i}", Parameter(rng.normal(size=s))) for i, s in enumerate(shapes)]
@@ -190,6 +207,112 @@ def test_adam_rejects_non_contiguous_parameter():
     p.grad = np.zeros((4, 4)).T
     with pytest.raises(ValueError):
         Adam([("p", p)]).step(0.1)
+
+
+# ---------------------------------------------------------------------------
+# Worker pool
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the pool's worker count; a pool started for the test is shut down.
+
+    The interpreter switches threads every microsecond meanwhile, so workers
+    interleave as finely as they can.
+    """
+    started = []
+
+    def use(count: int) -> None:
+        if training._pool is not None:
+            started.append(training._pool)
+        monkeypatch.setattr(training, "_WORKERS", count)
+        monkeypatch.setattr(training, "_pool", None)
+
+    monkeypatch.setattr(training, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield use
+    finally:
+        sys.setswitchinterval(interval)
+        if training._pool is not None:
+            started.append(training._pool)
+        for pool in started:
+            pool.shutdown()
+
+
+def _bce_run(logits: np.ndarray, targets):
+    p = Parameter(logits.copy())
+    loss = bce_loss(p, targets)
+    backward(loss * 0.75)
+    return loss.data.tobytes(), p.grad.tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [48, 49])
+def test_bce_is_bit_identical_for_any_worker_count(monkeypatch, workers, n_rows):
+    # 64-element blocks of 2 rows: 24 blocks, or 25 with a half block at the end.
+    monkeypatch.setattr(training, "_BLOCK_ELEMENTS", 64)
+    rng = np.random.default_rng(17)
+    batch = random_batch(rng, n_rows=n_rows, n_entities=32)
+    logits = rng.normal(0.0, 5.0, (n_rows, 32))
+    sparse = label_smooth(batch.targets(), 0.1)
+    dense = label_smooth(batch.targets().dense(), 0.1)
+    runs = {}
+    for count in (1, 2, 3):
+        workers(count)
+        runs[count] = (_bce_run(logits, sparse), _bce_run(logits, dense))
+        assert (training._pool is None) == (count == 1)
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+
+
+@pytest.mark.parametrize("size", [64 * 12, 64 * 12 + 5])
+def test_adam_is_bit_identical_for_any_worker_count(monkeypatch, workers, size):
+    monkeypatch.setattr(training, "_ADAM_BLOCK_ELEMENTS", 64)
+    rng = np.random.default_rng(23)
+    init = [rng.normal(size=shape) for shape in ((size,), (size // 8, 8), (3, 1))]
+    grads = [[rng.normal(size=w.shape) for w in init] for _ in range(3)]
+    runs = {}
+    for count in (1, 2, 3):
+        workers(count)
+        params = [(f"p{i}", Parameter(w.copy())) for i, w in enumerate(init)]
+        adam = Adam(params)
+        for step, step_grads in enumerate(grads):
+            for (_, p), g in zip(params, step_grads):
+                p.grad[...] = g
+            adam.step(0.01 * 0.9**step)
+        runs[count] = [
+            (p.data.tobytes(), adam.moment1[name].tobytes(), adam.moment2[name].tobytes())
+            for name, p in params
+        ]
+        assert (training._pool is None) == (count == 1)
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+
+
+def test_import_and_memorization_training_start_no_thread(memorization_dataset_dir):
+    script = (
+        "import threading\n"
+        "import kgedistill\n"
+        "from kgedistill import training\n"
+        "from kgedistill.config import RunConfig\n"
+        "from kgedistill.data import augment_reciprocal, load_dataset\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "store = augment_reciprocal(load_dataset(__import__('sys').argv[1]))\n"
+        "doc = {'model': {'d_e': 8}, 'train': {'batch_size': 16, 'epochs': 3}, 'isd': {'enabled': True}}\n"
+        "trainer = training.Trainer(store, RunConfig.from_dict(doc))\n"
+        "for _ in range(3):\n"
+        "    trainer.train_epoch()\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert training._pool is None\n"
+    )
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(memorization_dataset_dir)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +377,75 @@ def test_identity_vjp_feeding_two_interior_parents():
     np.testing.assert_array_equal(p.grad, 200.0 * p.data)
 
 
+def test_gather_rows_adds_into_a_leaf_holding_a_gradient():
+    """Repeated ids land one after the other on top of the prior gradient."""
+    rng = np.random.default_rng(29)
+    table = Parameter(rng.normal(size=(7, 5)))
+    prior = rng.normal(size=(7, 5))
+    table.grad[...] = prior
+    ids = np.array([4, 0, 4, 2, 4, 0])
+    weights = rng.normal(size=(len(ids), 5))
+    backward(tensor_sum(mul(gather_rows(table, ids), Tensor(weights))))
+    old = np.zeros((7, 5))
+    np.add.at(old, ids, weights)
+    # A few ulp of the magnitudes summed into each entry.
+    magnitude = np.abs(prior)
+    np.add.at(magnitude, ids, np.abs(weights))
+    assert (np.abs(table.grad - (prior + old)) <= 4 * np.finfo(float).eps * magnitude).all()
+    untouched = np.setdiff1d(np.arange(7), ids)
+    assert table.grad[untouched].tobytes() == prior[untouched].tobytes()
+
+
+@pytest.mark.parametrize("outer_block", [4, autodiff._OUTER_BLOCK_ELEMENTS])
+def test_rank_one_matmul_adds_into_a_leaf_holding_a_gradient(monkeypatch, outer_block):
+    monkeypatch.setattr(autodiff, "_OUTER_BLOCK_ELEMENTS", outer_block)
+    rng = np.random.default_rng(31)
+    row = Parameter(rng.normal(size=(1, 9)))
+    table = Parameter(rng.normal(size=(9, 6)))
+    prior = rng.normal(size=(9, 6))
+    table.grad[...] = prior
+    weights = rng.normal(size=(1, 6))
+    backward(tensor_sum(mul(matmul(row * 2.0, table), Tensor(weights))))
+    old = prior + (2.0 * row.data).T @ weights
+    np.testing.assert_allclose(table.grad, old, rtol=4 * np.finfo(float).eps, atol=0.0)
+    np.testing.assert_allclose(row.grad, 2.0 * (weights @ table.data.T), rtol=1e-15)
+
+
+def test_rank_one_matmul_into_an_interior_node_matches_finite_differences():
+    rng = np.random.default_rng(37)
+    row, table = Parameter(rng.normal(size=(1, 4))), Parameter(rng.normal(size=(4, 3)))
+    weights = Tensor(rng.normal(size=(1, 3)))
+    assert_gradients_match(
+        lambda: tensor_sum(mul(matmul(row, table * 1.5), weights)), [row, table]
+    )
+
+
+def test_distillation_backward_builds_no_full_size_gradient():
+    """batch x entities (the expanding projection) is 8x entities x d here;
+    its gradient and the table's are taken without a full-size temporary."""
+    n_entities, batch_size, d = 5_000, 64, 8
+    rng = np.random.default_rng(41)
+    model = EmbeddingModel(ModelConfig(d_e=d), n_entities, 4, RngState(1, "model"))
+    block = SemanticBlock(d, n_entities, batch_size, d, RngState(1, "block"))
+    tails = tuple(rng.choice(n_entities, 2, replace=False) for _ in range(batch_size))
+    batch = Batch(
+        heads=rng.integers(0, n_entities, batch_size), relations=rng.integers(0, 4, batch_size),
+        tails=tails, n_entities=n_entities,
+    )
+    logits = model.forward(batch.heads, batch.relations)
+    bce = bce_loss(logits, label_smooth(batch.targets(), 0.1))
+    kl = distill_loss(extract(batch, model.entity_embeddings, block), rng.normal(size=d), 10.0)
+    loss = total_loss(bce, kl, 0.5)
+    tracemalloc.start()
+    try:
+        backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.abs(block.w_expand.grad).max() > 0.0
+    assert peak < block.w_expand.data.nbytes / 2
+
+
 # ---------------------------------------------------------------------------
 # Resume
 # ---------------------------------------------------------------------------
@@ -311,6 +503,57 @@ def test_resume_rejects_a_renamed_entity(tmp_path):
     assert (renamed.n_entities, renamed.n_relations) == (store.n_entities, store.n_relations)
     with pytest.raises(ConfigError, match="entities"):
         Trainer.resume(tmp_path / "ckpt", renamed)
+
+
+def test_failed_save_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
+    store = _store(tmp_path)
+    doc = {"model": {"kind": "distmult", "d_e": 8}, "train": {"batch_size": 16, "epochs": 6, "seed": 5},
+           "isd": {"enabled": True, "m_exponent": 1.0}}
+    straight = Trainer(store, RunConfig.from_dict(doc))
+    for _ in range(6):
+        straight.train_epoch()
+
+    first = Trainer(store, RunConfig.from_dict(doc))
+    for _ in range(3):
+        first.train_epoch()
+    first.save(tmp_path / "ckpt")
+    first.train_epoch()
+    written = []
+
+    def fail_on_third(path, arr):
+        if len(written) == 2:
+            raise OSError("disk full")
+        written.append(path)
+        real_write(path, arr)
+
+    real_write = training._write_tensor
+    monkeypatch.setattr(training, "_write_tensor", fail_on_third)
+    with pytest.raises(OSError, match="disk full"):
+        first.save(tmp_path / "ckpt")
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "memo"]
+    assert all(p.parent.name != "ckpt" for p in written)
+
+    resumed = Trainer.resume(tmp_path / "ckpt", store)
+    assert resumed.epoch == 3
+    for _ in range(3):
+        resumed.train_epoch()
+    assert resumed.metrics_history == straight.metrics_history
+    want, got = _state(straight), _state(resumed)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_save_replaces_an_earlier_checkpoint(tmp_path):
+    store = _store(tmp_path)
+    trainer = Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}, "train": {"batch_size": 16}}))
+    trainer.save(tmp_path / "ckpt")
+    (tmp_path / "ckpt" / "stale.bin").write_bytes(b"")
+    trainer.train_epoch()
+    trainer.save(tmp_path / "ckpt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "memo"]
+    assert not (tmp_path / "ckpt" / "stale.bin").exists()
+    assert load_checkpoint(tmp_path / "ckpt").manifest["epoch"] == 1
 
 
 # ---------------------------------------------------------------------------
