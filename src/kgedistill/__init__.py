@@ -4,67 +4,8 @@ The package trains four bilinear link-prediction models (DistMult, ComplEx,
 TuckER, LowFER) with 1-N binary cross entropy, optionally mixing in a
 temperature-softened self-distillation loss driven by a semantic extraction
 block, and evaluates filtered MRR / Hits@k over both prediction directions.
+Import the submodules (``kgedistill.training``, ``kgedistill.models``, ...)
+for the API; the package root holds only the version.
 """
 
-from .autodiff import Parameter, Tensor, backward, no_grad
-from .config import DistillConfig, ModelConfig, RunConfig, TrainConfig
-from .data import (
-    FilterIndex,
-    TripleStore,
-    Vocabulary,
-    augment_reciprocal,
-    build_filter_index,
-    group_queries,
-    label_smooth,
-    load_dataset,
-    make_batches,
-)
-from .distill import SemanticBlock, TeacherCache, beta_at_epoch, distill_loss, extract, total_loss
-from .evaluation import MetricsReport, evaluate, filtered_rank
-from .kernels import BatchNorm, dropout, kl_divergence, softmax_temp
-from .models import EmbeddingModel, count_parameters
-from .rng import RngState
-from .training import Adam, Trainer, bce_loss, load_checkpoint, lr_at_epoch
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Adam",
-    "BatchNorm",
-    "DistillConfig",
-    "EmbeddingModel",
-    "FilterIndex",
-    "MetricsReport",
-    "ModelConfig",
-    "Parameter",
-    "RngState",
-    "RunConfig",
-    "SemanticBlock",
-    "TeacherCache",
-    "Tensor",
-    "TrainConfig",
-    "Trainer",
-    "TripleStore",
-    "Vocabulary",
-    "augment_reciprocal",
-    "backward",
-    "bce_loss",
-    "beta_at_epoch",
-    "build_filter_index",
-    "count_parameters",
-    "distill_loss",
-    "dropout",
-    "evaluate",
-    "extract",
-    "filtered_rank",
-    "group_queries",
-    "kl_divergence",
-    "label_smooth",
-    "load_checkpoint",
-    "load_dataset",
-    "lr_at_epoch",
-    "make_batches",
-    "no_grad",
-    "softmax_temp",
-    "total_loss",
-]

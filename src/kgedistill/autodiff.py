@@ -7,12 +7,25 @@ reverse topological order and accumulates into the ``grad`` array of every
 reachable leaf. Under :func:`no_grad` the same ops return plain constants,
 so inference and detached teacher extraction carry no graph.
 
-Ops are deterministic for a given BLAS build and thread count, which the
-caller pins (for instance with ``OPENBLAS_NUM_THREADS`` set before numpy is
-imported); nothing here sets it. The row lookup's gradient scatter-adds
-with ``np.add.at`` (sequential, in index order) straight into the table's
-``grad``, so the rows of a repeated id are added one after the other rather
-than summed first. Under those conditions two runs over the same inputs
+Which results depend on the BLAS thread count:
+
+- The products here (``matmul``, ``bmm``) run on BLAS with the process's
+  thread count, so their bits may depend on the BLAS build and on that
+  count. The caller pins it (for instance with ``OPENBLAS_NUM_THREADS``
+  set before numpy is imported); nothing here sets it.
+- The fused score head (:func:`kgedistill.training.score_bce`) holds
+  numpy's OpenBLAS to one thread inside its own region and sums its blocks
+  in a fixed order, so its value and gradients depend on the BLAS build
+  but neither on the thread count nor on the worker count. Where that
+  library's thread calls are not found, it runs unpinned and depends on
+  the thread count like the products above.
+- The elementwise kernels (the BCE kernel, Adam) call no BLAS and give the
+  same bits for any thread or worker count.
+
+The row lookup's gradient scatter-adds with ``np.add.at`` (sequential, in
+index order) straight into the table's ``grad``, so the rows of a
+repeated id are added one after the other rather than summed first. With
+the BLAS build and thread count fixed, two runs over the same inputs
 produce bit-identical outputs.
 """
 

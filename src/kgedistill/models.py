@@ -3,7 +3,9 @@
 All four models share one pipeline: look up embeddings, regularize the head
 embedding (batchnorm, input dropout), form a model-specific interaction
 vector, regularize it (hidden dropout, batchnorm, output dropout), and
-contract with the full entity table to produce one logit per entity.
+contract with the full entity table to produce one logit per entity. In
+training the contraction is fused with the BCE loss, so the logits are
+never built whole.
 """
 
 from __future__ import annotations
@@ -189,8 +191,14 @@ class EmbeddingModel:
         relations: np.ndarray,
         training: bool = False,
         rng: RngState | None = None,
+        targets=None,
     ) -> Tensor:
-        """Logits over all entities for each (head, relation) query row."""
+        """Logits over all entities for each (head, relation) query row.
+
+        Given ``targets`` (:class:`~kgedistill.data.SparseTargets` over the
+        same rows and entities), returns instead their mean BCE, taken by
+        :func:`~kgedistill.training.score_bce` without building the logits.
+        """
         cfg = self.config
         h = gather_rows(self.entity_embeddings, heads)
         r = gather_rows(self.relation_embeddings, relations)
@@ -202,7 +210,11 @@ class EmbeddingModel:
         if self.bn_output is not None:
             z = self.bn_output(z, training)
         z = dropout(z, cfg.dropout3, rng, training)
-        return matmul(z, transpose(self.entity_embeddings))
+        if targets is None:
+            return matmul(z, transpose(self.entity_embeddings))
+        from .training import score_bce  # training imports this module
+
+        return score_bce(z, self.entity_embeddings, targets)
 
 
 def count_parameters(

@@ -9,19 +9,21 @@ bit-identical parameters to "distillation disabled".
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import shutil
 import struct
 import uuid
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, custom_node, no_grad
+from .autodiff import Tensor, _with_leaf_add, backward, custom_node, grad_enabled, no_grad
 from .config import RunConfig
 from .data import SparseTargets, TripleStore, group_queries, label_smooth, make_batches
 from .distill import SemanticBlock, TeacherCache, beta_at_epoch, distill_loss, extract, total_loss
@@ -37,6 +39,7 @@ __all__ = [
     "load_checkpoint",
     "lr_at_epoch",
     "model_from_checkpoint",
+    "score_bce",
 ]
 
 
@@ -51,28 +54,34 @@ def lr_at_epoch(epoch: int, lr_initial: float, decay: float) -> float:
 # scratch buffers stay in the L2 cache; they also fix the order in which its
 # partial sums are added. The Adam update runs over slices of
 # _ADAM_BLOCK_ELEMENTS: any slicing gives the same bits, and larger slices
-# mean fewer ufunc calls per step.
+# mean fewer ufunc calls per step. The fused score head works on blocks of
+# entity columns spanning about _SCORE_BLOCK_ELEMENTS scores (256 columns
+# at a batch of 512), big enough for its three products to run at GEMM
+# speed, and sums its query-side gradient over _SCORE_GROUPS fixed groups
+# of those blocks.
 _BLOCK_ELEMENTS = 1 << 14
 _ADAM_BLOCK_ELEMENTS = 1 << 16
+_SCORE_BLOCK_ELEMENTS = 1 << 17
+_SCORE_GROUPS = 8
 
-# The BCE and Adam loops hand each worker thread one contiguous range of
-# whole blocks; numpy releases the GIL inside its ufuncs, so the ranges run
-# on separate cores. The pool starts on first use, with one thread per
-# usable core, and a loop with fewer than this many blocks per worker runs
-# inline on the calling thread.
+# The BCE, score-head and Adam loops hand each worker thread one contiguous
+# range of whole blocks; numpy releases the GIL inside its ufuncs and BLAS
+# calls, so the ranges run on separate cores. The pool starts on first use,
+# with one thread per usable core, and a loop with fewer than
+# ``min_per_worker`` blocks per worker runs inline on the calling thread.
 _WORKERS = len(os.sched_getaffinity(0))
 _MIN_BLOCKS_PER_WORKER = 4
 _pool: ThreadPoolExecutor | None = None
 
 
-def _run_blocks(n_blocks: int, work) -> None:
+def _run_blocks(n_blocks: int, work, min_per_worker: int = _MIN_BLOCKS_PER_WORKER) -> None:
     """Call ``work(first, stop)`` on contiguous ranges covering ``range(n_blocks)``.
 
     Each worker gets one range; the ranges depend on the worker count, so
     ``work`` must give the same result however its blocks are grouped.
     """
     global _pool
-    workers = min(_WORKERS, n_blocks // _MIN_BLOCKS_PER_WORKER)
+    workers = min(_WORKERS, n_blocks // min_per_worker)
     if workers <= 1:
         work(0, n_blocks)
         return
@@ -83,6 +92,44 @@ def _run_blocks(n_blocks: int, work) -> None:
     wait(futures)
     for future in futures:
         future.result()
+
+
+# (get, set) thread-count calls of numpy's bundled OpenBLAS, looked up on
+# first use; empty when the library or its symbols are not found.
+_openblas_threads: tuple | None = None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore it.
+
+    Inside, each worker's BLAS calls run on the worker itself, so the
+    workers' products neither wait for nor spin up BLAS helper threads.
+    Where numpy's OpenBLAS is not found, the block runs unpinned.
+    """
+    global _openblas_threads
+    if _openblas_threads is None:
+        _openblas_threads = ()
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        for lib in sorted(libs.glob("*openblas*")):
+            handle = ctypes.CDLL(str(lib))
+            get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+            put = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                _openblas_threads = (get, put)
+                break
+    if not _openblas_threads:
+        yield
+        return
+    get, put = _openblas_threads
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 def bce_loss(logits: Tensor, targets) -> Tensor:
@@ -97,14 +144,15 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
     max(u, 0) + log1p(exp(-|u|)), which never exponentiates a positive
     logit. In the sparse form sum(y * u) is off * sum(u) plus (on - off)
     times the sum over the positives, so no dense target matrix is built.
-    One pass over row blocks also stores the residual sigmoid(u) - y, with
-    the sigmoid taken from the same exp(-|u|), and the gradient is
-    g * residual / size.
+    One pass over row blocks (:func:`_bce_block`) also stores the residual
+    sigmoid(u) - y, and the gradient is g * residual / size.
 
     Both passes run on the module's worker pool (one thread per usable
     core), a contiguous range of row blocks per worker. The per-block
     partial sums are added on the calling thread in block order, so the
     value and the gradient do not depend on the number of workers.
+    Training takes the same loss through :func:`score_bce`, which never
+    builds the logits; this form serves callers that hold them.
     """
     u = logits.data
     sparse = isinstance(targets, SparseTargets)
@@ -126,29 +174,16 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
     residual = np.empty_like(u2)
     step = max(1, _BLOCK_ELEMENTS // max(width, 1))
     n_blocks = -(-len(u2) // step)
-    # Per block: sum of log1p(exp(-|u|)), sum of max(u, 0), and sum(u)
-    # (sparse targets) or sum(y * u) (dense targets).
     partials = np.empty((n_blocks, 3))
 
     def forward_blocks(first: int, stop: int) -> None:
         scratch = np.empty((2, min(step, len(u2)), width))
         for i in range(first, stop):
             rows = slice(i * step, (i + 1) * step)
-            ub, rb = u2[rows], residual[rows]
-            t1, t2 = scratch[0, : len(ub)], scratch[1, : len(ub)]
-            np.abs(ub, out=t1)
-            np.negative(t1, out=t1)
-            np.exp(t1, out=t1)
-            partials[i, 0] = np.log1p(t1, out=t2).sum()
-            partials[i, 1] = np.maximum(ub, 0.0, out=t2).sum()
-            _sigmoid(ub, t1, rb, t2)
-            if sparse:
-                partials[i, 2] = ub.sum()
-                rb -= targets.off
-            else:
-                yb = y2[rows]
-                partials[i, 2] = np.multiply(yb, ub, out=t2).sum()
-                rb -= yb
+            ub = u2[rows]
+            e, s = scratch[0, : len(ub)], scratch[1, : len(ub)]
+            yb = None if sparse else y2[rows]
+            partials[i] = _bce_block(ub, residual[rows], e, s, yb, targets.off if sparse else 0.0)
 
     _run_blocks(n_blocks, forward_blocks)
     softplus_sum = third_sum = 0.0
@@ -159,9 +194,7 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
     if sparse:
         u_pos = u2[targets.rows, targets.cols]
         yu_sum = targets.off * third_sum + (targets.on - targets.off) * float(u_pos.sum())
-        e_pos = np.exp(-np.abs(u_pos))
-        sigmoid_pos = _sigmoid(u_pos, e_pos, np.empty_like(u_pos), np.empty_like(u_pos))
-        residual[targets.rows, targets.cols] = sigmoid_pos - targets.on
+        residual[targets.rows, targets.cols] = _positive_residual(u_pos, targets.on)
     else:
         yu_sum = third_sum
     value = (softplus_sum - yu_sum) / u.size if u.size else float("nan")
@@ -186,12 +219,169 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
     return custom_node(np.float64(value), (logits,), (vjp,))
 
 
+def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
+    """``bce_loss(matmul(z, transpose(entities)), targets)`` without the logits.
+
+    ``z`` holds one query vector per row and ``entities`` one entity per
+    row; ``targets`` is :class:`~kgedistill.data.SparseTargets` shaped
+    (queries, entities). The entity columns are taken in blocks of about
+    ``_SCORE_BLOCK_ELEMENTS`` scores. For each block the forward pass
+    computes the scores u = z E_blk^T, the block's BCE partial sums and
+    residual r = sigmoid(u) - y with the kernel :func:`bce_loss` uses (the
+    positives found by ``searchsorted`` over the targets sorted by column),
+    adds r E_blk into the query-side gradient and writes r^T z into the
+    block's rows of an entities-shaped gradient buffer. So neither the
+    logits nor the residual exist beyond one block, and backward only
+    scales both gradients by g / size; a leaf table takes its share as one
+    contiguous blocked add.
+
+    The blocks run on the worker pool with numpy's OpenBLAS held to one
+    thread. The block partial sums are added in block order and the
+    query-side gradient is summed within each of ``_SCORE_GROUPS`` fixed
+    groups of blocks, then over the groups in order, so nothing depends on
+    the number of workers. The results differ from the unfused chain's by
+    a few ulp: the sums run in another order, and the gradients are scaled
+    after the products rather than before.
+    """
+    if z.ndim != 2 or entities.ndim != 2 or z.shape[1] != entities.shape[1]:
+        raise ShapeError(f"score_bce: incompatible shapes {z.shape} x {entities.shape}")
+    if not isinstance(targets, SparseTargets):
+        raise TypeError(f"score_bce takes SparseTargets, got {type(targets).__name__}")
+    n_rows, n_cols, dim = z.shape[0], entities.shape[0], z.shape[1]
+    if targets.shape != (n_rows, n_cols):
+        raise ShapeError(f"score_bce: scores {(n_rows, n_cols)} vs targets {targets.shape}")
+    on, off = targets.on, targets.off
+    if min(on, off) < 0.0 or max(on, off) > 1.0:
+        raise ValueError("score_bce targets must lie in [0, 1]")
+
+    zd, ed = np.ascontiguousarray(z.data), np.ascontiguousarray(entities.data)
+    want_dz = grad_enabled() and z.requires_grad
+    want_de = grad_enabled() and entities.requires_grad
+    cols = max(1, _SCORE_BLOCK_ELEMENTS // max(n_rows, 1))
+    n_blocks = -(-n_cols // cols)
+    per_group = -(-n_blocks // _SCORE_GROUPS)
+    n_groups = -(-n_blocks // per_group) if n_blocks else 0
+    # Positives sorted by column; block i holds entries bounds[i]:bounds[i + 1].
+    by_col = np.lexsort((targets.rows, targets.cols))
+    pos_rows, pos_cols = targets.rows[by_col], targets.cols[by_col]
+    bounds = np.searchsorted(pos_cols, np.arange(n_blocks + 1) * cols)
+    # Per block: sum of log1p(exp(-|u|)), sum of max(u, 0), sum of u, and
+    # the sum of u over the positives.
+    partials = np.empty((n_blocks, 4))
+    dz_groups = np.zeros((n_groups, n_rows, dim)) if want_dz else None
+    d_entities = np.empty_like(ed) if want_de else None
+
+    def group_blocks(first: int, stop: int) -> None:
+        width = min(cols, n_cols)
+        scratch = np.empty((3, n_rows * width))
+        product = np.empty((n_rows, dim)) if want_dz else None
+        for group in range(first, stop):
+            for i in range(group * per_group, min((group + 1) * per_group, n_blocks)):
+                lo, hi = i * cols, min((i + 1) * cols, n_cols)
+                u, e, s = (buf[: n_rows * (hi - lo)].reshape(n_rows, hi - lo) for buf in scratch)
+                e_blk = ed[lo:hi]
+                np.matmul(zd, e_blk.T, out=u)
+                rows = pos_rows[bounds[i] : bounds[i + 1]]
+                at = pos_cols[bounds[i] : bounds[i + 1]] - lo
+                u_pos = u[rows, at]
+                partials[i, :3] = _bce_block(u, u, e, s, None, off)
+                partials[i, 3] = u_pos.sum()
+                u[rows, at] = _positive_residual(u_pos, on)  # u now holds r
+                if want_dz:
+                    if i == group * per_group:
+                        np.matmul(u, e_blk, out=dz_groups[group])
+                    else:
+                        dz_groups[group] += np.matmul(u, e_blk, out=product)
+                if want_de:
+                    np.matmul(u.T, zd, out=d_entities[lo:hi])
+
+    with _one_blas_thread():
+        _run_blocks(n_groups, group_blocks, min_per_worker=1)
+    softplus_sum = u_sum = pos_sum = 0.0
+    for log1p_sum, max_sum, block_u_sum, block_pos_sum in partials.tolist():
+        softplus_sum += log1p_sum
+        softplus_sum += max_sum
+        u_sum += block_u_sum
+        pos_sum += block_pos_sum
+    size = n_rows * n_cols
+    yu_sum = off * u_sum + (on - off) * pos_sum
+    value = (softplus_sum - yu_sum) / size if size else float("nan")
+
+    dz = None
+    if want_dz:
+        dz = dz_groups[0] if n_groups else np.zeros((n_rows, dim))
+        for group in range(1, n_groups):
+            dz += dz_groups[group]
+    # Each backward pass calls a VJP once; handing a gradient on drops this
+    # node's reference to it, so the entities-shaped buffer lives no longer
+    # than the backward pass that consumes it.
+    pending = {"z": dz, "entities": d_entities}
+
+    def take(name: str) -> np.ndarray:
+        if pending.get(name) is None:
+            raise RuntimeError("score_bce gradient was already taken; rebuild the loss")
+        return pending.pop(name)
+
+    def scaled(name: str):
+        def vjp(g):
+            out = np.multiply(take(name), g)
+            out /= size
+            return out
+
+        return vjp
+
+    def add_entities(g, grad):
+        source = take("entities")
+        step = max(1, _BLOCK_ELEMENTS // max(dim, 1))
+
+        def add_blocks(first: int, stop: int) -> None:
+            scratch = np.empty((min(step, n_cols), dim))
+            for i in range(first, stop):
+                rows = slice(i * step, (i + 1) * step)
+                part = source[rows]
+                block = np.multiply(part, g, out=scratch[: len(part)])
+                block /= size
+                grad[rows] += block
+
+        _run_blocks(-(-n_cols // step), add_blocks)
+
+    return custom_node(
+        np.float64(value), (z, entities),
+        (scaled("z"), _with_leaf_add(scaled("entities"), add_entities)),
+    )
+
+
+def _bce_block(u, out, e, scratch, y, off: float) -> tuple:
+    """BCE partial sums over one block of logits ``u``; leaves the residual
+    sigmoid(u) - y in ``out``, which may be ``u`` itself.
+
+    Returns sum(log1p(exp(-|u|))), sum(max(u, 0)), and sum(y * u) for a
+    dense target block ``y``, or sum(u) when ``y`` is None and every target
+    is ``off``. ``e`` and ``scratch`` are buffers shaped like ``u``.
+    """
+    np.abs(u, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    log1p_sum = np.log1p(e, out=scratch).sum()
+    max_sum = np.maximum(u, 0.0, out=scratch).sum()
+    third = u.sum() if y is None else np.multiply(y, u, out=scratch).sum()
+    _sigmoid(u, e, out, scratch)
+    out -= off if y is None else y
+    return log1p_sum, max_sum, third
+
+
+def _positive_residual(u: np.ndarray, on: float) -> np.ndarray:
+    """sigmoid(u) - on for the logits of the positives, by the block formula."""
+    e = np.exp(-np.abs(u))
+    return _sigmoid(u, e, np.empty_like(u), np.empty_like(u)) - on
+
+
 def _sigmoid(u: np.ndarray, e: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """exp(min(u, 0)) / (1 + e) with ``e = exp(-|u|)``: the logistic function
     without overflow and with full relative precision in both tails.
 
     exp(min(u, 0)) is e where u <= 0 and 1 where u > 0; since e <= 1 it is
-    max(e, u > 0), which needs no second exponential.
+    max(e, u > 0), which needs no second exponential. ``out`` may be ``u``.
     """
     np.greater(u, 0.0, out=out, casting="unsafe")
     np.maximum(e, out, out=out)
@@ -331,11 +521,11 @@ class Trainer:
         bce_sum = kl_sum = loss_sum = 0.0
         for index, batch in enumerate(batches):
             self.adam.zero_grad()
-            logits = self.model.forward(
-                batch.heads, batch.relations, training=True, rng=self.rng_dropout
-            )
             targets = label_smooth(batch.targets(), cfg.label_smoothing)
-            bce = bce_loss(logits, targets)
+            bce = self.model.forward(
+                batch.heads, batch.relations, training=True, rng=self.rng_dropout,
+                targets=targets,
+            )
             if use_isd and self.teacher.present:
                 student = extract(batch, self.model.entity_embeddings, self.block)
                 kl = distill_loss(student, self.teacher.vector, dcfg.temperature)
@@ -390,7 +580,8 @@ class Trainer:
         renamed to ``directory``. A checkpoint already there is first moved
         aside and deleted once the new one is in place, so a save that fails
         while writing leaves the earlier checkpoint as it was and removes its
-        own partial files.
+        own partial files. Nothing is fsynced: the renames protect against a
+        failed or killed save, not against a power loss or an OS crash.
         """
         directory = Path(directory)
         directory.parent.mkdir(parents=True, exist_ok=True)

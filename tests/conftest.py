@@ -10,6 +10,18 @@ import pytest
 
 from kgedistill.autodiff import Parameter, backward
 
+PAPER_SCALE_VAR = "KGE_PAPER_SCALE"
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip ``paper_scale`` tests unless KGE_PAPER_SCALE=1 opts in."""
+    if os.environ.get(PAPER_SCALE_VAR) == "1":
+        return
+    skip = pytest.mark.skip(reason=f"paper-scale run; set {PAPER_SCALE_VAR}=1 to run it")
+    for item in items:
+        if "paper_scale" in item.keywords:
+            item.add_marker(skip)
+
 
 def numeric_gradient(fn, param: Parameter, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of the scalar ``fn()`` w.r.t. ``param``.

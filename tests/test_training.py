@@ -20,6 +20,7 @@ from kgedistill.autodiff import (
     gather_rows,
     matmul,
     mul,
+    no_grad,
     tensor_sum,
     transpose,
 )
@@ -32,7 +33,7 @@ from kgedistill.data import (
     load_dataset,
 )
 from kgedistill.distill import SemanticBlock, distill_loss, extract, total_loss
-from kgedistill.errors import CheckpointError, ConfigError
+from kgedistill.errors import CheckpointError, ConfigError, ShapeError
 from kgedistill.models import EmbeddingModel
 from kgedistill.rng import RngState
 from kgedistill.training import Adam, Trainer, bce_loss, load_checkpoint, lr_at_epoch
@@ -313,6 +314,151 @@ def test_import_and_memorization_training_start_no_thread(memorization_dataset_d
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Fused score head
+# ---------------------------------------------------------------------------
+
+def _score_case(rng, n_rows=12, n_cols=301, dim=5, epsilon=0.1):
+    batch = random_batch(rng, n_rows=n_rows, n_entities=n_cols, max_tails=5)
+    z = rng.normal(0.0, 1.5, (n_rows, dim))
+    table = rng.normal(0.0, 1.5, (n_cols, dim))
+    return z, table, label_smooth(batch.targets(), epsilon)
+
+
+def _fused_run(z, table, targets, upstream=0.75):
+    zp, tp = Parameter(z.copy()), Parameter(table.copy())
+    loss = training.score_bce(zp, tp, targets)
+    backward(loss * upstream)
+    return float(loss.data), zp.grad, tp.grad
+
+
+def _chain_run(z, table, targets, upstream=0.75):
+    zp, tp = Parameter(z.copy()), Parameter(table.copy())
+    loss = bce_loss(matmul(zp, transpose(tp)), targets)
+    backward(loss * upstream)
+    return float(loss.data), zp.grad, tp.grad
+
+
+class TestScoreBce:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("block", [40, 1 << 17])
+    def test_matches_the_unfused_chain(self, monkeypatch, epsilon, block):
+        # 40-element blocks of 3 columns: 101 blocks in 8 groups of 13.
+        monkeypatch.setattr(training, "_SCORE_BLOCK_ELEMENTS", block)
+        z, table, targets = _score_case(np.random.default_rng(43), epsilon=epsilon)
+        value, dz, dtable = _fused_run(z, table, targets)
+        want_value, want_dz, want_dtable = _chain_run(z, table, targets)
+        assert rel_err(value, want_value) <= 1e-14
+        assert rel_err(dz, want_dz) <= 1e-14
+        assert rel_err(dtable, want_dtable) <= 1e-14
+
+    def test_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(training, "_SCORE_BLOCK_ELEMENTS", 8)
+        z, table, targets = _score_case(np.random.default_rng(47), n_rows=3, n_cols=11, dim=4)
+        zp, tp = Parameter(z), Parameter(table)
+        assert_gradients_match(lambda: training.score_bce(zp, tp, targets) * 3.0, [zp, tp])
+
+    def test_adds_into_a_table_holding_a_gradient(self):
+        z, table, targets = _score_case(np.random.default_rng(53))
+        prior = np.random.default_rng(59).normal(size=table.shape)
+        zp, tp = Parameter(z), Parameter(table)
+        tp.grad[...] = prior
+        backward(training.score_bce(zp, tp, targets))
+        _, _, fresh = _fused_run(z, table, targets, upstream=1.0)
+        assert tp.grad.tobytes() == (prior + fresh).tobytes()
+
+    def test_without_gradients_gives_the_value_only(self):
+        z, table, targets = _score_case(np.random.default_rng(61))
+        with no_grad():
+            loss = training.score_bce(Parameter(z), Parameter(table), targets)
+        assert not loss.requires_grad
+        assert float(loss.data) == _fused_run(z, table, targets)[0]
+
+    def test_model_forward_with_targets_is_the_bce_of_its_logits(self):
+        rng = np.random.default_rng(67)
+        model = EmbeddingModel(ModelConfig(kind="complex", d_e=6), 40, 4, RngState(2, "model"))
+        heads, relations = rng.integers(0, 40, 9), rng.integers(0, 4, 9)
+        targets = label_smooth(SparseTargets(np.arange(9), rng.integers(0, 40, 9), (9, 40)), 0.1)
+        fused = model.forward(heads, relations, targets=targets)
+        chain = bce_loss(model.forward(heads, relations), targets)
+        assert rel_err(float(fused.data), float(chain.data)) <= 1e-14
+
+    def test_rejects_bad_targets(self):
+        z, table = Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3)))
+        with pytest.raises(ShapeError):
+            training.score_bce(z, table, SparseTargets([0], [0], (2, 4)))
+        with pytest.raises(ShapeError):
+            training.score_bce(z, Tensor(np.zeros((5, 2))), SparseTargets([0], [0], (2, 5)))
+        with pytest.raises(TypeError):
+            training.score_bce(z, table, np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            training.score_bce(z, table, SparseTargets([0], [0], (2, 5), on=1.5))
+
+    def test_second_backward_over_one_graph_raises(self):
+        z, table, targets = _score_case(np.random.default_rng(71))
+        loss = training.score_bce(Parameter(z), Parameter(table), targets)
+        backward(loss)
+        with pytest.raises(RuntimeError):
+            backward(loss)
+
+    def test_restores_the_blas_thread_count(self):
+        z, table, targets = _score_case(np.random.default_rng(73))
+        training.score_bce(Parameter(z), Parameter(table), targets)
+        if not training._openblas_threads:
+            pytest.skip("numpy's OpenBLAS thread calls are not available")
+        get, put = training._openblas_threads
+        before = get()
+        put(2)
+        try:
+            training.score_bce(Parameter(z), Parameter(table), targets)
+            assert get() == 2
+        finally:
+            put(before)
+
+
+@pytest.mark.parametrize("n_cols", [301, 299])
+def test_score_bce_is_bit_identical_for_any_worker_count(monkeypatch, workers, n_cols):
+    # 36-element blocks of 3 columns: 101 blocks (100 with a short last one
+    # at 299 columns) in 8 groups, so every worker count splits the groups.
+    monkeypatch.setattr(training, "_SCORE_BLOCK_ELEMENTS", 36)
+    z, table, targets = _score_case(np.random.default_rng(79), n_cols=n_cols)
+    runs = {}
+    for count in (1, 2, 3):
+        workers(count)
+        value, dz, dtable = _fused_run(z, table, targets)
+        runs[count] = (value, dz.tobytes(), dtable.tobytes())
+        assert (training._pool is None) == (count == 1)
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+
+
+def test_training_step_builds_no_entity_wide_array(tmp_path, workers):
+    """One epoch at 256 x 20,000 scores: the logits alone would take 41 MB.
+
+    Two workers, each with its block scratch, plus the 640 kB table
+    gradient must stay under a quarter of that.
+    """
+    n_entities, batch_size, d = 20_000, 256, 4
+    rng = np.random.default_rng(83)
+    ids = [f"e{i}" for i in range(n_entities)]
+    train = [(ids[h], "r0", ids[t]) for h, t in zip(rng.integers(0, 300, 400), rng.integers(300, 600, 400))]
+    # Every other entity appears only in the test split, which training never reads.
+    test = [(ids[i], "r1", ids[(i + 1) % n_entities]) for i in range(0, n_entities, 2)]
+    store = augment_reciprocal(load_dataset(write_dataset(tmp_path / "wide", train, [], test)))
+    assert store.n_entities == n_entities
+    doc = {"model": {"d_e": d}, "train": {"batch_size": batch_size, "epochs": 2}}
+    trainer = Trainer(store, RunConfig.from_dict(doc))
+    workers(2)
+    tracemalloc.start()
+    try:
+        record = trainer.train_epoch()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(record["loss_bce"])
+    assert peak < batch_size * n_entities * 8 / 4
 
 
 # ---------------------------------------------------------------------------
