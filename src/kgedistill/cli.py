@@ -1,7 +1,7 @@
 """Command-line surface: prepare, train, evaluate, export, count parameters.
 
 Exit codes: 0 success, 2 configuration or input-schema problem, 3 numeric
-abort (non-finite loss or infinite KL divergence), 1 anything else.
+abort (non-finite loss), 1 anything else.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import load_run_config
 from .data import augment_reciprocal, build_filter_index, group_queries, load_dataset
-from .errors import CheckpointError, ConfigError, DivergenceError, ParseError, TrainingAbort
+from .errors import CheckpointError, ConfigError, ParseError, TrainingAbort
 from .evaluation import evaluate
 from .models import count_parameters
 from .training import Trainer, load_checkpoint, model_from_checkpoint
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingAbort, DivergenceError) as exc:
+    except TrainingAbort as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -244,10 +244,6 @@ class FilterIndex:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __contains__(self, query) -> bool:
-        start, stop = self.rows([query[0]], [query[1]])
-        return bool(stop[0] > start[0])  # every indexed query has a tail
-
 
 def build_filter_index(store: TripleStore) -> FilterIndex:
     """Index train, valid and test tails for filtered ranking.
@@ -389,21 +385,19 @@ def make_batches(
     return batches
 
 
-def label_smooth(targets, epsilon: float):
+def label_smooth(targets: SparseTargets, epsilon: float) -> SparseTargets:
     """Blend hard targets toward uniform: (1 - eps) * y + eps / N.
 
-    Takes a dense array or :class:`SparseTargets`; the sparse form maps its
-    ``on`` and ``off`` values by the same formula, so it stays exact.
+    Maps the ``on`` and ``off`` values of the sparse targets by that
+    formula, so the result stays exact and sparse.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"label smoothing must lie in [0, 1), got {epsilon}")
     if epsilon == 0.0:
         return targets
     n = targets.shape[-1]
-    if isinstance(targets, SparseTargets):
-        return replace(
-            targets,
-            on=(1.0 - epsilon) * targets.on + epsilon / n,
-            off=(1.0 - epsilon) * targets.off + epsilon / n,
-        )
-    return (1.0 - epsilon) * targets + epsilon / n
+    return replace(
+        targets,
+        on=(1.0 - epsilon) * targets.on + epsilon / n,
+        off=(1.0 - epsilon) * targets.off + epsilon / n,
+    )

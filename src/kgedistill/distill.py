@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, as_tensor, gather_rows, matmul, mean, no_grad, reshape
-from .config import DistillConfig
+from .autodiff import Parameter, Tensor, as_tensor, custom_node, gather_rows, matmul, mean, reshape
 from .data import Batch
 from .errors import ShapeError
-from .kernels import kl_divergence, softmax_temp
+from .kernels import softmax
 from .rng import RngState
 
 __all__ = [
-    "DistillConfig",
     "SemanticBlock",
     "TeacherCache",
     "beta_at_epoch",
@@ -111,7 +109,7 @@ def whole_similarities(similarities: Tensor, w_expand: Tensor) -> Tensor:
             f"got {similarities.shape[0]}"
         )
     logits = matmul(reshape(similarities, (1, similarities.shape[0])), w_expand)
-    return softmax_temp(reshape(logits, (logits.shape[1],)), 1.0)
+    return softmax(reshape(logits, (logits.shape[1],)))
 
 
 def semantic_information(weights: Tensor, entities: Tensor) -> Tensor:
@@ -145,21 +143,72 @@ def extract(batch: Batch | np.ndarray, entities: Tensor, block: SemanticBlock) -
 # ---------------------------------------------------------------------------
 
 def distill_loss(student: Tensor, teacher, temperature: float) -> Tensor:
-    """Temperature-softened KL from the student vector to the teacher vector.
+    """(T^2 / d) KL(p || q) of the temperature-softened vectors, as one node.
 
-    Both vectors are softened with the same temperature; the loss is
-    (T^2 / d) * KL(p_student || p_teacher). The teacher side is detached
-    internally, so no gradient ever reaches it.
+    p = softmax(s / T) softens the student vector s and q = softmax(t / T)
+    the teacher vector t, both of length d. The teacher is a constant: no
+    gradient reaches it. The direction KL(student || teacher) is a choice;
+    the paper's abstract does not fix it.
+
+    Everything runs in log space on x = (s - t) / T, so the value keeps its
+    relative precision when p and q nearly agree (at large T they differ
+    only in the last digits of their entries). With y = x less its entry
+    at the largest q, w = log p - log q = y - log(sum q e^y), and
+    KL = sum q phi(w) where phi(w) = (w - 1) e^w + 1 >= 0: a sum of
+    non-negative terms, with no cancellation between them. The value is
+    finite wherever x is. The gradient with respect to s is
+    (T / d) p (w - KL).
+
+    As T grows, the loss tends to sum((x_i - mean(x))^2) / (2 d^2) with
+    x = s - t, a centred squared error (Hinton et al. 2015, section 2.1).
     """
     student = as_tensor(student)
-    teacher_data = teacher.data if isinstance(teacher, Tensor) else np.asarray(teacher, dtype=np.float64)
-    if student.shape != teacher_data.shape:
-        raise ShapeError(f"student/teacher length mismatch: {student.shape} vs {teacher_data.shape}")
-    p_student = softmax_temp(student, temperature)
-    with no_grad():
-        p_teacher = softmax_temp(Tensor(teacher_data), temperature)
+    t = teacher.data if isinstance(teacher, Tensor) else np.asarray(teacher, dtype=np.float64)
+    if student.ndim != 1 or student.shape != t.shape:
+        raise ShapeError(f"student/teacher vectors differ: {student.shape} vs {t.shape}")
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
     d = student.shape[0]
-    return kl_divergence(p_student, p_teacher) * (temperature * temperature / d)
+    a = t / temperature
+    a -= a.max()
+    log_q = a - np.log(np.exp(a).sum())
+    q = np.exp(log_q)
+    x = (student.data - t) / temperature
+    # w = y - log(sum q e^y), with y taken from the entry of largest q so
+    # that log1p(sum q expm1(y)) has a term of 0 there and loses no digits
+    # to a sum close to 1. Where expm1 would overflow, a plain log-sum-exp
+    # of log q + y is taken instead.
+    y = x - x[np.argmax(a)]
+    if y.max() < 700.0:
+        w = y - np.log1p(np.sum(q * np.expm1(y)))
+    else:
+        z = log_q + y
+        w = y - (z.max() + np.log(np.sum(np.exp(z - z.max()))))
+    p = np.exp(log_q + w)
+    kl = float(np.sum(_q_phi(w, q, p)))
+    value = temperature * temperature / d * kl
+
+    def vjp(g):
+        return g * (temperature / d) * p * (w - kl)
+
+    return custom_node(np.float64(value), (student,), (vjp,))
+
+
+def _q_phi(w: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """q phi(w) = q ((w - 1) e^w + 1), with p = q e^w, accurate for every w.
+
+    Near 0, phi(w) ~ w^2 / 2 is left over from terms near 1, so small |w|
+    take the series of phi and moderate |w| the expm1 form; from |w| = 1
+    on, p (w - 1) + q cannot overflow where q underflows.
+    """
+    out = p * (w - 1.0) + q
+    mid = np.abs(w) < 1.0
+    wm = w[mid]
+    out[mid] = q[mid] * ((wm - 1.0) * np.expm1(wm) + wm)
+    small = np.abs(w) < 2.0**-10
+    ws = w[small]
+    out[small] = q[small] * ws * ws * (0.5 + ws * (1 / 3 + ws * (1 / 8 + ws * (1 / 30 + ws / 144))))
+    return out
 
 
 def beta_at_epoch(epoch: int, total_epochs: int, beta_init: float) -> float:

@@ -13,10 +13,6 @@ class ParseError(ValueError):
     """A dataset file line could not be parsed."""
 
 
-class DivergenceError(ValueError):
-    """KL divergence is infinite (q has zero mass where p does not)."""
-
-
 class CheckpointError(RuntimeError):
     """Checkpoint directory is missing, corrupt, or incompatible."""
 

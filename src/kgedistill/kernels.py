@@ -1,73 +1,29 @@
-"""Numerical kernels: temperature softmax, KL divergence, dropout, batchnorm."""
+"""Numerical kernels: softmax, dropout, batchnorm."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .autodiff import Parameter, Tensor, as_tensor, custom_node
-from .errors import DivergenceError, ShapeError
+from .errors import ShapeError
 from .rng import RngState
 
 
-def softmax_temp(logits: Tensor, temperature: float) -> Tensor:
-    """Softmax of ``logits / temperature`` along the last axis.
+def softmax(logits: Tensor) -> Tensor:
+    """Softmax along the last axis; each row of the output sums to 1 within 1e-12.
 
-    Max-subtraction keeps the exponentials finite for any temperature; each
-    row of the output sums to 1 within 1e-12.
+    Max-subtraction keeps the exponentials finite.
     """
-    if temperature <= 0:
-        raise ValueError(f"softmax temperature must be positive, got {temperature}")
     logits = as_tensor(logits)
-    scaled = logits.data / temperature
-    scaled = scaled - scaled.max(axis=-1, keepdims=True)
-    expd = np.exp(scaled)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
     probs = expd / expd.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         inner = (g * probs).sum(axis=-1, keepdims=True)
-        return probs * (g - inner) / temperature
+        return probs * (g - inner)
 
     return custom_node(probs, (logits,), (vjp,))
-
-
-def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
-    """KL(p || q) = sum_i p_i ln(p_i / q_i), with 0 ln(0/q) = 0.
-
-    Both arguments must be probability vectors. A zero in q under positive
-    p mass means infinite divergence and raises :class:`DivergenceError`.
-    Rounding can produce values a hair below zero; anything within -1e-12
-    is clamped to exactly 0.
-    """
-    p = as_tensor(p)
-    q = as_tensor(q)
-    if p.shape != q.shape:
-        raise ShapeError(f"kl_divergence: shape mismatch {p.shape} vs {q.shape}")
-    for name, t in (("p", p), ("q", q)):
-        if np.any(t.data < 0):
-            raise ValueError(f"kl_divergence: {name} has negative components")
-        if abs(t.data.sum() - 1.0) > 1e-9:
-            raise ValueError(f"kl_divergence: {name} does not sum to 1 (got {t.data.sum()!r})")
-    support = p.data > 0
-    if np.any(support & (q.data == 0)):
-        raise DivergenceError("kl_divergence is infinite: q is zero on the support of p")
-
-    log_ratio = np.zeros_like(p.data)
-    log_ratio[support] = np.log(p.data[support] / q.data[support])
-    value = float(np.sum(p.data * log_ratio))
-    if -1e-12 <= value < 0.0:
-        value = 0.0
-
-    def vjp_p(g):
-        out = np.zeros_like(p.data)
-        out[support] = log_ratio[support] + 1.0
-        return g * out
-
-    def vjp_q(g):
-        out = np.zeros_like(q.data)
-        out[support] = -p.data[support] / q.data[support]
-        return g * out
-
-    return custom_node(np.float64(value), (p, q), (vjp_p, vjp_q))
 
 
 def dropout(x: Tensor, rate: float, rng: RngState | None, training: bool) -> Tensor:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import json
 import os
+import re
 import shutil
 import struct
 import uuid
@@ -132,20 +133,19 @@ def _one_blas_thread():
         put(previous)
 
 
-def bce_loss(logits: Tensor, targets) -> Tensor:
+def bce_loss(logits: Tensor, targets: SparseTargets) -> Tensor:
     """Multi-label binary cross entropy over all entities, from logits.
 
-    ``targets`` is a dense array shaped like the logits, or
-    :class:`~kgedistill.data.SparseTargets` (as returned by ``Batch.targets``
-    and mapped by ``label_smooth``), whose entries are ``on`` at the
-    positives and ``off`` everywhere else.
+    ``targets`` is :class:`~kgedistill.data.SparseTargets` shaped like the
+    logits (as returned by ``Batch.targets`` and mapped by ``label_smooth``),
+    whose entries are ``on`` at the positives and ``off`` everywhere else.
 
     The value is mean(softplus(u) - y * u) with softplus(u) computed as
     max(u, 0) + log1p(exp(-|u|)), which never exponentiates a positive
-    logit. In the sparse form sum(y * u) is off * sum(u) plus (on - off)
-    times the sum over the positives, so no dense target matrix is built.
-    One pass over row blocks (:func:`_bce_block`) also stores the residual
-    sigmoid(u) - y, and the gradient is g * residual / size.
+    logit. sum(y * u) is off * sum(u) plus (on - off) times the sum over
+    the positives, so no dense target matrix is built. One pass over row
+    blocks (:func:`_bce_block`) also stores the residual sigmoid(u) - y,
+    and the gradient is g * residual / size.
 
     Both passes run on the module's worker pool (one thread per usable
     core), a contiguous range of row blocks per worker. The per-block
@@ -154,49 +154,31 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
     Training takes the same loss through :func:`score_bce`, which never
     builds the logits; this form serves callers that hold them.
     """
+    _check_targets("bce_loss", targets, logits.shape)
     u = logits.data
-    sparse = isinstance(targets, SparseTargets)
-    if sparse:
-        y, shape = None, targets.shape
-        low, high = min(targets.on, targets.off), max(targets.on, targets.off)
-    else:
-        y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
-        shape = y.shape
-        low, high = (y.min(), y.max()) if y.size else (0.0, 0.0)
-    if logits.shape != shape:
-        raise ShapeError(f"bce_loss: logits {logits.shape} vs targets {shape}")
-    if low < 0.0 or high > 1.0:
-        raise ValueError("bce_loss targets must lie in [0, 1]")
-
-    width = u.shape[-1] if u.ndim else 1
-    u2 = u.reshape(-1, width)
-    y2 = None if sparse else y.reshape(-1, width)
-    residual = np.empty_like(u2)
+    width = u.shape[1]
+    residual = np.empty_like(u)
     step = max(1, _BLOCK_ELEMENTS // max(width, 1))
-    n_blocks = -(-len(u2) // step)
+    n_blocks = -(-len(u) // step)
     partials = np.empty((n_blocks, 3))
 
     def forward_blocks(first: int, stop: int) -> None:
-        scratch = np.empty((2, min(step, len(u2)), width))
+        scratch = np.empty((2, min(step, len(u)), width))
         for i in range(first, stop):
             rows = slice(i * step, (i + 1) * step)
-            ub = u2[rows]
+            ub = u[rows]
             e, s = scratch[0, : len(ub)], scratch[1, : len(ub)]
-            yb = None if sparse else y2[rows]
-            partials[i] = _bce_block(ub, residual[rows], e, s, yb, targets.off if sparse else 0.0)
+            partials[i] = _bce_block(ub, residual[rows], e, s, targets.off)
 
     _run_blocks(n_blocks, forward_blocks)
-    softplus_sum = third_sum = 0.0
-    for log1p_sum, max_sum, third in partials.tolist():
+    softplus_sum = u_sum = 0.0
+    for log1p_sum, max_sum, block_u_sum in partials.tolist():
         softplus_sum += log1p_sum
         softplus_sum += max_sum
-        third_sum += third
-    if sparse:
-        u_pos = u2[targets.rows, targets.cols]
-        yu_sum = targets.off * third_sum + (targets.on - targets.off) * float(u_pos.sum())
-        residual[targets.rows, targets.cols] = _positive_residual(u_pos, targets.on)
-    else:
-        yu_sum = third_sum
+        u_sum += block_u_sum
+    u_pos = u[targets.rows, targets.cols]
+    yu_sum = targets.off * u_sum + (targets.on - targets.off) * float(u_pos.sum())
+    residual[targets.rows, targets.cols] = _positive_residual(u_pos, targets.on)
     value = (softplus_sum - yu_sum) / u.size if u.size else float("nan")
     pending = [residual]
 
@@ -214,9 +196,19 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
                 gb /= u.size
 
         _run_blocks(n_blocks, scale_blocks)
-        return grad.reshape(u.shape)
+        return grad
 
     return custom_node(np.float64(value), (logits,), (vjp,))
+
+
+def _check_targets(name: str, targets: SparseTargets, shape: tuple) -> None:
+    """Raise unless ``targets`` are sparse, shaped ``shape`` and within [0, 1]."""
+    if not isinstance(targets, SparseTargets):
+        raise TypeError(f"{name} takes SparseTargets, got {type(targets).__name__}")
+    if targets.shape != tuple(shape):
+        raise ShapeError(f"{name}: scores {tuple(shape)} vs targets {targets.shape}")
+    if min(targets.on, targets.off) < 0.0 or max(targets.on, targets.off) > 1.0:
+        raise ValueError(f"{name} targets must lie in [0, 1]")
 
 
 def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
@@ -245,14 +237,9 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     """
     if z.ndim != 2 or entities.ndim != 2 or z.shape[1] != entities.shape[1]:
         raise ShapeError(f"score_bce: incompatible shapes {z.shape} x {entities.shape}")
-    if not isinstance(targets, SparseTargets):
-        raise TypeError(f"score_bce takes SparseTargets, got {type(targets).__name__}")
     n_rows, n_cols, dim = z.shape[0], entities.shape[0], z.shape[1]
-    if targets.shape != (n_rows, n_cols):
-        raise ShapeError(f"score_bce: scores {(n_rows, n_cols)} vs targets {targets.shape}")
+    _check_targets("score_bce", targets, (n_rows, n_cols))
     on, off = targets.on, targets.off
-    if min(on, off) < 0.0 or max(on, off) > 1.0:
-        raise ValueError("score_bce targets must lie in [0, 1]")
 
     zd, ed = np.ascontiguousarray(z.data), np.ascontiguousarray(entities.data)
     want_dz = grad_enabled() and z.requires_grad
@@ -284,7 +271,7 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
                 rows = pos_rows[bounds[i] : bounds[i + 1]]
                 at = pos_cols[bounds[i] : bounds[i + 1]] - lo
                 u_pos = u[rows, at]
-                partials[i, :3] = _bce_block(u, u, e, s, None, off)
+                partials[i, :3] = _bce_block(u, u, e, s, off)
                 partials[i, 3] = u_pos.sum()
                 u[rows, at] = _positive_residual(u_pos, on)  # u now holds r
                 if want_dz:
@@ -351,23 +338,23 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     )
 
 
-def _bce_block(u, out, e, scratch, y, off: float) -> tuple:
-    """BCE partial sums over one block of logits ``u``; leaves the residual
-    sigmoid(u) - y in ``out``, which may be ``u`` itself.
+def _bce_block(u, out, e, scratch, off: float) -> tuple:
+    """BCE partial sums over one block of logits ``u`` whose targets are all
+    ``off``; leaves the residual sigmoid(u) - off in ``out``, which may be
+    ``u`` itself. The caller corrects the positives.
 
-    Returns sum(log1p(exp(-|u|))), sum(max(u, 0)), and sum(y * u) for a
-    dense target block ``y``, or sum(u) when ``y`` is None and every target
-    is ``off``. ``e`` and ``scratch`` are buffers shaped like ``u``.
+    Returns sum(log1p(exp(-|u|))), sum(max(u, 0)) and sum(u). ``e`` and
+    ``scratch`` are buffers shaped like ``u``.
     """
     np.abs(u, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     log1p_sum = np.log1p(e, out=scratch).sum()
     max_sum = np.maximum(u, 0.0, out=scratch).sum()
-    third = u.sum() if y is None else np.multiply(y, u, out=scratch).sum()
+    u_sum = u.sum()
     _sigmoid(u, e, out, scratch)
-    out -= off if y is None else y
-    return log1p_sum, max_sum, third
+    out -= off
+    return log1p_sum, max_sum, u_sum
 
 
 def _positive_residual(u: np.ndarray, on: float) -> np.ndarray:
@@ -652,6 +639,11 @@ CHECKPOINT_FORMAT = "kgedistill-checkpoint"
 CHECKPOINT_VERSION = 1
 _TENSOR_MAGIC = b"KGE1"
 _MAX_RANK = 8
+# The manifest keys read by loading a checkpoint, resuming from it or building its model.
+_MANIFEST_KEYS = (
+    "adam_step", "config", "epoch", "metrics_history", "n_entities", "n_relations", "rng",
+    "teacher_present", "tensors",
+)
 
 
 @dataclass
@@ -662,14 +654,6 @@ class Checkpoint:
     tensors: dict
     entities: list[str] = field(default_factory=list)
     relations: list[str] = field(default_factory=list)
-
-    @property
-    def n_entities(self) -> int:
-        return self.manifest["n_entities"]
-
-    @property
-    def n_relations(self) -> int:
-        return self.manifest["n_relations"]
 
     @property
     def config(self) -> RunConfig:
@@ -690,12 +674,13 @@ class Checkpoint:
 
 
 def _write_tensor(path: Path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    """Write one tensor file; the body is written from the array's own buffer."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_TENSOR_MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+        fh.write(memoryview(arr))
 
 
 def _read_tensor(path: Path) -> np.ndarray:
@@ -756,15 +741,27 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"{manifest_path}: corrupt manifest: {exc}") from exc
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{manifest_path}: not a {CHECKPOINT_FORMAT} manifest")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{manifest_path}: unsupported version {manifest.get('version')!r}"
         )
-    tensors = {}
-    for name in manifest["tensors"]:
-        tensors[name] = _read_tensor(directory / f"{name}.bin")
+    rng = manifest.get("rng")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest] + [
+        f"rng.{key}" for key in ("shuffle", "dropout") if not isinstance(rng, dict) or key not in rng
+    ]
+    if missing:
+        raise CheckpointError(f"{manifest_path}: manifest lacks {', '.join(missing)}")
+    names = manifest["tensors"]
+    # Each name becomes <directory>/<name>.bin, so it must not leave the directory.
+    if not isinstance(names, list) or not all(
+        isinstance(name, str) and re.fullmatch(r"(?!\.+$)[\w.-]+", name) for name in names
+    ):
+        raise CheckpointError(f"{manifest_path}: tensor names must be plain file stems")
+    if manifest["teacher_present"] and "teacher.vector" not in names:
+        raise CheckpointError(f"{manifest_path}: a teacher is present but not saved")
+    tensors = {name: _read_tensor(directory / f"{name}.bin") for name in names}
 
     def read_names(path: Path) -> list[str]:
         if not path.is_file():
@@ -784,7 +781,8 @@ def model_from_checkpoint(ckpt: Checkpoint) -> EmbeddingModel:
     """Instantiate the model a checkpoint describes and load its tensors."""
     config = ckpt.config
     model = EmbeddingModel(
-        config.model, ckpt.n_entities, ckpt.n_relations, RngState(0, "unused-init")
+        config.model, ckpt.manifest["n_entities"], ckpt.manifest["n_relations"],
+        RngState(0, "unused-init"),
     )
     _load_tensors(_model_tensors(model), ckpt.tensors)
     return model

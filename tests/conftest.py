@@ -132,20 +132,3 @@ def memorization_dataset_dir(tmp_path):
     """The 30-entity / 3-relation graph used by the memorization runs."""
     train, valid, test = synthetic_triples(30, 3, n_train=90, n_valid=8, n_test=8)
     return write_dataset(tmp_path / "memo", train, valid, test)
-
-
-def real_dataset_dir(name: str) -> Path | None:
-    """Locate a benchmark dataset (WN18RR, FB15k-237) if present.
-
-    Looks under $KGE_DATA_DIR, then ./data relative to the repo root.
-    Returns None when the files are not available.
-    """
-    candidates = []
-    env = os.environ.get("KGE_DATA_DIR")
-    if env:
-        candidates.append(Path(env) / name)
-    candidates.append(Path(__file__).resolve().parent.parent / "data" / name)
-    for base in candidates:
-        if all((base / f).is_file() for f in ("train.txt", "valid.txt", "test.txt")):
-            return base
-    return None

@@ -8,7 +8,7 @@ import numpy as np
 from kgedistill import cli
 from kgedistill.config import RunConfig
 from kgedistill.data import augment_reciprocal, build_filter_index, load_dataset
-from kgedistill.errors import DivergenceError
+from kgedistill.errors import TrainingAbort
 from kgedistill.evaluation import evaluate
 from kgedistill.training import Trainer, load_checkpoint
 
@@ -76,10 +76,23 @@ def test_evaluate_report_is_unchanged(tmp_path, memorization_dataset_dir, capsys
     assert capsys.readouterr().out == json.dumps(GOLDEN_REPORT, indent=2, sort_keys=True) + "\n"
 
 
-def test_divergence_maps_to_exit_3(monkeypatch, capsys):
-    def diverge(args):
-        raise DivergenceError("kl_divergence is infinite")
+def test_training_abort_maps_to_exit_3(monkeypatch, capsys):
+    def abort(args):
+        raise TrainingAbort(0, 0, "non-finite loss at epoch 0, batch 0")
 
-    monkeypatch.setattr(cli, "cmd_train", diverge)
+    monkeypatch.setattr(cli, "cmd_train", abort)
     assert cli.main(["train", "--config", "unused.json"]) == 3
     assert "aborted" in capsys.readouterr().err
+
+
+def test_malformed_manifests_exit_2(tmp_path, capsys):
+    checkpoint = tmp_path / "checkpoint"
+    checkpoint.mkdir()
+    for manifest, message in (
+        ([1, 2], "not a kgedistill-checkpoint manifest"),
+        ({"format": "kgedistill-checkpoint", "version": 1}, "manifest lacks adam_step"),
+    ):
+        (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["export-embeddings", str(checkpoint), str(tmp_path / "out.tsv")]) == 2
+        assert message in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 from conftest import synthetic_triples, write_dataset
 
 from kgedistill.data import (
+    SparseTargets,
     augment_reciprocal,
     build_filter_index,
     group_queries,
@@ -130,8 +131,8 @@ class TestFilterIndex:
         assert index.indices[start[0] : stop[0]].tolist() == [1]
         assert index.indices[start[1] : stop[1]].tolist() == [0, 1]
         assert start[2:].tolist() == stop[2:].tolist() == [0, 0, 0, 0]
-        assert (0, 0) in index and (0, 1) not in index and (7, 0) not in index
-        assert index.tails(0, 1).size == 0
+        assert index.tails(0, 0).size == 1
+        assert index.tails(0, 1).size == index.tails(7, 0).size == 0
 
 
 class TestMakeBatches:
@@ -195,21 +196,20 @@ class TestHeadRankingViaReciprocal:
 
 class TestLabelSmooth:
     def test_zero_epsilon_is_identity(self):
-        y = np.eye(3)
-        out = label_smooth(y, 0.0)
-        np.testing.assert_array_equal(out, y)
+        y = SparseTargets([0, 1, 2], [0, 1, 2], (3, 3))
+        assert label_smooth(y, 0.0) is y
 
     def test_one_hot_row(self):
-        out = label_smooth(np.array([[1.0, 0.0, 0.0, 0.0]]), 0.1)
-        np.testing.assert_allclose(out, [[0.925, 0.025, 0.025, 0.025]])
+        out = label_smooth(SparseTargets([0], [0], (1, 4)), 0.1)
+        np.testing.assert_allclose(out.dense(), [[0.925, 0.025, 0.025, 0.025]])
 
     def test_all_ones_row(self):
-        out = label_smooth(np.ones((1, 4)), 0.1)
-        np.testing.assert_allclose(out, 0.925)
+        out = label_smooth(SparseTargets([0] * 4, [0, 1, 2, 3], (1, 4)), 0.1)
+        np.testing.assert_allclose(out.dense(), 0.925)
 
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
-            label_smooth(np.ones((1, 2)), 1.0)
+            label_smooth(SparseTargets([0], [0], (1, 2)), 1.0)
 
 
 def test_group_queries_matches_a_dict_loop(tmp_path):

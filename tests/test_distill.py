@@ -1,5 +1,6 @@
 """Semantic extraction block, softened KL loss, mixing schedule."""
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import assert_gradients_match, synthetic_triples, write_dataset
@@ -204,6 +205,19 @@ class TestDistillLoss:
         with pytest.raises(ShapeError):
             distill_loss(Tensor([1.0, 2.0]), np.zeros(3), 1.0)
 
+    def test_distributions_without_common_mass_give_a_finite_loss(self):
+        # q puts e^-800 on the entry that holds p's mass: KL = 800, loss = KL / 2.
+        student = Parameter([0.0, 800.0])
+        loss = distill_loss(student, np.array([0.0, -800.0]), 1.0)
+        backward(loss)
+        assert loss.item() == pytest.approx(400.0, rel=1e-15)
+        assert np.all(np.isfinite(student.grad))
+
+    def test_nonpositive_temperature_rejected(self):
+        for temperature in (0.0, -2.0):
+            with pytest.raises(ValueError):
+                distill_loss(Tensor([1.0, 2.0]), np.zeros(2), temperature)
+
     def test_student_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         student = Parameter(rng.normal(0, 1, 5))
@@ -212,6 +226,59 @@ class TestDistillLoss:
             assert_gradients_match(
                 lambda t=temperature: distill_loss(student, teacher, t), [student]
             )
+
+
+def exact_distill_loss(s, t, temperature):
+    """(T^2 / d) KL(p || q) and its gradient in s, at 60 digits."""
+    with mpmath.workdps(60):
+        T, d = mpmath.mpf(temperature), len(s)
+        es = [mpmath.exp(mpmath.mpf(v) / T) for v in s.tolist()]
+        et = [mpmath.exp(mpmath.mpf(v) / T) for v in t.tolist()]
+        zs, zt = sum(es), sum(et)
+        p = [e / zs for e in es]
+        q = [e / zt for e in et]
+        w = [mpmath.log(pi / qi) for pi, qi in zip(p, q)]
+        kl = sum(pi * wi for pi, wi in zip(p, w))
+        grad = [T / d * pi * (wi - kl) for pi, wi in zip(p, w)]
+        return float(T * T / d * kl), np.array([float(g) for g in grad])
+
+
+class TestDistillLossAgainstMpmath:
+    """Student = teacher + gap * noise: the loss keeps its relative precision
+    however close the two softened distributions are."""
+
+    @pytest.mark.parametrize("d", [50, 200])
+    @pytest.mark.parametrize("temperature", [1e-2, 1.0, 10.0, 1e3, 1e5])
+    def test_value(self, d, temperature):
+        rng = np.random.default_rng(d)
+        for gap in (1.0, 1e-2, 1e-4, 1e-6):
+            t = rng.normal(0, 1, d)
+            s = t + gap * rng.normal(0, 1, d)
+            want, _ = exact_distill_loss(s, t, temperature)
+            assert abs(distill_loss(Tensor(s), t, temperature).item() - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("temperature", [1.0, 10.0, 1e3, 1e5])
+    def test_gradient(self, temperature):
+        rng = np.random.default_rng(7)
+        for d in (50, 200):
+            for gap in (1.0, 1e-2, 1e-4, 1e-6):
+                t = rng.normal(0, 1, d)
+                student = Parameter(t + gap * rng.normal(0, 1, d))
+                backward(distill_loss(student, t, temperature))
+                _, want = exact_distill_loss(student.data, t, temperature)
+                assert np.abs(student.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_large_temperature_limit(self):
+        # As T grows the loss tends to sum((x - mean(x))^2) / (2 d^2), x = s - t.
+        # Its distance to that limit is of relative order max|x| / T, about
+        # 3e-9 here, so the 1e-8 bound checks rounding, not the expansion.
+        rng = np.random.default_rng(11)
+        for d in (8, 200):
+            t = rng.normal(0, 1, d)
+            x = 0.1 * rng.normal(0, 1, d)
+            limit = np.sum((x - x.mean()) ** 2) / (2 * d * d)
+            value = distill_loss(Tensor(t + x), t, 1e8).item()
+            assert abs(value - limit) <= 1e-8 * limit
 
 
 class TestBetaSchedule:

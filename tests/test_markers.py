@@ -21,10 +21,10 @@ def test_paper_scale_items_are_skipped_unless_opted_in(monkeypatch, value, skipp
         monkeypatch.delenv(PAPER_SCALE_VAR, raising=False)
     else:
         monkeypatch.setenv(PAPER_SCALE_VAR, value)
-    paper, slow, plain = _Item("paper_scale"), _Item("slow"), _Item()
-    pytest_collection_modifyitems(None, [paper, slow, plain])
+    paper, other, plain = _Item("paper_scale"), _Item("other"), _Item()
+    pytest_collection_modifyitems(None, [paper, other, plain])
     assert [m.name for m in paper.added] == (["skip"] if skipped else [])
-    assert slow.added == [] and plain.added == []
+    assert other.added == [] and plain.added == []
 
 
 @pytest.mark.paper_scale

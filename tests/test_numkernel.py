@@ -1,4 +1,4 @@
-"""Tensor engine, softmax/KL kernels, dropout, batchnorm, and rng streams."""
+"""Tensor engine, softmax, dropout, batchnorm, and rng streams."""
 
 import numpy as np
 import pytest
@@ -20,8 +20,8 @@ from kgedistill.autodiff import (
     tensor_sum,
     transpose,
 )
-from kgedistill.errors import DivergenceError, ShapeError
-from kgedistill.kernels import BatchNorm, dropout, kl_divergence, softmax_temp
+from kgedistill.errors import ShapeError
+from kgedistill.kernels import BatchNorm, dropout, softmax
 from kgedistill.rng import RngState
 
 
@@ -56,101 +56,28 @@ class TestMatmul:
 
 class TestSoftmaxTemp:
     def test_uniform_on_equal_logits(self):
-        out = softmax_temp(Tensor([0.0, 0.0, 0.0]), 1.0)
+        out = softmax(Tensor([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
     def test_hand_value(self):
-        out = softmax_temp(Tensor([np.log(2.0), 0.0, 0.0]), 1.0)
+        out = softmax(Tensor([np.log(2.0), 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [0.5, 0.25, 0.25], atol=1e-15)
-
-    def test_high_temperature_is_uniform(self):
-        out = softmax_temp(Tensor([1.0, 2.0, 3.0]), 1e5)
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-4)
-
-    def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            softmax_temp(Tensor([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            softmax_temp(Tensor([1.0]), -2.0)
 
     def test_sums_to_one_and_components_in_range(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             n = int(rng.integers(1, 9))
-            u = rng.normal(0, 5, n)
-            t = float(10 ** rng.uniform(-2, 6))
-            p = softmax_temp(Tensor(u), t).data
+            u = rng.normal(0, 5, n) * 10 ** rng.uniform(-6, 2)
+            p = softmax(Tensor(u)).data
             assert abs(p.sum() - 1.0) <= 1e-12
             assert np.all(p >= 0) and np.all(p <= 1)
 
-    def test_argmax_invariant_to_temperature(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            u = rng.normal(0, 3, int(rng.integers(2, 9)))
-            if np.unique(u).size != u.size:
-                continue
-            t1, t2 = float(10 ** rng.uniform(-2, 5)), float(10 ** rng.uniform(-2, 5))
-            a1 = int(np.argmax(softmax_temp(Tensor(u), t1).data))
-            a2 = int(np.argmax(softmax_temp(Tensor(u), t2).data))
-            assert a1 == a2 == int(np.argmax(u))
-
     def test_gradient(self):
         rng = np.random.default_rng(2)
-        for temperature in (0.5, 1.0, 10.0):
-            u = Parameter(rng.normal(0, 2, 6))
+        for scale in (0.5, 2.0, 10.0):
+            u = Parameter(rng.normal(0, scale, 6))
             w = rng.normal(0, 1, 6)
-            assert_gradients_match(
-                lambda u=u, w=w, t=temperature: tensor_sum(softmax_temp(u, t) * w), [u]
-            )
-
-
-class TestKlDivergence:
-    def test_identical_is_exactly_zero(self):
-        p = Tensor([0.3, 0.2, 0.5])
-        assert kl_divergence(p, Tensor([0.3, 0.2, 0.5])).item() == 0.0
-
-    def test_hand_value_with_zero_mass(self):
-        out = kl_divergence(Tensor([1.0, 0.0]), Tensor([0.5, 0.5]))
-        np.testing.assert_allclose(out.item(), np.log(2.0), rtol=1e-12)
-
-    def test_hand_value_dense(self):
-        out = kl_divergence(Tensor([0.5, 0.5]), Tensor([0.25, 0.75]))
-        expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
-        np.testing.assert_allclose(out.item(), expected, rtol=1e-12)
-
-    def test_infinite_divergence_rejected(self):
-        with pytest.raises(DivergenceError):
-            kl_divergence(Tensor([0.5, 0.5]), Tensor([1.0, 0.0]))
-
-    def test_non_probability_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            kl_divergence(Tensor([0.5, 0.6]), Tensor([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            kl_divergence(Tensor([1.5, -0.5]), Tensor([0.5, 0.5]))
-
-    def test_nonnegative_zero_iff_equal(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            n = int(rng.integers(2, 9))
-            p = rng.random(n) + 1e-3
-            p /= p.sum()
-            q = rng.random(n) + 1e-3
-            q /= q.sum()
-            val = kl_divergence(Tensor(p), Tensor(q)).item()
-            assert val >= 0.0
-            if val == 0.0:
-                assert np.abs(p - q).max() <= 1e-12
-
-    def test_gradient_through_softmax(self):
-        # Perturbing a probability vector directly would break the sum-to-1
-        # precondition, so the check runs through softmax on raw logits, the
-        # same path the distillation loss uses.
-        rng = np.random.default_rng(4)
-        a = Parameter(rng.normal(0, 1, 5))
-        b = Parameter(rng.normal(0, 1, 5))
-        assert_gradients_match(
-            lambda: kl_divergence(softmax_temp(a, 1.0), softmax_temp(b, 2.0)), [a, b]
-        )
+            assert_gradients_match(lambda u=u, w=w: tensor_sum(softmax(u) * w), [u])
 
 
 class TestBackward:

@@ -1,5 +1,6 @@
 """BCE loss, Adam, leaf gradient accumulation, and bit-exact resume."""
 
+import json
 import os
 import struct
 import subprocess
@@ -63,33 +64,40 @@ def loss_and_grad(logits: np.ndarray, targets):
     return float(loss.data), p.grad
 
 
+def dense_bce(logits: np.ndarray, targets: SparseTargets):
+    """Value and gradient of the BCE by the closed form on the dense targets."""
+    y = targets.dense()
+    return np.mean(np.logaddexp(0.0, logits) - y * logits), (expit(logits) - y) / logits.size
+
+
 # ---------------------------------------------------------------------------
-# BCE on sparse and dense targets
+# BCE on sparse targets
 # ---------------------------------------------------------------------------
 
 class TestBceLoss:
     @pytest.mark.parametrize("block", [64, 1 << 14])
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_sparse_matches_dense(self, monkeypatch, block, epsilon):
+        """At either block size, the kernel matches the closed form on the dense targets."""
         monkeypatch.setattr(training, "_BLOCK_ELEMENTS", block)
         rng = np.random.default_rng(3)
         batch = random_batch(rng)
         logits = rng.normal(0.0, 4.0, (len(batch), batch.n_entities))
         sparse = label_smooth(batch.targets(), epsilon)
-        dense = label_smooth(batch.targets().dense(), epsilon)
-        value_s, grad_s = loss_and_grad(logits, sparse)
-        value_d, grad_d = loss_and_grad(logits, dense)
-        assert rel_err(value_s, value_d) <= 1e-12
-        assert rel_err(grad_s, grad_d) <= 1e-14
+        value, grad = loss_and_grad(logits, sparse)
+        want_value, want_grad = dense_bce(logits, sparse)
+        assert rel_err(value, want_value) <= 1e-12
+        assert rel_err(grad, want_grad) <= 1e-14
 
     def test_matches_logaddexp_formula(self):
         rng = np.random.default_rng(4)
         batch = random_batch(rng)
         logits = rng.normal(0.0, 3.0, (len(batch), batch.n_entities))
-        y = label_smooth(batch.targets().dense(), 0.1)
-        value, grad = loss_and_grad(logits, label_smooth(batch.targets(), 0.1))
-        assert rel_err(value, np.mean(np.logaddexp(0.0, logits) - y * logits)) <= 1e-12
-        assert rel_err(grad, (expit(logits) - y) / logits.size) <= 1e-14
+        targets = label_smooth(batch.targets(), 0.1)
+        value, grad = loss_and_grad(logits, targets)
+        want_value, want_grad = dense_bce(logits, targets)
+        assert rel_err(value, want_value) <= 1e-12
+        assert rel_err(grad, want_grad) <= 1e-14
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_matches_mpmath(self, epsilon):
@@ -140,7 +148,7 @@ class TestBceLoss:
     def test_smoothing_maps_on_and_off_exactly(self):
         targets = label_smooth(SparseTargets([0, 0], [1, 3], (1, 4)), 0.1)
         np.testing.assert_array_equal(
-            targets.dense(), label_smooth(np.array([[0.0, 1.0, 0.0, 1.0]]), 0.1)
+            targets.dense(), (1.0 - 0.1) * np.array([[0.0, 1.0, 0.0, 1.0]]) + 0.1 / 4
         )
 
     def test_out_of_range_tail_raises(self):
@@ -256,12 +264,11 @@ def test_bce_is_bit_identical_for_any_worker_count(monkeypatch, workers, n_rows)
     rng = np.random.default_rng(17)
     batch = random_batch(rng, n_rows=n_rows, n_entities=32)
     logits = rng.normal(0.0, 5.0, (n_rows, 32))
-    sparse = label_smooth(batch.targets(), 0.1)
-    dense = label_smooth(batch.targets().dense(), 0.1)
+    targets = label_smooth(batch.targets(), 0.1)
     runs = {}
     for count in (1, 2, 3):
         workers(count)
-        runs[count] = (_bce_run(logits, sparse), _bce_run(logits, dense))
+        runs[count] = _bce_run(logits, targets)
         assert (training._pool is None) == (count == 1)
     assert runs[2] == runs[1]
     assert runs[3] == runs[1]
@@ -690,6 +697,35 @@ def test_failed_save_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
+def _drop_rng_dropout(manifest):
+    del manifest["rng"]["dropout"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m["tensors"].append("../x"), "plain file stems"),
+        (lambda m: m["tensors"].append(".."), "plain file stems"),
+        (lambda m: m.update(tensors="model.entity_embeddings"), "plain file stems"),
+        (_drop_rng_dropout, "lacks rng.dropout"),
+        (lambda m: m.update(teacher_present=True), "teacher"),
+    ],
+    ids=["parent-dir", "dot-dot", "not-a-list", "no-rng-stream", "no-teacher-tensor"],
+)
+def test_malformed_manifest_rejected(tmp_path, edit, message):
+    store = _store(tmp_path)
+    Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}, "train": {"batch_size": 16}})).save(
+        tmp_path / "ckpt"
+    )
+    (tmp_path / "x.bin").write_bytes((tmp_path / "ckpt" / "model.entity_embeddings.bin").read_bytes())
+    path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_save_replaces_an_earlier_checkpoint(tmp_path):
     store = _store(tmp_path)
     trainer = Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}, "train": {"batch_size": 16}}))
@@ -738,8 +774,21 @@ def test_corrupt_tensor_file_rejected(tmp_path, content, message):
 
 
 def test_tensor_file_round_trip(tmp_path):
-    for value in (np.arange(12.0).reshape(3, 4), np.zeros((0, 5)), np.array([-0.0, np.inf, 1e-310])):
+    for value in (np.arange(12.0).reshape(3, 4), np.zeros((0, 5)), np.array([-0.0, np.inf, 1e-310]),
+                  np.asfortranarray(np.arange(6.0).reshape(2, 3))):
         training._write_tensor(tmp_path / "t.bin", value)
         got = training._read_tensor(tmp_path / "t.bin")
         assert got.dtype == np.float64 and got.shape == value.shape and got.flags.writeable
         assert got.tobytes() == value.tobytes()
+
+
+def test_tensor_file_is_written_without_a_copy(tmp_path):
+    value = np.random.default_rng(3).normal(size=1 << 21)  # 16 MB
+    tracemalloc.start()
+    try:
+        training._write_tensor(tmp_path / "t.bin", value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < value.nbytes // 16, peak
+    assert (tmp_path / "t.bin").read_bytes() == _header(1, value.size) + value.tobytes()
