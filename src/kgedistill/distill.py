@@ -1,12 +1,12 @@
 """Self-distillation: semantic extraction block, softened KL loss, schedule.
 
-The block turns the current mini-batch's entity embeddings into a single
-semantic vector: average the batch rows and project (central feature c),
-project each row (features K), take inner products (similarities s over the
-batch), expand to a distribution over all entities (q, via a learned
-bs-by-N projection and a softmax), and mix the full embedding table with
-those weights (vector l). The vector extracted after one optimizer step
-becomes the detached teacher target for the next iteration.
+:func:`extract` turns the batch's head embeddings into one semantic vector:
+the central feature c (the batch mean, projected), the semantic features K
+(each row, projected), the partial similarities s (of each K_i to c), the
+whole similarities q (s expanded to a distribution over all entities by a
+learned bs-by-N projection and a softmax) and the semantic vector l (the
+entity table mixed with weights q). The vector extracted after one optimizer
+step becomes the detached teacher target for the next iteration.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Parameter, Tensor, as_tensor, custom_node, gather_rows, matmul, mean, reshape
-from .data import Batch
 from .errors import ShapeError
 from .kernels import softmax
 from .rng import RngState
@@ -23,14 +22,9 @@ __all__ = [
     "SemanticBlock",
     "TeacherCache",
     "beta_at_epoch",
-    "central_feature",
     "distill_loss",
     "extract",
-    "partial_similarities",
-    "semantic_features",
-    "semantic_information",
     "total_loss",
-    "whole_similarities",
 ]
 
 
@@ -43,10 +37,7 @@ class SemanticBlock:
     """
 
     def __init__(self, embed_dim: int, n_entities: int, batch_size: int, k_b: int, rng: RngState):
-        self.embed_dim = embed_dim
-        self.n_entities = n_entities
         self.batch_size = batch_size
-        self.k_b = k_b
         self.w_central = Parameter(rng.normal(0.0, 0.02, (embed_dim, k_b)))
         self.w_features = Parameter(rng.normal(0.0, 0.02, (embed_dim, k_b)))
         self.w_expand = Parameter(rng.normal(0.0, 0.02, (batch_size, n_entities)))
@@ -80,62 +71,29 @@ class TeacherCache:
 # Extraction pipeline
 # ---------------------------------------------------------------------------
 
-def central_feature(batch_embeddings: Tensor, w_central: Tensor) -> Tensor:
-    """c = mean of the batch rows, projected to width k_b."""
-    batch_embeddings = as_tensor(batch_embeddings)
-    v = mean(batch_embeddings, axis=0)
-    c = matmul(reshape(v, (1, v.shape[0])), w_central)
-    return reshape(c, (c.shape[1],))
+def extract(heads: np.ndarray, entities: Tensor, block: SemanticBlock) -> Tensor:
+    """The semantic vector of one batch, from its head entity ids.
 
-
-def semantic_features(batch_embeddings: Tensor, w_features: Tensor) -> Tensor:
-    """K = per-row projection of the batch embeddings, shape (bs, k_b)."""
-    return matmul(as_tensor(batch_embeddings), w_features)
-
-
-def partial_similarities(central: Tensor, features: Tensor) -> Tensor:
-    """s_i = <c, K_i>: similarity of each batch row to the central feature."""
-    central = as_tensor(central)
-    s = matmul(features, reshape(central, (central.shape[0], 1)))
-    return reshape(s, (s.shape[0],))
-
-
-def whole_similarities(similarities: Tensor, w_expand: Tensor) -> Tensor:
-    """q = softmax(s W_P): a distribution over all entities."""
-    similarities = as_tensor(similarities)
-    if similarities.shape[0] != w_expand.shape[0]:
-        raise ShapeError(
-            f"expanding projection expects {w_expand.shape[0]} similarities, "
-            f"got {similarities.shape[0]}"
-        )
-    logits = matmul(reshape(similarities, (1, similarities.shape[0])), w_expand)
-    return softmax(reshape(logits, (logits.shape[1],)))
-
-
-def semantic_information(weights: Tensor, entities: Tensor) -> Tensor:
-    """l = q E: a convex combination of entity embedding rows."""
-    weights = as_tensor(weights)
-    l = matmul(reshape(weights, (1, weights.shape[0])), entities)
-    return reshape(l, (l.shape[1],))
-
-
-def extract(batch: Batch | np.ndarray, entities: Tensor, block: SemanticBlock) -> Tensor:
-    """Run the full pipeline on the batch's head entities.
+    With X the batch's head rows of the entity table E: the central feature
+    c = mean(X) W_C, the semantic features K = X W_F, the partial
+    similarities s = K c (one per row), the whole similarities
+    q = softmax(s W_P) over all entities, and the semantic vector l = q E.
 
     After reciprocal augmentation the heads of consecutive batches cover
     both triple directions, so the per-iteration inputs sweep the graph.
     """
-    heads = batch.heads if isinstance(batch, Batch) else np.asarray(batch, dtype=np.int64)
-    if len(heads) != block.batch_size:
-        raise ShapeError(
-            f"block is bound to batch size {block.batch_size}, got {len(heads)} rows"
-        )
-    batch_embeddings = gather_rows(entities, heads)
-    c = central_feature(batch_embeddings, block.w_central)
-    feats = semantic_features(batch_embeddings, block.w_features)
-    s = partial_similarities(c, feats)
-    q = whole_similarities(s, block.w_expand)
-    return semantic_information(q, entities)
+    heads = np.asarray(heads, dtype=np.int64)
+    bs = block.batch_size
+    if len(heads) != bs:
+        raise ShapeError(f"block is bound to batch size {bs}, got {len(heads)} rows")
+    x = gather_rows(entities, heads)
+    v = mean(x, axis=0)
+    c = matmul(reshape(v, (1, v.shape[0])), block.w_central)
+    s = matmul(matmul(x, block.w_features), reshape(c, (c.shape[1], 1)))
+    logits = matmul(reshape(s, (1, bs)), block.w_expand)
+    q = softmax(reshape(logits, (logits.shape[1],)))
+    l = matmul(reshape(q, (1, q.shape[0])), entities)
+    return reshape(l, (l.shape[1],))
 
 
 # ---------------------------------------------------------------------------

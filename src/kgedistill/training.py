@@ -65,9 +65,9 @@ _ADAM_BLOCK_ELEMENTS = 1 << 16
 _SCORE_BLOCK_ELEMENTS = 1 << 17
 _SCORE_GROUPS = 8
 
-# The BCE, score-head and Adam loops hand each worker thread one contiguous
-# range of whole blocks; numpy releases the GIL inside its ufuncs and BLAS
-# calls, so the ranges run on separate cores. The pool starts on first use,
+# The score-head and Adam loops hand each worker thread one contiguous range
+# of whole blocks; numpy releases the GIL inside its ufuncs and BLAS calls,
+# so the ranges run on separate cores. The pool starts on first use,
 # with one thread per usable core, and a loop with fewer than
 # ``min_per_worker`` blocks per worker runs inline on the calling thread.
 _WORKERS = len(os.sched_getaffinity(0))
@@ -143,36 +143,24 @@ def bce_loss(logits: Tensor, targets: SparseTargets) -> Tensor:
     The value is mean(softplus(u) - y * u) with softplus(u) computed as
     max(u, 0) + log1p(exp(-|u|)), which never exponentiates a positive
     logit. sum(y * u) is off * sum(u) plus (on - off) times the sum over
-    the positives, so no dense target matrix is built. One pass over row
-    blocks (:func:`_bce_block`) also stores the residual sigmoid(u) - y,
-    and the gradient is g * residual / size.
-
-    Both passes run on the module's worker pool (one thread per usable
-    core), a contiguous range of row blocks per worker. The per-block
-    partial sums are added on the calling thread in block order, so the
-    value and the gradient do not depend on the number of workers.
+    the positives, so no dense target matrix is built. One serial pass over
+    row blocks (:func:`_bce_block`) adds the partial sums in block order and
+    stores the residual sigmoid(u) - y; the gradient is g * residual / size.
     Training takes the same loss through :func:`score_bce`, which never
-    builds the logits; this form serves callers that hold them.
+    builds the logits; this form is the reference for callers holding them.
     """
     _check_targets("bce_loss", targets, logits.shape)
     u = logits.data
-    width = u.shape[1]
     residual = np.empty_like(u)
-    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
-    n_blocks = -(-len(u) // step)
-    partials = np.empty((n_blocks, 3))
-
-    def forward_blocks(first: int, stop: int) -> None:
-        scratch = np.empty((2, min(step, len(u)), width))
-        for i in range(first, stop):
-            rows = slice(i * step, (i + 1) * step)
-            ub = u[rows]
-            e, s = scratch[0, : len(ub)], scratch[1, : len(ub)]
-            partials[i] = _bce_block(ub, residual[rows], e, s, targets.off)
-
-    _run_blocks(n_blocks, forward_blocks)
+    step = max(1, _BLOCK_ELEMENTS // max(u.shape[1], 1))
+    scratch = np.empty((2, min(step, len(u)), u.shape[1]))
     softplus_sum = u_sum = 0.0
-    for log1p_sum, max_sum, block_u_sum in partials.tolist():
+    for start in range(0, len(u), step):
+        ub = u[start : start + step]
+        e, s = scratch[0, : len(ub)], scratch[1, : len(ub)]
+        log1p_sum, max_sum, block_u_sum = _bce_block(
+            ub, residual[start : start + step], e, s, targets.off
+        )
         softplus_sum += log1p_sum
         softplus_sum += max_sum
         u_sum += block_u_sum
@@ -180,25 +168,7 @@ def bce_loss(logits: Tensor, targets: SparseTargets) -> Tensor:
     yu_sum = targets.off * u_sum + (targets.on - targets.off) * float(u_pos.sum())
     residual[targets.rows, targets.cols] = _positive_residual(u_pos, targets.on)
     value = (softplus_sum - yu_sum) / u.size if u.size else float("nan")
-    pending = [residual]
-
-    def vjp(g):
-        # Each backward pass calls a node's VJP once; the residual buffer is
-        # scaled in place and handed on, so no second N-wide array is made.
-        if not pending:
-            raise RuntimeError("bce_loss gradient was already taken; rebuild the loss")
-        grad = pending.pop()
-
-        def scale_blocks(first: int, stop: int) -> None:
-            for i in range(first, stop):
-                gb = grad[i * step : (i + 1) * step]
-                np.multiply(g, gb, out=gb)
-                gb /= u.size
-
-        _run_blocks(n_blocks, scale_blocks)
-        return grad
-
-    return custom_node(np.float64(value), (logits,), (vjp,))
+    return custom_node(np.float64(value), (logits,), (lambda g: g * residual / u.size,))
 
 
 def _check_targets(name: str, targets: SparseTargets, shape: tuple) -> None:
@@ -514,7 +484,7 @@ class Trainer:
                 targets=targets,
             )
             if use_isd and self.teacher.present:
-                student = extract(batch, self.model.entity_embeddings, self.block)
+                student = extract(batch.heads, self.model.entity_embeddings, self.block)
                 kl = distill_loss(student, self.teacher.vector, dcfg.temperature)
             else:
                 kl = Tensor(0.0)
@@ -526,9 +496,9 @@ class Trainer:
             backward(loss)
             self.adam.step(lr)
             if use_isd:
-                source = first_batch if dcfg.static_input else batch
+                heads = first_batch.heads if dcfg.static_input else batch.heads
                 with no_grad():
-                    refreshed = extract(source, self.model.entity_embeddings, self.block)
+                    refreshed = extract(heads, self.model.entity_embeddings, self.block)
                 self.teacher.refresh(refreshed.data)
             bce_sum += float(bce.data)
             kl_sum += float(kl.data)

@@ -11,101 +11,12 @@ from kgedistill.distill import (
     SemanticBlock,
     TeacherCache,
     beta_at_epoch,
-    central_feature,
     distill_loss,
     extract,
-    partial_similarities,
-    semantic_features,
-    semantic_information,
     total_loss,
-    whole_similarities,
 )
 from kgedistill.errors import ShapeError
 from kgedistill.rng import RngState
-
-
-class TestCentralFeature:
-    def test_zero_batch_gives_zero(self):
-        out = central_feature(Tensor(np.zeros((3, 4))), Tensor(np.eye(4)))
-        np.testing.assert_array_equal(out.data, np.zeros(4))
-
-    def test_single_row_identity_projection(self):
-        row = np.array([[1.0, -2.0, 3.0]])
-        out = central_feature(Tensor(row), Tensor(np.eye(3)))
-        np.testing.assert_array_equal(out.data, row[0])
-
-    def test_mean_of_rows(self):
-        out = central_feature(Tensor([[1.0, 3.0], [3.0, 1.0]]), Tensor(np.eye(2)))
-        np.testing.assert_array_equal(out.data, [2.0, 2.0])
-
-
-class TestSemanticFeatures:
-    def test_zero_projection(self):
-        out = semantic_features(Tensor(np.ones((2, 3))), Tensor(np.zeros((3, 2))))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
-
-    def test_identity_projection(self):
-        x = np.arange(6.0).reshape(2, 3)
-        out = semantic_features(Tensor(x), Tensor(np.eye(3)))
-        np.testing.assert_array_equal(out.data, x)
-
-    def test_hand_value(self):
-        out = semantic_features(Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]))
-        np.testing.assert_array_equal(out.data, [[3.0]])
-
-
-class TestPartialSimilarities:
-    def test_zero_central_feature(self):
-        out = partial_similarities(Tensor(np.zeros(2)), Tensor(np.ones((3, 2))))
-        np.testing.assert_array_equal(out.data, np.zeros(3))
-
-    def test_hand_value(self):
-        out = partial_similarities(Tensor([1.0, 0.0]), Tensor([[2.0, 9.0], [3.0, 9.0]]))
-        np.testing.assert_array_equal(out.data, [2.0, 3.0])
-
-    def test_duplicate_rows_tie(self):
-        out = partial_similarities(Tensor([0.5, -1.0]), Tensor([[2.0, 1.0], [2.0, 1.0]]))
-        assert out.data[0] == out.data[1]
-
-
-class TestWholeSimilarities:
-    def test_zero_similarities_give_uniform(self):
-        out = whole_similarities(Tensor(np.zeros(2)), Tensor(np.ones((2, 5))))
-        np.testing.assert_allclose(out.data, 0.2, atol=1e-15)
-
-    def test_hand_value(self):
-        out = whole_similarities(Tensor([1.0]), Tensor([[np.log(2.0), 0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [0.5, 0.25, 0.25], atol=1e-15)
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            s = rng.normal(0, 3, 4)
-            w = rng.normal(0, 2, (4, 7))
-            out = whole_similarities(Tensor(s), Tensor(w))
-            assert abs(out.data.sum() - 1.0) <= 1e-12
-            assert (out.data >= 0).all()
-
-    def test_batch_size_mismatch(self):
-        with pytest.raises(ShapeError):
-            whole_similarities(Tensor(np.zeros(3)), Tensor(np.ones((2, 5))))
-
-
-class TestSemanticInformation:
-    def test_identical_rows_fixed_point(self):
-        e = Tensor(np.tile([2.0, -1.0, 0.5], (4, 1)))
-        q = Tensor(np.array([0.1, 0.2, 0.3, 0.4]))
-        out = semantic_information(q, e)
-        np.testing.assert_allclose(out.data, [2.0, -1.0, 0.5], atol=1e-15)
-
-    def test_one_hot_selects_row(self):
-        e = Tensor(np.arange(12.0).reshape(4, 3))
-        out = semantic_information(Tensor([0.0, 0.0, 1.0, 0.0]), e)
-        np.testing.assert_array_equal(out.data, e.data[2])
-
-    def test_hand_value(self):
-        out = semantic_information(Tensor([0.5, 0.5]), Tensor([[0.0, 2.0], [4.0, 0.0]]))
-        np.testing.assert_array_equal(out.data, [2.0, 1.0])
 
 
 def _toy_setup(tmp_path, bs=2, d=4, k_b=3, seed=5):
@@ -119,46 +30,37 @@ def _toy_setup(tmp_path, bs=2, d=4, k_b=3, seed=5):
 
 
 class TestExtract:
-    def test_composition_equals_sub_ops(self, tmp_path):
+    def test_zero_central_projection_gives_the_mean_entity_row(self, tmp_path):
+        """c = 0 makes every similarity 0, so q is uniform over the entities."""
         store, entities, block, batch = _toy_setup(tmp_path)
-        got = extract(batch, entities, block).data
-
-        from kgedistill.autodiff import gather_rows
-
-        e_batch = gather_rows(entities, batch.heads)
-        c = central_feature(e_batch, block.w_central)
-        feats = semantic_features(e_batch, block.w_features)
-        s = partial_similarities(c, feats)
-        q = whole_similarities(s, block.w_expand)
-        want = semantic_information(q, entities).data
-        np.testing.assert_array_equal(got, want)
+        block.w_central.data[...] = 0.0
+        out = extract(batch.heads, entities, block).data
+        np.testing.assert_allclose(out, entities.data.mean(axis=0), rtol=0.0, atol=1e-15)
 
     def test_convex_hull_property(self, tmp_path):
         store, entities, block, batch = _toy_setup(tmp_path)
-        out = extract(batch, entities, block).data
+        out = extract(batch.heads, entities, block).data
         lo = entities.data.min(axis=0) - 1e-12
         hi = entities.data.max(axis=0) + 1e-12
         assert (out >= lo).all() and (out <= hi).all()
 
     def test_permuted_batch_recomputation(self, tmp_path):
         """Permuting the batch rows permutes K and s; the oracle recomputes
-        the pipeline directly on the permuted inputs."""
+        the pipeline directly on the batch's heads and on the permuted ones."""
         store, entities, block, batch = _toy_setup(tmp_path)
-        perm = np.array([1, 0])
-        permuted_heads = batch.heads[perm]
+        for heads in (batch.heads, batch.heads[np.array([1, 0])]):
+            got = extract(heads, entities, block).data
 
-        got = extract(permuted_heads, entities, block).data
-
-        e_rows = entities.data[permuted_heads]
-        v = e_rows.mean(axis=0)
-        c = v @ block.w_central.data
-        feats = e_rows @ block.w_features.data
-        s = feats @ c
-        logits = s @ block.w_expand.data
-        shifted = np.exp(logits - logits.max())
-        q = shifted / shifted.sum()
-        want = q @ entities.data
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+            e_rows = entities.data[heads]
+            v = e_rows.mean(axis=0)
+            c = v @ block.w_central.data
+            feats = e_rows @ block.w_features.data
+            s = feats @ c
+            logits = s @ block.w_expand.data
+            shifted = np.exp(logits - logits.max())
+            q = shifted / shifted.sum()
+            want = q @ entities.data
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_wrong_batch_size_rejected(self, tmp_path):
         store, entities, block, batch = _toy_setup(tmp_path)
@@ -169,9 +71,19 @@ class TestExtract:
         store, entities, block, batch = _toy_setup(tmp_path)
         w = RngState(9, "w").normal(0, 1, 4)
         assert_gradients_match(
-            lambda: tensor_sum(extract(batch, entities, block) * w),
+            lambda: tensor_sum(extract(batch.heads, entities, block) * w),
             [entities, block.w_central, block.w_features, block.w_expand],
         )
+
+
+class TestWholeSimilarities:
+    """The whole similarities q = softmax(s W_expand) inside extract: W_expand
+    has one row per batch slot, so the similarity vector s must match it."""
+
+    def test_batch_size_mismatch(self, tmp_path):
+        store, entities, block, batch = _toy_setup(tmp_path, bs=3)
+        with pytest.raises(ShapeError):
+            extract(batch.heads[:2], entities, block)
 
 
 class TestDistillLoss:

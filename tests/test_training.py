@@ -168,13 +168,6 @@ class TestBceLoss:
         with pytest.raises(ValueError):
             bce_loss(Tensor(np.zeros((2, 3))), SparseTargets([0], [0], (2, 4)))
 
-    def test_second_backward_over_one_graph_raises(self):
-        p = Parameter(np.zeros((1, 3)))
-        loss = bce_loss(p, SparseTargets([0], [1], (1, 3)))
-        backward(loss)
-        with pytest.raises(RuntimeError):
-            backward(loss)
-
 
 # ---------------------------------------------------------------------------
 # Adam
@@ -250,30 +243,6 @@ def workers(monkeypatch):
             pool.shutdown()
 
 
-def _bce_run(logits: np.ndarray, targets):
-    p = Parameter(logits.copy())
-    loss = bce_loss(p, targets)
-    backward(loss * 0.75)
-    return loss.data.tobytes(), p.grad.tobytes()
-
-
-@pytest.mark.parametrize("n_rows", [48, 49])
-def test_bce_is_bit_identical_for_any_worker_count(monkeypatch, workers, n_rows):
-    # 64-element blocks of 2 rows: 24 blocks, or 25 with a half block at the end.
-    monkeypatch.setattr(training, "_BLOCK_ELEMENTS", 64)
-    rng = np.random.default_rng(17)
-    batch = random_batch(rng, n_rows=n_rows, n_entities=32)
-    logits = rng.normal(0.0, 5.0, (n_rows, 32))
-    targets = label_smooth(batch.targets(), 0.1)
-    runs = {}
-    for count in (1, 2, 3):
-        workers(count)
-        runs[count] = _bce_run(logits, targets)
-        assert (training._pool is None) == (count == 1)
-    assert runs[2] == runs[1]
-    assert runs[3] == runs[1]
-
-
 @pytest.mark.parametrize("size", [64 * 12, 64 * 12 + 5])
 def test_adam_is_bit_identical_for_any_worker_count(monkeypatch, workers, size):
     monkeypatch.setattr(training, "_ADAM_BLOCK_ELEMENTS", 64)
@@ -334,16 +303,17 @@ def _score_case(rng, n_rows=12, n_cols=301, dim=5, epsilon=0.1):
     return z, table, label_smooth(batch.targets(), epsilon)
 
 
-def _fused_run(z, table, targets, upstream=0.75):
+def _fused_run(z, table, targets, upstream=0.75, interior=False):
+    """``interior`` passes the table through a product, so it is no leaf."""
     zp, tp = Parameter(z.copy()), Parameter(table.copy())
-    loss = training.score_bce(zp, tp, targets)
+    loss = training.score_bce(zp, tp * 1.0 if interior else tp, targets)
     backward(loss * upstream)
     return float(loss.data), zp.grad, tp.grad
 
 
-def _chain_run(z, table, targets, upstream=0.75):
+def _chain_run(z, table, targets, upstream=0.75, interior=False):
     zp, tp = Parameter(z.copy()), Parameter(table.copy())
-    loss = bce_loss(matmul(zp, transpose(tp)), targets)
+    loss = bce_loss(matmul(zp, transpose(tp * 1.0 if interior else tp)), targets)
     backward(loss * upstream)
     return float(loss.data), zp.grad, tp.grad
 
@@ -352,14 +322,16 @@ class TestScoreBce:
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     @pytest.mark.parametrize("block", [40, 1 << 17])
     def test_matches_the_unfused_chain(self, monkeypatch, epsilon, block):
-        # 40-element blocks of 3 columns: 101 blocks in 8 groups of 13.
+        # 40-element blocks of 3 columns: 101 blocks in 8 groups of 13. A leaf
+        # table takes the blocked add, an interior one the out-of-place VJP.
         monkeypatch.setattr(training, "_SCORE_BLOCK_ELEMENTS", block)
         z, table, targets = _score_case(np.random.default_rng(43), epsilon=epsilon)
-        value, dz, dtable = _fused_run(z, table, targets)
-        want_value, want_dz, want_dtable = _chain_run(z, table, targets)
-        assert rel_err(value, want_value) <= 1e-14
-        assert rel_err(dz, want_dz) <= 1e-14
-        assert rel_err(dtable, want_dtable) <= 1e-14
+        for interior in (False, True):
+            value, dz, dtable = _fused_run(z, table, targets, interior=interior)
+            want_value, want_dz, want_dtable = _chain_run(z, table, targets, interior=interior)
+            assert rel_err(value, want_value) <= 1e-14
+            assert rel_err(dz, want_dz) <= 1e-14
+            assert rel_err(dtable, want_dtable) <= 1e-14
 
     def test_finite_differences(self, monkeypatch):
         monkeypatch.setattr(training, "_SCORE_BLOCK_ELEMENTS", 8)
@@ -575,7 +547,8 @@ def test_rank_one_matmul_into_an_interior_node_matches_finite_differences():
 
 def test_distillation_backward_builds_no_full_size_gradient():
     """batch x entities (the expanding projection) is 8x entities x d here;
-    its gradient and the table's are taken without a full-size temporary."""
+    its gradient and the table's are taken without a full-size temporary.
+    The task loss is the fused head that training runs."""
     n_entities, batch_size, d = 5_000, 64, 8
     rng = np.random.default_rng(41)
     model = EmbeddingModel(ModelConfig(d_e=d), n_entities, 4, RngState(1, "model"))
@@ -585,9 +558,9 @@ def test_distillation_backward_builds_no_full_size_gradient():
         heads=rng.integers(0, n_entities, batch_size), relations=rng.integers(0, 4, batch_size),
         tails=tails, n_entities=n_entities,
     )
-    logits = model.forward(batch.heads, batch.relations)
-    bce = bce_loss(logits, label_smooth(batch.targets(), 0.1))
-    kl = distill_loss(extract(batch, model.entity_embeddings, block), rng.normal(size=d), 10.0)
+    targets = label_smooth(batch.targets(), 0.1)
+    bce = model.forward(batch.heads, batch.relations, targets=targets)
+    kl = distill_loss(extract(batch.heads, model.entity_embeddings, block), rng.normal(size=d), 10.0)
     loss = total_loss(bce, kl, 0.5)
     tracemalloc.start()
     try:
@@ -597,6 +570,49 @@ def test_distillation_backward_builds_no_full_size_gradient():
         tracemalloc.stop()
     assert np.abs(block.w_expand.grad).max() > 0.0
     assert peak < block.w_expand.data.nbytes / 2
+
+
+@pytest.mark.parametrize("static_input", [False, True])
+def test_teacher_refresh_extracts_from_the_configured_heads(
+    monkeypatch, memorization_dataset_dir, static_input
+):
+    """With ``static_input`` every refresh of an epoch reads its first batch's
+    heads; without it each refresh reads its own step's heads. The student
+    side always reads the step's heads."""
+    store = augment_reciprocal(load_dataset(memorization_dataset_dir))
+    epochs, calls, epoch_batches = 2, [], []
+    original_extract, original_batches = training.extract, training.make_batches
+
+    def record_extract(heads, entities, block):
+        calls.append((autodiff.grad_enabled(), np.array(heads, copy=True)))
+        return original_extract(heads, entities, block)
+
+    def record_batches(*args):
+        epoch_batches.append(original_batches(*args))
+        return epoch_batches[-1]
+
+    monkeypatch.setattr(training, "extract", record_extract)
+    monkeypatch.setattr(training, "make_batches", record_batches)
+    doc = {
+        "model": {"d_e": 8},
+        "train": {"batch_size": 16, "epochs": epochs, "seed": 1},
+        "isd": {"enabled": True, "beta_init": 0.5, "static_input": static_input},
+    }
+    trainer = Trainer(store, RunConfig.from_dict(doc))
+    for _ in range(epochs):
+        trainer.train_epoch()
+
+    want = []
+    for ep, batches in enumerate(epoch_batches):
+        assert any(not np.array_equal(b.heads, batches[0].heads) for b in batches)
+        for step, batch in enumerate(batches):
+            if ep or step:
+                want.append((True, batch.heads))
+            want.append((False, (batches[0] if static_input else batch).heads))
+    assert len(calls) == len(want)
+    for (grad, heads), (want_grad, want_heads) in zip(calls, want):
+        assert grad == want_grad
+        np.testing.assert_array_equal(heads, want_heads)
 
 
 # ---------------------------------------------------------------------------
