@@ -32,6 +32,7 @@ produce bit-identical outputs.
 from __future__ import annotations
 
 import contextlib
+import mmap
 
 import numpy as np
 
@@ -56,6 +57,14 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
+def zeros(shape) -> np.ndarray:
+    """Zeroed float64 array on a mapping of its own, whose pages take memory
+    only once written (``np.zeros`` clears, so touches, a reused heap block)."""
+    count = int(np.prod(shape))
+    buffer = mmap.mmap(-1, max(8 * count, 1), mmap.MAP_PRIVATE)
+    return np.frombuffer(buffer, np.float64, count).reshape(shape)
+
+
 class Tensor:
     """A graph node holding a row-major float64 array.
 
@@ -68,7 +77,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = zeros(self.data.shape) if requires_grad else None
         self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._vjps: tuple = ()
@@ -442,5 +451,5 @@ def backward(loss: Tensor) -> None:
 def _leaf_grad(leaf: Tensor) -> np.ndarray:
     """The ``grad`` buffer the leaf owns, allocated (zeroed) on first use."""
     if leaf.grad is None:
-        leaf.grad = np.zeros_like(leaf.data)
+        leaf.grad = np.zeros(leaf.data.shape)
     return leaf.grad

@@ -67,10 +67,7 @@ def cmd_train(args) -> int:
                 and len(store.valid) > 0
             ):
                 report = evaluate(trainer.model, store, filter_index, split="valid")
-                line["valid_mrr"] = report.mrr
-                line["valid_h1"] = report.h1
-                line["valid_h3"] = report.h3
-                line["valid_h10"] = report.h10
+                line.update((f"valid_{k}", report[k]) for k in ("mrr", "h1", "h3", "h10"))
                 record.update({k: line[k] for k in line if k.startswith("valid_")})
             metrics_file.write(json.dumps(line) + "\n")
             metrics_file.flush()
@@ -86,7 +83,7 @@ def cmd_evaluate(args) -> int:
     ckpt.check_vocab(store)
     model = model_from_checkpoint(ckpt)
     report = evaluate(model, store, build_filter_index(store), split=args.split)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .rng import RngState
 
 _SPLITS = ("train", "valid", "test")
 
@@ -350,7 +349,7 @@ def group_queries(store: TripleStore) -> list:
 def make_batches(
     store: TripleStore,
     batch_size: int,
-    rng: RngState,
+    rng: np.random.Generator,
     queries: list | None = None,
 ) -> list[Batch]:
     """Shuffle distinct train queries and group them into full batches.

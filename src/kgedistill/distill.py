@@ -16,7 +16,6 @@ import numpy as np
 from .autodiff import Parameter, Tensor, as_tensor, custom_node, gather_rows, matmul, mean, reshape
 from .errors import ShapeError
 from .kernels import softmax
-from .rng import RngState
 
 __all__ = [
     "SemanticBlock",
@@ -36,7 +35,8 @@ class SemanticBlock:
     draws and train through the student side of the distillation loss.
     """
 
-    def __init__(self, embed_dim: int, n_entities: int, batch_size: int, k_b: int, rng: RngState):
+    def __init__(self, embed_dim: int, n_entities: int, batch_size: int, k_b: int,
+                 rng: np.random.Generator):
         self.batch_size = batch_size
         self.w_central = Parameter(rng.normal(0.0, 0.02, (embed_dim, k_b)))
         self.w_features = Parameter(rng.normal(0.0, 0.02, (embed_dim, k_b)))

@@ -15,8 +15,6 @@ itself left in. The rank is ``1 + greater + ties / 2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import no_grad
@@ -27,51 +25,6 @@ from .models import EmbeddingModel
 # Score elements compared per pass of the ranking kernel, so the boolean
 # mask it reuses stays small.
 _RANK_BLOCK = 1 << 17
-
-
-@dataclass
-class DirectionMetrics:
-    """MRR and Hits@k for one prediction direction."""
-
-    mrr: float
-    h1: float
-    h3: float
-    h10: float
-
-    def to_dict(self) -> dict:
-        return {"mrr": self.mrr, "h1": self.h1, "h3": self.h3, "h10": self.h10}
-
-
-def _mean_of_directions(name: str) -> property:
-    return property(
-        lambda self: (getattr(self.head, name) + getattr(self.tail, name)) / 2.0,
-        doc=f"{name} averaged over the head and tail directions.",
-    )
-
-
-@dataclass
-class MetricsReport:
-    """Per-direction filtered ranking metrics and their two-direction means."""
-
-    head: DirectionMetrics
-    tail: DirectionMetrics
-    n_test: int
-
-    mrr = _mean_of_directions("mrr")
-    h1 = _mean_of_directions("h1")
-    h3 = _mean_of_directions("h3")
-    h10 = _mean_of_directions("h10")
-
-    def to_dict(self) -> dict:
-        return {
-            "mrr": self.mrr,
-            "h1": self.h1,
-            "h3": self.h3,
-            "h10": self.h10,
-            "head": self.head.to_dict(),
-            "tail": self.tail.to_dict(),
-            "n_test": self.n_test,
-        }
 
 
 def _rank_rows(
@@ -162,16 +115,16 @@ def rank_split(
     return head_ranks, tail_ranks
 
 
-def _direction_metrics(ranks: np.ndarray) -> DirectionMetrics:
+def _direction_metrics(ranks: np.ndarray) -> dict:
     # Summing sorted reciprocals makes the result independent of triple order.
     recip = np.sort(1.0 / ranks)
     n = len(ranks)
-    return DirectionMetrics(
-        mrr=float(recip.sum() / n),
-        h1=float((ranks <= 1).sum() / n),
-        h3=float((ranks <= 3).sum() / n),
-        h10=float((ranks <= 10).sum() / n),
-    )
+    return {
+        "mrr": float(recip.sum() / n),
+        "h1": float((ranks <= 1).sum() / n),
+        "h3": float((ranks <= 3).sum() / n),
+        "h10": float((ranks <= 10).sum() / n),
+    }
 
 
 def evaluate(
@@ -180,11 +133,15 @@ def evaluate(
     filter_index: FilterIndex,
     split: str = "test",
     batch_size: int = 512,
-) -> MetricsReport:
-    """Filtered MRR and Hits@{1,3,10}, averaged over both directions."""
+) -> dict:
+    """Filtered MRR and Hits@{1,3,10}, averaged over both directions.
+
+    Returns ``{"mrr", "h1", "h3", "h10"}`` as head/tail means, then the
+    per-direction dicts under ``"head"`` and ``"tail"`` and the number of
+    ranked triples under ``"n_test"``.
+    """
     head_ranks, tail_ranks = rank_split(model, store, filter_index, split, batch_size)
-    return MetricsReport(
-        head=_direction_metrics(head_ranks),
-        tail=_direction_metrics(tail_ranks),
-        n_test=int(len(head_ranks)),
-    )
+    head, tail = _direction_metrics(head_ranks), _direction_metrics(tail_ranks)
+    report = {key: (head[key] + tail[key]) / 2.0 for key in head}
+    report.update(head=head, tail=tail, n_test=int(len(head_ranks)))
+    return report

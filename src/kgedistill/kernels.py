@@ -6,7 +6,6 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor, as_tensor, custom_node
 from .errors import ShapeError
-from .rng import RngState
 
 
 def softmax(logits: Tensor) -> Tensor:
@@ -26,7 +25,7 @@ def softmax(logits: Tensor) -> Tensor:
     return custom_node(probs, (logits,), (vjp,))
 
 
-def dropout(x: Tensor, rate: float, rng: RngState | None, training: bool) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
     Identity in inference mode and at rate 0 (neither consumes the rng).

@@ -30,7 +30,6 @@ from .autodiff import (
 from .config import ModelConfig
 from .errors import ShapeError
 from .kernels import BatchNorm, dropout
-from .rng import RngState
 
 __all__ = [
     "EmbeddingModel",
@@ -128,7 +127,8 @@ class EmbeddingModel:
     uniform in [-0.1, 0.1], keeping initial logits O(1) at dimension 100.
     """
 
-    def __init__(self, config: ModelConfig, n_entities: int, n_relations: int, rng: RngState):
+    def __init__(self, config: ModelConfig, n_entities: int, n_relations: int,
+                 rng: np.random.Generator):
         config.validate()
         self.config = config
         self.n_entities = n_entities
@@ -190,7 +190,7 @@ class EmbeddingModel:
         heads: np.ndarray,
         relations: np.ndarray,
         training: bool = False,
-        rng: RngState | None = None,
+        rng: np.random.Generator | None = None,
         targets=None,
     ) -> Tensor:
         """Logits over all entities for each (head, relation) query row.

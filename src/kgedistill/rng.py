@@ -1,13 +1,12 @@
-"""Seeded random streams with serializable state.
+"""Seeded random streams.
 
-Every source of randomness in the package is an :class:`RngState`: a PCG64
-generator keyed by a 64-bit seed plus an optional stream label. Streams with
-different labels are statistically independent, which lets the trainer keep
-initialization, shuffling, and dropout on separate streams (enabling or
-disabling a feature must not shift the draws of unrelated ones).
-
-The full generator state round-trips through plain JSON so that checkpoints
-can resume a run bit-exactly.
+Every source of randomness in the package is a numpy ``Generator`` made by
+:func:`stream`: PCG64 keyed by a seed plus an optional stream label. Streams
+with different labels are statistically independent, which lets the trainer
+keep initialization, shuffling, and dropout on separate streams (enabling or
+disabling a feature must not shift the draws of unrelated ones). A stream's
+``bit_generator.state`` is a JSON-serializable dict; assigning it back
+restores the exact position, so checkpoints resume a run bit-exactly.
 """
 
 from __future__ import annotations
@@ -17,37 +16,8 @@ import zlib
 import numpy as np
 
 
-class RngState:
+def stream(seed: int, label: str = "") -> np.random.Generator:
     """A deterministic random stream: same seed, same label, same draws."""
-
-    def __init__(self, seed: int, label: str = ""):
-        self.seed = int(seed)
-        self.label = label
-        spawn_key = (zlib.crc32(label.encode("utf-8")),) if label else ()
-        seq = np.random.SeedSequence(self.seed, spawn_key=spawn_key)
-        self._gen = np.random.Generator(np.random.PCG64(seq))
-
-    def derive(self, label: str) -> "RngState":
-        """Create an independent stream keyed by the same seed."""
-        return RngState(self.seed, label)
-
-    def normal(self, mean: float, std: float, shape) -> np.ndarray:
-        return self._gen.normal(mean, std, size=shape)
-
-    def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
-
-    def random(self, shape) -> np.ndarray:
-        """Uniform draws in [0, 1), used for dropout masks."""
-        return self._gen.random(size=shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    @property
-    def state(self) -> dict:
-        """JSON-serializable generator state (restores an exact position)."""
-        return self._gen.bit_generator.state
-
-    def set_state(self, state: dict) -> None:
-        self._gen.bit_generator.state = state
+    spawn_key = (zlib.crc32(label.encode("utf-8")),) if label else ()
+    seq = np.random.SeedSequence(int(seed), spawn_key=spawn_key)
+    return np.random.Generator(np.random.PCG64(seq))

@@ -24,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, _with_leaf_add, backward, custom_node, grad_enabled, no_grad
+from .autodiff import Tensor, _with_leaf_add, backward, custom_node, grad_enabled, no_grad, zeros
 from .config import RunConfig
 from .data import SparseTargets, TripleStore, group_queries, label_smooth, make_batches
 from .distill import SemanticBlock, TeacherCache, beta_at_epoch, distill_loss, extract, total_loss
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingAbort
 from .models import EmbeddingModel
-from .rng import RngState
+from .rng import stream
 
 __all__ = [
     "Adam",
@@ -363,8 +363,8 @@ class Adam:
 
     def __init__(self, named_params: list):
         self.named_params = list(named_params)
-        self.moment1 = {name: np.zeros_like(p.data) for name, p in self.named_params}
-        self.moment2 = {name: np.zeros_like(p.data) for name, p in self.named_params}
+        self.moment1 = {name: zeros(p.data.shape) for name, p in self.named_params}
+        self.moment2 = {name: zeros(p.data.shape) for name, p in self.named_params}
         self.step_count = 0
 
     def zero_grad(self) -> None:
@@ -413,12 +413,14 @@ def _flat(a: np.ndarray, name: str) -> np.ndarray:
 
 
 class Trainer:
-    """Owns the model, optional distillation block, optimizer, and rng state.
+    """Owns the model, optional distillation block, optimizer, and random streams.
 
     ``store`` must be reciprocal-augmented. One :meth:`train_epoch` call runs
     the full per-batch loop: BCE on smoothed 1-N targets, the softened KL
     term against the cached teacher vector when distillation is active, one
     Adam step, then a detached re-extraction that becomes the next teacher.
+    Random streams are ``stream(seed, label)`` for "shuffle", "dropout",
+    "model-init" and "block-init"; checkpoints keep the first two's states.
     """
 
     def __init__(self, store: TripleStore, run_config: RunConfig):
@@ -431,12 +433,11 @@ class Trainer:
         self.metrics_history: list[dict] = []
 
         seed = run_config.train.seed
-        base = RngState(seed)
-        self.rng_shuffle = base.derive("shuffle")
-        self.rng_dropout = base.derive("dropout")
+        self.rng_shuffle = stream(seed, "shuffle")
+        self.rng_dropout = stream(seed, "dropout")
 
         self.model = EmbeddingModel(
-            run_config.model, store.n_entities, store.n_relations, base.derive("model-init")
+            run_config.model, store.n_entities, store.n_relations, stream(seed, "model-init")
         )
         self.block = None
         if run_config.isd.enabled:
@@ -446,7 +447,7 @@ class Trainer:
                 n_entities=store.n_entities,
                 batch_size=run_config.train.batch_size,
                 k_b=k_b,
-                rng=base.derive("block-init"),
+                rng=stream(seed, "block-init"),
             )
         self.teacher = TeacherCache()
         self.queries = group_queries(store)
@@ -566,7 +567,10 @@ class Trainer:
             "epoch": self.epoch,
             "seed": self.run_config.train.seed,
             "adam_step": self.adam.step_count,
-            "rng": {"shuffle": self.rng_shuffle.state, "dropout": self.rng_dropout.state},
+            "rng": {
+                "shuffle": self.rng_shuffle.bit_generator.state,
+                "dropout": self.rng_dropout.bit_generator.state,
+            },
             "teacher_present": self.teacher.present,
             "metrics_history": self.metrics_history,
             "tensors": sorted(tensors),
@@ -594,8 +598,8 @@ class Trainer:
         trainer.adam.step_count = ckpt.manifest["adam_step"]
         trainer.epoch = ckpt.manifest["epoch"]
         trainer.metrics_history = list(ckpt.manifest["metrics_history"])
-        trainer.rng_shuffle.set_state(ckpt.manifest["rng"]["shuffle"])
-        trainer.rng_dropout.set_state(ckpt.manifest["rng"]["dropout"])
+        trainer.rng_shuffle.bit_generator.state = ckpt.manifest["rng"]["shuffle"]
+        trainer.rng_dropout.bit_generator.state = ckpt.manifest["rng"]["dropout"]
         if ckpt.manifest["teacher_present"]:
             trainer.teacher.refresh(ckpt.tensors["teacher.vector"])
         return trainer
@@ -723,6 +727,15 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     ]
     if missing:
         raise CheckpointError(f"{manifest_path}: manifest lacks {', '.join(missing)}")
+    for key in ("adam_step", "epoch", "n_entities", "n_relations"):
+        if type(manifest[key]) is not int or manifest[key] < 0:
+            raise CheckpointError(
+                f"{manifest_path}: {key} must be a non-negative integer, got {manifest[key]!r}"
+            )
+    if not isinstance(manifest["metrics_history"], list):
+        raise CheckpointError(f"{manifest_path}: metrics_history must be a list")
+    if not isinstance(manifest["teacher_present"], bool):
+        raise CheckpointError(f"{manifest_path}: teacher_present must be true or false")
     names = manifest["tensors"]
     # Each name becomes <directory>/<name>.bin, so it must not leave the directory.
     if not isinstance(names, list) or not all(
@@ -752,7 +765,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> EmbeddingModel:
     config = ckpt.config
     model = EmbeddingModel(
         config.model, ckpt.manifest["n_entities"], ckpt.manifest["n_relations"],
-        RngState(0, "unused-init"),
+        stream(0, "unused-init"),
     )
     _load_tensors(_model_tensors(model), ckpt.tensors)
     return model

@@ -68,7 +68,7 @@ def test_evaluate_report_is_unchanged(tmp_path, memorization_dataset_dir, capsys
     trainer = Trainer(store, config)
     report = evaluate(trainer.model, store, build_filter_index(store))
     # Compared as JSON text, so key order and the last bit of each float count.
-    assert json.dumps(report.to_dict()) == json.dumps(GOLDEN_REPORT)
+    assert json.dumps(report) == json.dumps(GOLDEN_REPORT)
 
     trainer.save(tmp_path / "checkpoint")
     capsys.readouterr()
@@ -85,7 +85,7 @@ def test_training_abort_maps_to_exit_3(monkeypatch, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
-def test_malformed_manifests_exit_2(tmp_path, capsys):
+def test_malformed_manifests_exit_2(tmp_path, memorization_dataset_dir, capsys):
     checkpoint = tmp_path / "checkpoint"
     checkpoint.mkdir()
     for manifest, message in (
@@ -96,3 +96,16 @@ def test_malformed_manifests_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["export-embeddings", str(checkpoint), str(tmp_path / "out.tsv")]) == 2
         assert message in capsys.readouterr().err
+
+    # A well-formed checkpoint whose manifest values have the wrong JSON types.
+    store = augment_reciprocal(load_dataset(memorization_dataset_dir))
+    Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}})).save(checkpoint)
+    saved = json.loads((checkpoint / "manifest.json").read_text())
+    for key, value in (
+        ("n_entities", "30"), ("n_relations", 6.0), ("epoch", "0"), ("adam_step", False),
+        ("metrics_history", None), ("teacher_present", "false"),
+    ):
+        (checkpoint / "manifest.json").write_text(json.dumps({**saved, key: value}))
+        capsys.readouterr()
+        assert cli.main(["evaluate", str(checkpoint), str(memorization_dataset_dir)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err

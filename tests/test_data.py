@@ -15,7 +15,7 @@ from kgedistill.data import (
     save_dataset,
 )
 from kgedistill.errors import ConfigError, ParseError
-from kgedistill.rng import RngState
+from kgedistill.rng import stream
 
 
 def make_store(tmp_path, train, valid=(), test=()):
@@ -142,21 +142,21 @@ class TestMakeBatches:
 
     def test_partial_batch_dropped(self, tmp_path):
         store = make_store(tmp_path, [(f"h{i}", "r", f"t{i}") for i in range(5)])
-        batches = make_batches(store, 2, RngState(0, "shuffle"))
+        batches = make_batches(store, 2, stream(0, "shuffle"))
         assert len(batches) == 2
         assert all(len(b) == 2 for b in batches)
 
     def test_same_seed_same_order(self, tmp_path):
         store = self._store(tmp_path)
-        a = make_batches(store, 4, RngState(3, "shuffle"))
-        b = make_batches(store, 4, RngState(3, "shuffle"))
+        a = make_batches(store, 4, stream(3, "shuffle"))
+        b = make_batches(store, 4, stream(3, "shuffle"))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.heads, y.heads)
             np.testing.assert_array_equal(x.relations, y.relations)
 
     def test_target_row_marks_training_tails(self, tmp_path):
         store = make_store(tmp_path, [("a", "r", "b"), ("a", "r", "c"), ("d", "r", "b")])
-        batches = make_batches(store, 2, RngState(1, "shuffle"))
+        batches = make_batches(store, 2, stream(1, "shuffle"))
         batch = batches[0]
         y = batch.targets().dense()
         for i in range(len(batch)):
@@ -169,11 +169,11 @@ class TestMakeBatches:
     def test_oversized_batch_rejected(self, tmp_path):
         store = make_store(tmp_path, [("a", "r", "b")])
         with pytest.raises(ConfigError):
-            make_batches(store, 2, RngState(0, "shuffle"))
+            make_batches(store, 2, stream(0, "shuffle"))
 
     def test_all_rows_have_a_positive(self, tmp_path):
         store = self._store(tmp_path)
-        for batch in make_batches(store, 4, RngState(5, "shuffle")):
+        for batch in make_batches(store, 4, stream(5, "shuffle")):
             assert (batch.targets().dense().sum(axis=1) >= 1).all()
 
 

@@ -16,16 +16,16 @@ from kgedistill.distill import (
     total_loss,
 )
 from kgedistill.errors import ShapeError
-from kgedistill.rng import RngState
+from kgedistill.rng import stream
 
 
 def _toy_setup(tmp_path, bs=2, d=4, k_b=3, seed=5):
     train, valid, test = synthetic_triples(6, 2, 10, 1, 1)
     write_dataset(tmp_path / "kg", train, valid, test)
     store = augment_reciprocal(load_dataset(tmp_path / "kg"))
-    entities = Parameter(RngState(seed, "e").normal(0, 0.5, (store.n_entities, d)))
-    block = SemanticBlock(d, store.n_entities, bs, k_b, RngState(seed, "b"))
-    batch = make_batches(store, bs, RngState(seed, "s"))[0]
+    entities = Parameter(stream(seed, "e").normal(0, 0.5, (store.n_entities, d)))
+    block = SemanticBlock(d, store.n_entities, bs, k_b, stream(seed, "b"))
+    batch = make_batches(store, bs, stream(seed, "s"))[0]
     return store, entities, block, batch
 
 
@@ -69,7 +69,7 @@ class TestExtract:
 
     def test_gradients_match_finite_differences(self, tmp_path):
         store, entities, block, batch = _toy_setup(tmp_path)
-        w = RngState(9, "w").normal(0, 1, 4)
+        w = stream(9, "w").normal(0, 1, 4)
         assert_gradients_match(
             lambda: tensor_sum(extract(batch.heads, entities, block) * w),
             [entities, block.w_central, block.w_features, block.w_expand],

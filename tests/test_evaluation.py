@@ -11,7 +11,7 @@ from kgedistill.config import ModelConfig
 from kgedistill.data import TripleStore, Vocabulary, augment_reciprocal, build_filter_index
 from kgedistill.evaluation import evaluate, filtered_rank, rank_split
 from kgedistill.models import EmbeddingModel
-from kgedistill.rng import RngState
+from kgedistill.rng import stream
 
 
 class TestFilteredRank:
@@ -102,7 +102,7 @@ def ranking_cases(draw):
 def test_rank_split_matches_brute_force(case):
     store, entities, relations, filtered = case
     config = ModelConfig(kind="distmult", d_e=2, dropout1=0.0, dropout2=0.0, dropout3=0.0)
-    model = EmbeddingModel(config, store.n_entities, store.n_relations, RngState(0))
+    model = EmbeddingModel(config, store.n_entities, store.n_relations, stream(0))
     model.entity_embeddings.data[:] = entities
     model.relation_embeddings.data[:] = relations
     index = build_filter_index(filtered)
@@ -141,7 +141,7 @@ def test_evaluate_by_hand():
         TripleStore(vocab, _triples((0, 0, 1)), _triples(), _triples((0, 0, 2), (1, 0, 0)), 1)
     )
     config = ModelConfig(kind="distmult", d_e=1, dropout1=0.0, dropout2=0.0, dropout3=0.0)
-    model = EmbeddingModel(config, 3, 2, RngState(0))
+    model = EmbeddingModel(config, 3, 2, stream(0))
     model.entity_embeddings.data[:, 0] = [1.0, 2.0, 3.0]
     model.relation_embeddings.data[:, 0] = [1.0, -1.0]
 
@@ -150,8 +150,8 @@ def test_evaluate_by_hand():
     #            head query (c, r_inv) scores (-3, -6, -9) -> a ranks 1.
     # (b, r, a): tail scores (2, 4, 6), nothing else filtered -> rank 3;
     #            head query (a, r_inv) scores (-1, -2, -3) -> b ranks 2.
-    assert report.n_test == 2
-    assert report.tail.to_dict() == pytest.approx({"mrr": (1 + 1 / 3) / 2, "h1": 0.5, "h3": 1.0, "h10": 1.0})
-    assert report.head.to_dict() == pytest.approx({"mrr": (1 + 1 / 2) / 2, "h1": 0.5, "h3": 1.0, "h10": 1.0})
-    assert report.mrr == pytest.approx(17 / 24)
-    assert (report.h1, report.h3, report.h10) == (0.5, 1.0, 1.0)
+    assert report["n_test"] == 2
+    assert report["tail"] == pytest.approx({"mrr": (1 + 1 / 3) / 2, "h1": 0.5, "h3": 1.0, "h10": 1.0})
+    assert report["head"] == pytest.approx({"mrr": (1 + 1 / 2) / 2, "h1": 0.5, "h3": 1.0, "h10": 1.0})
+    assert report["mrr"] == pytest.approx(17 / 24)
+    assert (report["h1"], report["h3"], report["h10"]) == (0.5, 1.0, 1.0)

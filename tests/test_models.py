@@ -15,7 +15,7 @@ from kgedistill.models import (
     score_lowfer,
     score_tucker,
 )
-from kgedistill.rng import RngState
+from kgedistill.rng import stream
 
 
 class TestDistmult:
@@ -203,7 +203,7 @@ class TestForwardPipeline:
         )
         defaults.update(kwargs)
         config = ModelConfig(**defaults)
-        return EmbeddingModel(config, n_entities=8, n_relations=4, rng=RngState(11, "init"))
+        return EmbeddingModel(config, n_entities=8, n_relations=4, rng=stream(11, "init"))
 
     def test_inference_is_deterministic_without_rng(self):
         model = self._model()
@@ -235,14 +235,14 @@ class TestForwardPipeline:
     def test_training_forward_reproducible_with_seed(self):
         model = self._model(dropout1=0.3, dropout2=0.2, dropout3=0.3)
         heads, rels = np.array([0, 1, 2]), np.array([0, 1, 2])
-        a = model.forward(heads, rels, training=True, rng=RngState(7, "drop")).data
-        b = model.forward(heads, rels, training=True, rng=RngState(7, "drop")).data
+        a = model.forward(heads, rels, training=True, rng=stream(7, "drop")).data
+        b = model.forward(heads, rels, training=True, rng=stream(7, "drop")).data
         assert a.tobytes() == b.tobytes()
 
     def test_batchnorm_pipeline_trains_and_infers(self):
         model = self._model(kind="tucker", batchnorm=True, d_r=3)
         heads, rels = np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3])
-        out_train = model.forward(heads, rels, training=True, rng=RngState(1, "d")).data
+        out_train = model.forward(heads, rels, training=True, rng=stream(1, "d")).data
         out_eval = model.forward(heads, rels, training=False).data
         assert np.isfinite(out_train).all() and np.isfinite(out_eval).all()
         assert (model.bn_input.running_mean != 0).any()
@@ -274,7 +274,7 @@ class TestCountParameters:
     def test_matches_allocated_parameters(self):
         for kind in ("distmult", "complex", "tucker", "lowfer"):
             config = ModelConfig(kind=kind, d_e=8, d_r=4 if kind in ("tucker", "lowfer") else None, k_l=3)
-            model = EmbeddingModel(config, n_entities=9, n_relations=6, rng=RngState(0, "i"))
+            model = EmbeddingModel(config, n_entities=9, n_relations=6, rng=stream(0, "i"))
             allocated = sum(p.data.size for _, p in model.named_parameters())
             assert count_parameters(config, 9, 6) == allocated
 

@@ -1,5 +1,7 @@
 """Tensor engine, softmax, dropout, batchnorm, and rng streams."""
 
+import json
+
 import numpy as np
 import pytest
 from conftest import assert_gradients_match
@@ -22,7 +24,7 @@ from kgedistill.autodiff import (
 )
 from kgedistill.errors import ShapeError
 from kgedistill.kernels import BatchNorm, dropout, softmax
-from kgedistill.rng import RngState
+from kgedistill.rng import stream
 
 
 class TestMatmul:
@@ -45,7 +47,7 @@ class TestMatmul:
 
     def test_bit_identical_across_runs(self):
         def run():
-            rng = RngState(99)
+            rng = stream(99)
             a = rng.normal(0, 1, (17, 9))
             b = rng.normal(0, 1, (9, 23))
             return matmul(Tensor(a), Tensor(b)).data
@@ -201,7 +203,7 @@ class TestPrimitiveGradients:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = Tensor([1.0, 2.0, 3.0])
-        out = dropout(x, 0.0, RngState(0), training=True)
+        out = dropout(x, 0.0, stream(0), training=True)
         assert out is x
 
     def test_inference_is_identity(self):
@@ -211,33 +213,33 @@ class TestDropout:
 
     def test_survivor_scaling_keeps_mean(self):
         x = Tensor(np.ones(100_000))
-        out = dropout(x, 0.5, RngState(123, "drop"), training=True)
+        out = dropout(x, 0.5, stream(123, "drop"), training=True)
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_only_zero_or_scaled_values(self):
         x = Tensor(np.ones(1000))
-        out = dropout(x, 0.25, RngState(5), training=True)
+        out = dropout(x, 0.25, stream(5), training=True)
         survivors = out.data[out.data != 0.0]
         np.testing.assert_allclose(survivors, 1.0 / 0.75)
 
     def test_same_seed_same_mask(self):
         x = Tensor(np.ones(64))
-        a = dropout(x, 0.5, RngState(9, "d"), training=True).data
-        b = dropout(x, 0.5, RngState(9, "d"), training=True).data
+        a = dropout(x, 0.5, stream(9, "d"), training=True).data
+        b = dropout(x, 0.5, stream(9, "d"), training=True).data
         assert a.tobytes() == b.tobytes()
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
-            dropout(Tensor([1.0]), 1.0, RngState(0), training=True)
+            dropout(Tensor([1.0]), 1.0, stream(0), training=True)
         with pytest.raises(ValueError):
-            dropout(Tensor([1.0]), -0.1, RngState(0), training=True)
+            dropout(Tensor([1.0]), -0.1, stream(0), training=True)
 
     def test_gradient_with_frozen_mask(self):
         x = Parameter(np.linspace(-1, 1, 12))
 
         def loss():
             # Recreating the stream freezes the mask across FD evaluations.
-            dropped = dropout(x, 0.5, RngState(7, "mask"), training=True)
+            dropped = dropout(x, 0.5, stream(7, "mask"), training=True)
             return tensor_sum(dropped * dropped)
 
         assert_gradients_match(loss, [x])
@@ -287,24 +289,23 @@ class TestBatchNorm:
 
 class TestRngState:
     def test_same_seed_same_sequence(self):
-        a = RngState(42).normal(0, 1, 16)
-        b = RngState(42).normal(0, 1, 16)
+        a = stream(42).normal(0, 1, 16)
+        b = stream(42).normal(0, 1, 16)
         assert a.tobytes() == b.tobytes()
 
     def test_labels_give_independent_streams(self):
-        base = RngState(42)
-        d1 = base.derive("shuffle").normal(0, 1, 8)
-        d2 = base.derive("dropout").normal(0, 1, 8)
+        d1 = stream(42, "shuffle").normal(0, 1, 8)
+        d2 = stream(42, "dropout").normal(0, 1, 8)
         assert d1.tobytes() != d2.tobytes()
 
     def test_state_roundtrip_resumes_stream(self):
-        rng = RngState(3, "s")
+        rng = stream(3, "s")
         rng.normal(0, 1, 5)
-        saved = rng.state
+        saved = json.dumps(rng.bit_generator.state)
         expected = rng.normal(0, 1, 5)
-        fresh = RngState(3, "s")
-        fresh.set_state(saved)
+        fresh = stream(3, "s")
+        fresh.bit_generator.state = json.loads(saved)
         np.testing.assert_array_equal(fresh.normal(0, 1, 5), expected)
 
     def test_permutation_deterministic(self):
-        assert RngState(1).permutation(10).tolist() == RngState(1).permutation(10).tolist()
+        assert stream(1).permutation(10).tolist() == stream(1).permutation(10).tolist()

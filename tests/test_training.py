@@ -36,7 +36,7 @@ from kgedistill.data import (
 from kgedistill.distill import SemanticBlock, distill_loss, extract, total_loss
 from kgedistill.errors import CheckpointError, ConfigError, ShapeError
 from kgedistill.models import EmbeddingModel
-from kgedistill.rng import RngState
+from kgedistill.rng import stream
 from kgedistill.training import Adam, Trainer, bce_loss, load_checkpoint, lr_at_epoch
 
 
@@ -211,6 +211,56 @@ def test_adam_rejects_non_contiguous_parameter():
         Adam([("p", p)]).step(0.1)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_zeroed_buffers_are_allocated_not_written():
+    # A gradient and two Adam moments of 64 MB each: allocated zeroed pages
+    # stay out of the resident set until the first step writes them.
+    def resident_bytes() -> int:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    before = resident_bytes()
+    p = Parameter(np.zeros((4096, 2048)))
+    adam = Adam([("p", p)])
+    grown = resident_bytes() - before
+    assert p.grad.shape == adam.moment1["p"].shape == adam.moment2["p"].shape == p.shape
+    assert grown < 16 << 20, f"resident set grew by {grown / 2**20:.0f} MB"
+
+
+_REUSED_BLOCK_SCRIPT = """
+import os, numpy as np
+from kgedistill.autodiff import zeros
+def resident():
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+shape = (2048, 1024)
+a = np.ones(shape); del a  # a freed mapping makes malloc serve this size from its heap
+b = np.ones(shape); del b  # a written block that malloc keeps for reuse
+before = resident()
+grad = zeros(shape)
+weights = np.ones(shape)
+print(resident() - before)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm") or os.confstr("CS_GNU_LIBC_VERSION") is None,
+    reason="needs /proc/self/statm and glibc's malloc",
+)
+def test_zeroed_buffer_leaves_reused_heap_blocks_to_written_arrays():
+    # np.zeros would take (and clear) the freed 16 MB block, so the written
+    # array after it needs 16 fresh MB; how much depends on the heap's past.
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REUSED_BLOCK_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    grown = int(proc.stdout)
+    assert grown < 4 << 20, f"resident set grew by {grown / 2**20:.0f} MB"
+
+
 # ---------------------------------------------------------------------------
 # Worker pool
 # ---------------------------------------------------------------------------
@@ -357,7 +407,7 @@ class TestScoreBce:
 
     def test_model_forward_with_targets_is_the_bce_of_its_logits(self):
         rng = np.random.default_rng(67)
-        model = EmbeddingModel(ModelConfig(kind="complex", d_e=6), 40, 4, RngState(2, "model"))
+        model = EmbeddingModel(ModelConfig(kind="complex", d_e=6), 40, 4, stream(2, "model"))
         heads, relations = rng.integers(0, 40, 9), rng.integers(0, 4, 9)
         targets = label_smooth(SparseTargets(np.arange(9), rng.integers(0, 40, 9), (9, 40)), 0.1)
         fused = model.forward(heads, relations, targets=targets)
@@ -551,8 +601,8 @@ def test_distillation_backward_builds_no_full_size_gradient():
     The task loss is the fused head that training runs."""
     n_entities, batch_size, d = 5_000, 64, 8
     rng = np.random.default_rng(41)
-    model = EmbeddingModel(ModelConfig(d_e=d), n_entities, 4, RngState(1, "model"))
-    block = SemanticBlock(d, n_entities, batch_size, d, RngState(1, "block"))
+    model = EmbeddingModel(ModelConfig(d_e=d), n_entities, 4, stream(1, "model"))
+    block = SemanticBlock(d, n_entities, batch_size, d, stream(1, "block"))
     tails = tuple(rng.choice(n_entities, 2, replace=False) for _ in range(batch_size))
     batch = Batch(
         heads=rng.integers(0, n_entities, batch_size), relations=rng.integers(0, 4, batch_size),
@@ -725,8 +775,19 @@ def _drop_rng_dropout(manifest):
         (lambda m: m.update(tensors="model.entity_embeddings"), "plain file stems"),
         (_drop_rng_dropout, "lacks rng.dropout"),
         (lambda m: m.update(teacher_present=True), "teacher"),
+        (lambda m: m.update(epoch="0"), "epoch must be a non-negative integer, got '0'"),
+        (lambda m: m.update(adam_step=-1), "adam_step must be a non-negative integer"),
+        (lambda m: m.update(n_entities="30"), "n_entities must be a non-negative integer"),
+        (lambda m: m.update(n_relations=6.0), "n_relations must be a non-negative integer"),
+        (lambda m: m.update(n_relations=True), "n_relations must be a non-negative integer"),
+        (lambda m: m.update(metrics_history={}), "metrics_history must be a list"),
+        (lambda m: m.update(teacher_present=0), "teacher_present must be true or false"),
     ],
-    ids=["parent-dir", "dot-dot", "not-a-list", "no-rng-stream", "no-teacher-tensor"],
+    ids=[
+        "parent-dir", "dot-dot", "not-a-list", "no-rng-stream", "no-teacher-tensor",
+        "string-epoch", "negative-adam-step", "string-entities", "float-relations",
+        "bool-relations", "dict-history", "int-teacher-flag",
+    ],
 )
 def test_malformed_manifest_rejected(tmp_path, edit, message):
     store = _store(tmp_path)
