@@ -144,17 +144,6 @@ def load_dataset(directory: str | Path) -> TripleStore:
     )
 
 
-def save_dataset(store: TripleStore, directory: str | Path) -> None:
-    """Write the store back to train/valid/test files (inverse of load)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    ents, rels = store.vocab.entities, store.vocab.relations
-    for name in _SPLITS:
-        with open(directory / f"{name}.txt", "w", encoding="utf-8") as fh:
-            for h, r, t in store.split(name):
-                fh.write(f"{ents[h]}\t{rels[r]}\t{ents[t]}\n")
-
-
 def augment_reciprocal(store: TripleStore) -> TripleStore:
     """Add an inverse triple (t, r', h) for every (h, r, t) in every split.
 

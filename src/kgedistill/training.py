@@ -12,19 +12,18 @@ from __future__ import annotations
 import ctypes
 import json
 import os
-import re
 import shutil
 import struct
 import uuid
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, _with_leaf_add, backward, custom_node, grad_enabled, no_grad, zeros
+from .autodiff import Tensor, backward, custom_node, grad_enabled, no_grad, zeros
 from .config import RunConfig
 from .data import SparseTargets, TripleStore, group_queries, label_smooth, make_batches
 from .distill import SemanticBlock, TeacherCache, beta_at_epoch, distill_loss, extract, total_loss
@@ -194,8 +193,7 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     adds r E_blk into the query-side gradient and writes r^T z into the
     block's rows of an entities-shaped gradient buffer. So neither the
     logits nor the residual exist beyond one block, and backward only
-    scales both gradients by g / size; a leaf table takes its share as one
-    contiguous blocked add.
+    scales both gradients by g / size, in place.
 
     The blocks run on the worker pool with numpy's OpenBLAS held to one
     thread. The block partial sums are added in block order and the
@@ -281,31 +279,14 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
 
     def scaled(name: str):
         def vjp(g):
-            out = np.multiply(take(name), g)
+            out = take(name)
+            out *= g
             out /= size
             return out
 
         return vjp
 
-    def add_entities(g, grad):
-        source = take("entities")
-        step = max(1, _BLOCK_ELEMENTS // max(dim, 1))
-
-        def add_blocks(first: int, stop: int) -> None:
-            scratch = np.empty((min(step, n_cols), dim))
-            for i in range(first, stop):
-                rows = slice(i * step, (i + 1) * step)
-                part = source[rows]
-                block = np.multiply(part, g, out=scratch[: len(part)])
-                block /= size
-                grad[rows] += block
-
-        _run_blocks(-(-n_cols // step), add_blocks)
-
-    return custom_node(
-        np.float64(value), (z, entities),
-        (scaled("z"), _with_leaf_add(scaled("entities"), add_entities)),
-    )
+    return custom_node(np.float64(value), (z, entities), (scaled("z"), scaled("entities")))
 
 
 def _bce_block(u, out, e, scratch, off: float) -> tuple:
@@ -522,17 +503,28 @@ class Trainer:
 
     def _named_tensors(self) -> dict:
         """Every array a checkpoint restores, by name: model parameters and
-        buffers, block parameters, and both Adam moments."""
+        buffers, block parameters, both Adam moments and, once there is one,
+        the teacher vector."""
         tensors = _model_tensors(self.model)
         if self.block is not None:
             tensors.update((f"block.{n}", p.data) for n, p in self.block.named_parameters())
         for name in self.adam.moment1:
             tensors[f"adam.m.{name}"] = self.adam.moment1[name]
             tensors[f"adam.v.{name}"] = self.adam.moment2[name]
+        if self.teacher.present:
+            tensors["teacher.vector"] = self.teacher.vector
         return tensors
 
     def save(self, directory: str | Path) -> None:
-        """Write a resumable checkpoint: manifest, vocab, one file per tensor.
+        """Write a resumable checkpoint directory. It holds:
+
+        - ``manifest.json``: format, version, run config, epoch, Adam step
+          count, the states of the shuffle and dropout streams, and the
+          metrics history;
+        - ``<name>.bin`` for each array of :meth:`_named_tensors`, which
+          alone says which tensors there are and whether a teacher is saved;
+        - ``entities.txt`` and ``relations.txt``: the vocabulary names in id
+          order, one a line, which alone give the table sizes.
 
         The files are written into a fresh sibling directory that is then
         renamed to ``directory``. A checkpoint already there is first moved
@@ -557,31 +549,22 @@ class Trainer:
         shutil.rmtree(aside, ignore_errors=True)
 
     def _write_checkpoint(self, directory: Path) -> None:
-        tensors = self._named_tensors()
-        if self.teacher.present:
-            tensors["teacher.vector"] = self.teacher.vector
         manifest = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "config": self.run_config.to_dict(),
             "epoch": self.epoch,
-            "seed": self.run_config.train.seed,
             "adam_step": self.adam.step_count,
             "rng": {
                 "shuffle": self.rng_shuffle.bit_generator.state,
                 "dropout": self.rng_dropout.bit_generator.state,
             },
-            "teacher_present": self.teacher.present,
             "metrics_history": self.metrics_history,
-            "tensors": sorted(tensors),
-            "n_entities": self.store.n_entities,
-            "n_relations": self.store.n_relations,
-            "base_relations": self.store.base_relation_count,
         }
         with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        for name, arr in tensors.items():
+        for name, arr in self._named_tensors().items():
             _write_tensor(directory / f"{name}.bin", arr)
         with open(directory / "entities.txt", "w", encoding="utf-8") as fh:
             fh.writelines(e + "\n" for e in self.store.vocab.entities)
@@ -600,7 +583,7 @@ class Trainer:
         trainer.metrics_history = list(ckpt.manifest["metrics_history"])
         trainer.rng_shuffle.bit_generator.state = ckpt.manifest["rng"]["shuffle"]
         trainer.rng_dropout.bit_generator.state = ckpt.manifest["rng"]["dropout"]
-        if ckpt.manifest["teacher_present"]:
+        if "teacher.vector" in ckpt.tensors:
             trainer.teacher.refresh(ckpt.tensors["teacher.vector"])
         return trainer
 
@@ -614,10 +597,7 @@ CHECKPOINT_VERSION = 1
 _TENSOR_MAGIC = b"KGE1"
 _MAX_RANK = 8
 # The manifest keys read by loading a checkpoint, resuming from it or building its model.
-_MANIFEST_KEYS = (
-    "adam_step", "config", "epoch", "metrics_history", "n_entities", "n_relations", "rng",
-    "teacher_present", "tensors",
-)
+_MANIFEST_KEYS = ("adam_step", "config", "epoch", "metrics_history", "rng")
 
 
 @dataclass
@@ -626,8 +606,8 @@ class Checkpoint:
 
     manifest: dict
     tensors: dict
-    entities: list[str] = field(default_factory=list)
-    relations: list[str] = field(default_factory=list)
+    entities: list[str]
+    relations: list[str]
 
     @property
     def config(self) -> RunConfig:
@@ -727,28 +707,25 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     ]
     if missing:
         raise CheckpointError(f"{manifest_path}: manifest lacks {', '.join(missing)}")
-    for key in ("adam_step", "epoch", "n_entities", "n_relations"):
+    for key in ("adam_step", "epoch"):
         if type(manifest[key]) is not int or manifest[key] < 0:
             raise CheckpointError(
                 f"{manifest_path}: {key} must be a non-negative integer, got {manifest[key]!r}"
             )
     if not isinstance(manifest["metrics_history"], list):
         raise CheckpointError(f"{manifest_path}: metrics_history must be a list")
-    if not isinstance(manifest["teacher_present"], bool):
-        raise CheckpointError(f"{manifest_path}: teacher_present must be true or false")
-    names = manifest["tensors"]
-    # Each name becomes <directory>/<name>.bin, so it must not leave the directory.
-    if not isinstance(names, list) or not all(
-        isinstance(name, str) and re.fullmatch(r"(?!\.+$)[\w.-]+", name) for name in names
-    ):
-        raise CheckpointError(f"{manifest_path}: tensor names must be plain file stems")
-    if manifest["teacher_present"] and "teacher.vector" not in names:
-        raise CheckpointError(f"{manifest_path}: a teacher is present but not saved")
-    tensors = {name: _read_tensor(directory / f"{name}.bin") for name in names}
+    for key in ("shuffle", "dropout"):
+        try:
+            np.random.PCG64().state = rng[key]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointError(
+                f"{manifest_path}: rng.{key} is not a PCG64 state ({exc!r})"
+            ) from exc
+    tensors = {path.name[:-4]: _read_tensor(path) for path in sorted(directory.glob("*.bin"))}
 
     def read_names(path: Path) -> list[str]:
         if not path.is_file():
-            return []
+            raise CheckpointError(f"no {path.name} in {directory}")
         with open(path, "r", encoding="utf-8") as fh:
             return [line.rstrip("\n") for line in fh]
 
@@ -764,8 +741,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> EmbeddingModel:
     """Instantiate the model a checkpoint describes and load its tensors."""
     config = ckpt.config
     model = EmbeddingModel(
-        config.model, ckpt.manifest["n_entities"], ckpt.manifest["n_relations"],
-        stream(0, "unused-init"),
+        config.model, len(ckpt.entities), len(ckpt.relations), stream(0, "unused-init")
     )
     _load_tensors(_model_tensors(model), ckpt.tensors)
     return model

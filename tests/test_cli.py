@@ -4,6 +4,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from kgedistill import cli
 from kgedistill.config import RunConfig
@@ -101,11 +102,25 @@ def test_malformed_manifests_exit_2(tmp_path, memorization_dataset_dir, capsys):
     store = augment_reciprocal(load_dataset(memorization_dataset_dir))
     Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}})).save(checkpoint)
     saved = json.loads((checkpoint / "manifest.json").read_text())
-    for key, value in (
-        ("n_entities", "30"), ("n_relations", 6.0), ("epoch", "0"), ("adam_step", False),
-        ("metrics_history", None), ("teacher_present", "false"),
-    ):
+    for key, value in (("epoch", "0"), ("adam_step", False), ("metrics_history", None)):
         (checkpoint / "manifest.json").write_text(json.dumps({**saved, key: value}))
         capsys.readouterr()
         assert cli.main(["evaluate", str(checkpoint), str(memorization_dataset_dir)]) == 2
         assert f"{key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "missing, message",
+    [
+        ("model.entity_embeddings.bin", "checkpoint is missing tensor model.entity_embeddings"),
+        ("entities.txt", "no entities.txt in"),
+    ],
+    ids=["tensor", "vocab"],
+)
+def test_checkpoint_missing_a_file_exits_2(tmp_path, memorization_dataset_dir, capsys, missing, message):
+    store = augment_reciprocal(load_dataset(memorization_dataset_dir))
+    Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}})).save(tmp_path / "checkpoint")
+    (tmp_path / "checkpoint" / missing).unlink()
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(tmp_path / "checkpoint"), str(memorization_dataset_dir)]) == 2
+    assert message in capsys.readouterr().err

@@ -12,7 +12,6 @@ from kgedistill.data import (
     label_smooth,
     load_dataset,
     make_batches,
-    save_dataset,
 )
 from kgedistill.errors import ConfigError, ParseError
 from kgedistill.rng import stream
@@ -61,16 +60,6 @@ class TestLoadDataset:
     def test_duplicate_lines_dropped(self, tmp_path):
         store = make_store(tmp_path, [("a", "r", "b"), ("a", "r", "b")])
         assert len(store.train) == 1
-
-    def test_roundtrip_preserves_ids(self, tmp_path):
-        train, valid, test = synthetic_triples(12, 3, 20, 4, 4)
-        store = make_store(tmp_path, train, valid, test)
-        save_dataset(store, tmp_path / "copy")
-        reloaded = load_dataset(tmp_path / "copy")
-        for split in ("train", "valid", "test"):
-            np.testing.assert_array_equal(store.split(split), reloaded.split(split))
-        assert store.vocab.entities == reloaded.vocab.entities
-        assert store.vocab.relations == reloaded.vocab.relations
 
 
 class TestAugmentReciprocal:

@@ -89,12 +89,12 @@ class TestWholeSimilarities:
 class TestDistillLoss:
     def test_identical_vectors_give_zero(self):
         v = np.array([0.3, -0.7, 1.1])
-        assert distill_loss(Tensor(v), v, 2.0).item() == 0.0
+        assert float(distill_loss(Tensor(v), v, 2.0).data) == 0.0
 
     def test_hand_value(self):
         # p_s = [2/3, 1/3], p_t = [1/2, 1/2], loss = (1/2) KL(p_s || p_t)
         loss = distill_loss(Tensor([np.log(2.0), 0.0]), np.zeros(2), 1.0)
-        np.testing.assert_allclose(loss.item(), 0.028316506132567876, rtol=1e-12)
+        np.testing.assert_allclose(float(loss.data), 0.028316506132567876, rtol=1e-12)
 
     def test_teacher_gets_no_gradient(self):
         student = Parameter([0.4, -0.2, 0.9])
@@ -110,7 +110,7 @@ class TestDistillLoss:
             d = int(rng.integers(2, 8))
             s = rng.normal(0, 1, d)
             t = rng.normal(0, 1, d)
-            val = distill_loss(Tensor(s), t, float(10 ** rng.uniform(-1, 5))).item()
+            val = float(distill_loss(Tensor(s), t, float(10 ** rng.uniform(-1, 5))).data)
             assert val >= 0.0
 
     def test_length_mismatch(self):
@@ -122,7 +122,7 @@ class TestDistillLoss:
         student = Parameter([0.0, 800.0])
         loss = distill_loss(student, np.array([0.0, -800.0]), 1.0)
         backward(loss)
-        assert loss.item() == pytest.approx(400.0, rel=1e-15)
+        assert float(loss.data) == pytest.approx(400.0, rel=1e-15)
         assert np.all(np.isfinite(student.grad))
 
     def test_nonpositive_temperature_rejected(self):
@@ -167,7 +167,7 @@ class TestDistillLossAgainstMpmath:
             t = rng.normal(0, 1, d)
             s = t + gap * rng.normal(0, 1, d)
             want, _ = exact_distill_loss(s, t, temperature)
-            assert abs(distill_loss(Tensor(s), t, temperature).item() - want) <= 1e-12 * want
+            assert abs(float(distill_loss(Tensor(s), t, temperature).data) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("temperature", [1.0, 10.0, 1e3, 1e5])
     def test_gradient(self, temperature):
@@ -189,7 +189,7 @@ class TestDistillLossAgainstMpmath:
             t = rng.normal(0, 1, d)
             x = 0.1 * rng.normal(0, 1, d)
             limit = np.sum((x - x.mean()) ** 2) / (2 * d * d)
-            value = distill_loss(Tensor(t + x), t, 1e8).item()
+            value = float(distill_loss(Tensor(t + x), t, 1e8).data)
             assert abs(value - limit) <= 1e-8 * limit
 
 
@@ -224,7 +224,7 @@ class TestTotalLoss:
 
     def test_convex_combination(self):
         out = total_loss(Tensor(4.0), Tensor(8.0), 0.25)
-        assert out.item() == 5.0
+        assert float(out.data) == 5.0
 
     def test_invalid_beta(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 """Source hygiene: no module imports a name that it never uses, and no
-top-level definition in the package goes unnamed by all the code."""
+top-level definition or method in the package goes unnamed by all the code."""
 
 import ast
 from pathlib import Path
@@ -56,11 +56,17 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def named_in(tree: ast.AST) -> set[str]:
-    """Every name that ``tree`` mentions as code: names, attributes, import
-    aliases, and identifier-shaped string constants (patched by name)."""
+def named_in(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name that ``tree`` outside ``skip`` mentions as code: names,
+    attributes, import aliases, and identifier-shaped string constants
+    (patched by name)."""
     found = set()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -72,17 +78,26 @@ def named_in(tree: ast.AST) -> set[str]:
     return found
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def orphaned_definitions(module: str, others: list[str]) -> list[str]:
-    """Top-level functions and classes of ``module`` that nothing names: not
-    ``others``, and not the rest of ``module`` outside the definition itself."""
-    body = ast.parse(module).body
+    """Top-level functions and classes of ``module``, and methods and
+    properties of its top-level classes other than dunders, that nothing
+    names: not ``others``, and not ``module`` outside the definition itself."""
+    tree = ast.parse(module)
     named = set().union(*(named_in(ast.parse(source)) for source in others))
-    per_statement = [named_in(node) for node in body]
+    definitions = [node for node in tree.body if isinstance(node, (*FUNCTIONS, ast.ClassDef))]
+    definitions += [
+        node
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, FUNCTIONS) and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
     return sorted(
         f"{node.name} (line {node.lineno})"
-        for i, node in enumerate(body)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in named.union(*per_statement[:i], *per_statement[i + 1 :])
+        for node in definitions
+        if node.name not in named | named_in(tree, skip=node)
     )
 
 
@@ -106,6 +121,19 @@ def test_the_orphan_scan_finds_unnamed_and_keeps_named_definitions():
     assert orphaned_definitions(module, [user]) == [
         "Orphan (line 9)", "_mean_of_directions (line 12)",
     ]
+
+
+def test_the_orphan_scan_covers_methods_and_properties_but_not_dunders():
+    module = (
+        "class Table:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    @property\n    def rows(self):\n        return self.count()\n"
+        "    def count(self):\n        return 0\n"
+        "    def unused(self):\n        return self.unused()\n"
+        "    @property\n    def width(self):\n        return 1\n"
+    )
+    user = "from pkg.mod import Table\nTable().rows\n"
+    assert orphaned_definitions(module, [user]) == ["unused (line 9)", "width (line 12)"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
