@@ -5,6 +5,11 @@ Datasets are directories holding ``train.txt``, ``valid.txt`` and
 Entity and relation names are opaque strings; ids are assigned densely in
 first-appearance order scanning train, then valid, then test, so loading is
 fully deterministic.
+
+Past the vocabulary, everything is held as numpy arrays: each split is
+parsed in bulk into an ``(n, 3)`` id array, and grouped train queries and
+filter indices are CSR arrays. No per-triple or per-query Python object
+outlives the call that builds it.
 """
 
 from __future__ import annotations
@@ -100,29 +105,59 @@ class TripleStore:
 
 
 def _read_split(path: Path, vocab: Vocabulary) -> np.ndarray:
+    """Parse one split in bulk: no per-line Python work, no per-triple objects.
+
+    Line ends are read as universal newlines (``\\n``, ``\\r\\n`` or a lone
+    ``\\r``); blank lines are skipped but still counted in ``path:lineno``.
+    """
     if not path.is_file():
         raise IOError(f"dataset file not found: {path}")
-    rows = []
-    seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            h, r, t = fields
-            triple = (vocab.add_entity(h), vocab.add_relation(r), vocab.add_entity(t))
-            if triple in seen:
-                continue
-            seen.add(triple)
-            rows.append(triple)
-    if not rows:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
+    raw = path.read_bytes()
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text") from None
+
+    # Tabs and newlines are single bytes that UTF-8 never uses inside a
+    # character, so every line's field count can be read off the bytes.
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(buf == ord("\n")), len(buf))  # one past each line
+    lengths = np.diff(ends, prepend=-1) - 1
+    tabs = np.diff(np.searchsorted(np.flatnonzero(buf == ord("\t")), ends), prepend=0)
+    bad = np.flatnonzero((tabs != 2) & (lengths > 0))
+    if len(bad):
+        line = int(bad[0])
+        raise ParseError(
+            f"{path}:{line + 1}: expected 3 tab-separated fields, got {tabs[line] + 1}"
+        )
+
+    text = text.strip("\n")
+    while "\n\n" in text:
+        text = text.replace("\n\n", "\n")
+    fields = text.replace("\n", "\t").split("\t") if text else []
+    heads, relations, tails = fields[0::3], fields[1::3], fields[2::3]
+    n = len(heads)
+    pairs = [None] * (2 * n)
+    pairs[0::2], pairs[1::2] = heads, tails
+    for name in dict.fromkeys(pairs):  # distinct names in first-appearance order
+        vocab.add_entity(name)
+    for name in dict.fromkeys(relations):
+        vocab.add_relation(name)
+
+    triples = np.empty((n, 3), dtype=np.int64)
+    for col, names, ids in ((0, heads, vocab.entity_ids), (1, relations, vocab.relation_ids),
+                            (2, tails, vocab.entity_ids)):
+        triples[:, col] = np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=n)
+    # Keep the first occurrence of each triple, in file order.
+    n_ent, n_rel = vocab.n_entities, vocab.n_relations
+    if n_ent * n_rel * n_ent >= 2**63:
+        raise ParseError(f"{path}: {n_ent} entities and {n_rel} relations overflow a triple code")
+    codes = (triples[:, 0] * n_rel + triples[:, 1]) * n_ent + triples[:, 2]
+    _, first = np.unique(codes, return_index=True)
+    return triples if len(first) == n else triples[np.sort(first)]
 
 
 def load_dataset(directory: str | Path) -> TripleStore:
@@ -224,13 +259,24 @@ class FilterIndex:
         """
         start, stop = self.rows(heads, relations)
         counts = stop - start
-        rows = np.repeat(np.arange(len(counts)), counts)
-        # Pair k of a query's run reads indices[start + k].
-        runs = np.cumsum(counts) - counts
-        return rows, self.indices[np.arange(counts.sum()) + np.repeat(start - runs, counts)]
+        return np.repeat(np.arange(len(counts)), counts), _take_runs(self.indices, start, counts)
 
     def __len__(self) -> int:
         return len(self.keys)
+
+
+def _run_bounds(sorted_codes: np.ndarray) -> np.ndarray:
+    """CSR ``indptr`` of the runs of equal values in ``sorted_codes``."""
+    if len(sorted_codes) == 0:
+        return np.zeros(1, dtype=np.int64)
+    return np.r_[0, np.flatnonzero(np.diff(sorted_codes)) + 1, len(sorted_codes)]
+
+
+def _take_runs(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``values[starts[i] : starts[i] + counts[i]]`` for every ``i``, concatenated."""
+    # Element k of run i reads values[starts[i] + k].
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return values[np.arange(len(offsets)) + offsets]
 
 
 def build_filter_index(store: TripleStore) -> FilterIndex:
@@ -246,8 +292,8 @@ def build_filter_index(store: TripleStore) -> FilterIndex:
     distinct = np.ones(len(codes), dtype=bool)
     distinct[1:] = (codes[1:] != codes[:-1]) | (tails[1:] != tails[:-1])
     codes, tails = codes[distinct], tails[distinct]
-    keys, starts = np.unique(codes, return_index=True)
-    return FilterIndex(keys, np.append(starts, len(codes)), tails, store.n_relations)
+    indptr = _run_bounds(codes)
+    return FilterIndex(codes[indptr[:-1]], indptr, tails, store.n_relations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,67 +332,107 @@ class SparseTargets:
         return y
 
 
-@dataclass
 class Batch:
     """A block of (head, relation) queries with their training tails.
 
+    Row ``i``'s tails are ``tail_ids[indptr[i]:indptr[i + 1]]``.
     ``targets()`` gives the multi-label 0/1 matrix in sparse form; call its
     ``dense()`` for the full ``len(batch)`` x ``n_entities`` array, which at
     40k-entity scale is ~160 MB.
     """
 
-    heads: np.ndarray
-    relations: np.ndarray
-    tails: tuple
-    n_entities: int
+    def __init__(self, heads: np.ndarray, relations: np.ndarray, tails, n_entities: int):
+        """``tails`` holds one array of tail ids per row."""
+        self.heads = heads
+        self.relations = relations
+        self.indptr = np.r_[0, np.cumsum([len(t) for t in tails], dtype=np.int64)]
+        self.tail_ids = np.concatenate(tails) if len(tails) else np.empty(0, dtype=np.int64)
+        self.n_entities = n_entities
+
+    @classmethod
+    def from_csr(cls, heads, relations, indptr, tail_ids, n_entities: int) -> Batch:
+        """A batch whose row ``i`` has the tails ``tail_ids[indptr[i]:indptr[i + 1]]``."""
+        batch = cls.__new__(cls)
+        batch.heads, batch.relations, batch.n_entities = heads, relations, n_entities
+        batch.indptr, batch.tail_ids = indptr, tail_ids
+        return batch
 
     def __len__(self) -> int:
         return len(self.heads)
 
+    @property
+    def tails(self) -> tuple:
+        """One array of tail ids per row."""
+        return tuple(np.split(self.tail_ids, self.indptr[1:-1]))
+
     def targets(self) -> SparseTargets:
         """1 at each (row, training tail), 0 elsewhere."""
-        rows = np.repeat(np.arange(len(self.tails)), [len(t) for t in self.tails])
-        cols = np.concatenate(self.tails) if self.tails else rows
-        return SparseTargets(rows, cols, (len(self.heads), self.n_entities))
+        rows = np.repeat(np.arange(len(self.heads)), np.diff(self.indptr))
+        return SparseTargets(rows, self.tail_ids, (len(self.heads), self.n_entities))
 
 
-def group_queries(store: TripleStore) -> list:
-    """Distinct (head, relation) train queries with their tail id arrays.
+@dataclass(frozen=True, eq=False)
+class TrainQueries:
+    """Distinct (head, relation) train queries with their tails, in CSR form.
+
+    Query ``i`` is ``(heads[i], relations[i])``, in order of first
+    appearance in the train split; its tails are
+    ``tails[indptr[i]:indptr[i + 1]]``, in train order. Indexing gives
+    ``(head, relation, tails)`` rows, a slice a list of them.
+    """
+
+    heads: np.ndarray
+    relations: np.ndarray
+    indptr: np.ndarray
+    tails: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.heads)
+
+    def __getitem__(self, key):
+        rows = range(len(self))[key]
+        if isinstance(rows, range):
+            return [self[i] for i in rows]
+        tails = self.tails[self.indptr[rows] : self.indptr[rows + 1]]
+        return int(self.heads[rows]), int(self.relations[rows]), tails
+
+
+def group_queries(store: TripleStore) -> TrainQueries:
+    """Group the train split by (head, relation) query.
 
     Queries come in order of first appearance in the train split, and each
     query's tails in train order, so the result is deterministic for a
     given store.
     """
     train = store.train
-    if len(train) == 0:
-        return []
     codes = train[:, 0] * store.n_relations + train[:, 1]
     order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    bounds = np.append(starts, len(codes)).tolist()
-    first = order[starts]  # the train row where each query first appears
-    tails = train[order, 2]
+    bounds = _run_bounds(codes[order])
+    first = order[bounds[:-1]]  # the train row where each query first appears
     groups = np.argsort(first)
-    heads, relations = train[first[groups], 0].tolist(), train[first[groups], 1].tolist()
-    return [
-        (h, r, tails[bounds[g] : bounds[g + 1]])
-        for g, h, r in zip(groups.tolist(), heads, relations)
-    ]
+    counts = np.diff(bounds)[groups]
+    return TrainQueries(
+        heads=train[first[groups], 0],
+        relations=train[first[groups], 1],
+        indptr=np.r_[0, np.cumsum(counts)],
+        tails=_take_runs(train[order, 2], bounds[:-1][groups], counts),
+    )
 
 
 def make_batches(
     store: TripleStore,
     batch_size: int,
     rng: np.random.Generator,
-    queries: list | None = None,
+    queries: TrainQueries | None = None,
 ) -> list[Batch]:
     """Shuffle distinct train queries and group them into full batches.
 
     The final partial batch is dropped: the distillation block's expanding
     projection has a fixed row count, so every batch must have exactly
-    ``batch_size`` rows. Pass ``queries`` (from :func:`group_queries`) to
-    avoid regrouping on every epoch.
+    ``batch_size`` rows. Pass ``queries`` (from :func:`group_queries`, as
+    :class:`~kgedistill.training.Trainer` does once) to avoid regrouping on
+    every epoch. The epoch's rows are gathered from its arrays in one go and
+    each batch is a slice of them.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -356,21 +442,22 @@ def make_batches(
         raise ConfigError(
             f"batch_size {batch_size} exceeds the {len(queries)} distinct train queries"
         )
-    order = rng.permutation(len(queries))
-    n_batches = len(queries) // batch_size
-    batches = []
-    for b in range(n_batches):
-        idx = order[b * batch_size : (b + 1) * batch_size]
-        chosen = [queries[i] for i in idx]
-        batches.append(
-            Batch(
-                heads=np.asarray([c[0] for c in chosen], dtype=np.int64),
-                relations=np.asarray([c[1] for c in chosen], dtype=np.int64),
-                tails=tuple(c[2] for c in chosen),
-                n_entities=store.n_entities,
-            )
+    n_rows = len(queries) // batch_size * batch_size
+    order = rng.permutation(len(queries))[:n_rows]
+    heads, relations = queries.heads[order], queries.relations[order]
+    counts = np.diff(queries.indptr)[order]
+    tails = _take_runs(queries.tails, queries.indptr[order], counts)
+    indptr = np.r_[0, np.cumsum(counts)]
+    return [
+        Batch.from_csr(
+            heads[s : s + batch_size],
+            relations[s : s + batch_size],
+            indptr[s : s + batch_size + 1] - indptr[s],
+            tails[indptr[s] : indptr[s + batch_size]],
+            store.n_entities,
         )
-    return batches
+        for s in range(0, n_rows, batch_size)
+    ]
 
 
 def label_smooth(targets: SparseTargets, epsilon: float) -> SparseTargets:

@@ -402,6 +402,9 @@ class Trainer:
     Adam step, then a detached re-extraction that becomes the next teacher.
     Random streams are ``stream(seed, label)`` for "shuffle", "dropout",
     "model-init" and "block-init"; checkpoints keep the first two's states.
+    ``queries`` holds the distinct train queries as the CSR arrays of
+    :func:`~kgedistill.data.group_queries`, grouped once here and shuffled
+    into batches every epoch.
     """
 
     def __init__(self, store: TripleStore, run_config: RunConfig):

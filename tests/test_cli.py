@@ -86,6 +86,22 @@ def test_training_abort_maps_to_exit_3(monkeypatch, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+def test_prepare_reports_counts_and_rejects_non_utf8(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "train.txt").write_bytes(b"a\tr\tb\r\n\na\tr\tc\rb\tr\tc\n")
+    (data_dir / "valid.txt").write_bytes(b"")
+    (data_dir / "test.txt").write_bytes(b"c\ts\ta\n")
+    assert cli.main(["prepare", str(data_dir)]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["entities"], stats["relations"], stats["train"]) == (3, 2, 3)
+    assert stats["distinct_train_queries"] == 4  # (a, r), (b, r) and two inverses
+
+    (data_dir / "train.txt").write_bytes(b"a\tr\tb\r\n\n\xff\tr\tc\n")
+    assert cli.main(["prepare", str(data_dir)]) == 2
+    assert f"{data_dir / 'train.txt'}:3: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_malformed_manifests_exit_2(tmp_path, memorization_dataset_dir, capsys):
     checkpoint = tmp_path / "checkpoint"
     checkpoint.mkdir()

@@ -1,11 +1,19 @@
 """Dataset loading, reciprocal augmentation, filter index, batching."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import synthetic_triples, write_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgedistill.data import (
     SparseTargets,
+    TripleStore,
+    Vocabulary,
+    _read_split,
     augment_reciprocal,
     build_filter_index,
     group_queries,
@@ -201,18 +209,31 @@ class TestLabelSmooth:
             label_smooth(SparseTargets([0], [0], (1, 2)), 1.0)
 
 
+def dict_loop_queries(store) -> list:
+    """``(head, relation, tails)`` per distinct train query, first-appearance order."""
+    grouped = {}
+    for h, r, t in store.train.tolist():
+        grouped.setdefault((h, r), []).append(t)
+    return [(h, r, tails) for (h, r), tails in grouped.items()]
+
+
 def test_group_queries_matches_a_dict_loop(tmp_path):
     # Queries repeat across the train split, interleaved with others.
     train = [("a", "r", "b"), ("c", "s", "a"), ("a", "r", "c"), ("b", "r", "a"),
              ("c", "s", "b"), ("a", "s", "c"), ("a", "r", "a"), ("c", "s", "c")]
     store = augment_reciprocal(make_store(tmp_path, train))
-    grouped = {}
-    for h, r, t in store.train.tolist():
-        grouped.setdefault((h, r), []).append(t)
-    got = [(h, r, tails.tolist()) for h, r, tails in group_queries(store)]
-    assert got == [(h, r, tails) for (h, r), tails in grouped.items()]
-    assert all(type(h) is int and type(r) is int for h, r, _ in got)
-    assert group_queries(make_store(tmp_path / "empty", [], [("a", "r", "b")])) == []
+    expected = dict_loop_queries(store)
+    queries = group_queries(store)
+    assert queries.heads.tolist() == [h for h, _, _ in expected]
+    assert queries.relations.tolist() == [r for _, r, _ in expected]
+    assert queries.indptr.tolist() == np.cumsum([0] + [len(t) for _, _, t in expected]).tolist()
+    assert queries.tails.tolist() == [t for _, _, tails in expected for t in tails]
+    assert [(h, r, tails.tolist()) for h, r, tails in queries] == expected
+    assert [(h, r, t.tolist()) for h, r, t in queries[-2:]] == expected[-2:]
+
+    empty = group_queries(make_store(tmp_path / "empty", [], [("a", "r", "b")]))
+    assert len(empty) == 0 and empty[:5] == []
+    assert empty.indptr.tolist() == [0] and empty.tails.size == 0
 
 
 def test_group_queries_is_deterministic(tmp_path):
@@ -220,4 +241,119 @@ def test_group_queries_is_deterministic(tmp_path):
     store = augment_reciprocal(make_store(tmp_path, train, valid, test))
     a = group_queries(store)
     b = group_queries(store)
-    assert [(h, r) for h, r, _ in a] == [(h, r) for h, r, _ in b]
+    for name in ("heads", "relations", "indptr", "tails"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_csr_batches_match_a_dict_loop_grouping(tmp_path):
+    train, valid, test = synthetic_triples(40, 3, 300, seed=11)
+    store = augment_reciprocal(make_store(tmp_path, train, valid, test))
+    expected = dict_loop_queries(store)
+    batch_size = 7
+    batches = make_batches(store, batch_size, stream(4, "shuffle"), group_queries(store))
+    order = stream(4, "shuffle").permutation(len(expected))
+    assert len(batches) == len(expected) // batch_size
+    for b, batch in enumerate(batches):
+        rows = [expected[i] for i in order[b * batch_size : (b + 1) * batch_size]]
+        assert batch.heads.tolist() == [h for h, _, _ in rows]
+        assert batch.relations.tolist() == [r for _, r, _ in rows]
+        assert [t.tolist() for t in batch.tails] == [tails for _, _, tails in rows]
+        dense = np.zeros((batch_size, store.n_entities))
+        for i, (_, _, tails) in enumerate(rows):
+            dense[i, tails] = 1.0
+        np.testing.assert_array_equal(batch.targets().dense(), dense)
+
+
+def test_grouped_queries_hold_a_few_bytes_per_train_row():
+    """CSR arrays only: at most 40 bytes per augmented train row retained."""
+    rng = np.random.default_rng(0)
+    n_entities, n_relations, n_rows = 2_000, 20, 25_000
+    triples = np.stack(
+        [rng.integers(0, n_entities, n_rows), rng.integers(0, n_relations, n_rows),
+         rng.integers(0, n_entities, n_rows)], axis=1,
+    )
+    vocab = Vocabulary(
+        entities=[f"e{i}" for i in range(n_entities)],
+        relations=[f"r{i}" for i in range(n_relations)],
+    )
+    empty = np.empty((0, 3), dtype=np.int64)
+    store = augment_reciprocal(TripleStore(vocab, triples, empty, empty, n_relations))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        queries = group_queries(store)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(store.train) == 2 * n_rows and len(queries) > 0
+    assert retained / len(store.train) <= 40
+
+
+def read_split_by_line(path: Path, vocab: Vocabulary) -> np.ndarray:
+    """The line-by-line parser the bulk loader replaced: the oracle."""
+    if not path.is_file():
+        raise IOError(f"dataset file not found: {path}")
+    rows = []
+    seen = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                )
+            h, r, t = fields
+            triple = (vocab.add_entity(h), vocab.add_relation(r), vocab.add_entity(t))
+            if triple in seen:
+                continue
+            seen.add(triple)
+            rows.append(triple)
+    if not rows:
+        return np.empty((0, 3), dtype=np.int64)
+    return np.asarray(rows, dtype=np.int64)
+
+
+# Spaces, non-ASCII, and \x0c / \u2028, which str.splitlines would split on.
+NAMES = st.sampled_from(["a", "b", "c d", "é", "日本", "x\x0cy", "p\u2028q", ""])
+
+
+@st.composite
+def split_lines(draw):
+    """A triple line, or one time in five a blank line, one in ten a malformed one."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return "\t".join(draw(st.lists(NAMES, min_size=1, max_size=5).filter(lambda f: len(f) != 3)))
+    return "" if kind <= 2 else "\t".join(draw(st.tuples(NAMES, NAMES, NAMES)))
+
+
+@st.composite
+def split_texts(draw):
+    """File text: lines ended by \\n, \\r\\n or \\r, some repeated, last end optional."""
+    ended = draw(st.lists(st.tuples(split_lines(), st.sampled_from(["\n", "\r\n", "\r"])), max_size=10))
+    ended += ended[: draw(st.integers(0, len(ended)))]
+    text = "".join(line + end for line, end in ended)
+    if ended and draw(st.booleans()):
+        text = text[: -len(ended[-1][1])]
+    return text
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(split_texts(), min_size=2, max_size=2))
+def test_bulk_parser_matches_the_line_parser(tmp_path_factory, texts):
+    directory = tmp_path_factory.mktemp("split")
+    paths = [directory / "train.txt", directory / "valid.txt"]
+    for path, text in zip(paths, texts):
+        path.write_bytes(text.encode("utf-8"))
+
+    def run(read):
+        vocab = Vocabulary()
+        try:
+            arrays = [read(path, vocab) for path in paths]
+        except ParseError as exc:
+            return str(exc)
+        return vocab.entities, vocab.relations, [(a.dtype, a.shape, a.tolist()) for a in arrays]
+
+    assert run(_read_split) == run(read_split_by_line)
