@@ -9,18 +9,23 @@ so inference and detached teacher extraction carry no graph.
 
 Which results depend on the BLAS thread count:
 
-- The products here (``matmul``, ``bmm``) run on BLAS with the process's
-  thread count, so their bits may depend on the BLAS build and on that
-  count. The caller pins it (for instance with ``OPENBLAS_NUM_THREADS``
-  set before numpy is imported); nothing here sets it.
-- The fused score head (:func:`kgedistill.training.score_bce`) holds
-  numpy's OpenBLAS to one thread inside its own region and sums its blocks
-  in a fixed order, so its value and gradients depend on the BLAS build
-  but neither on the thread count nor on the worker count. Where that
-  library's thread calls are not found, it runs unpinned and depends on
-  the thread count like the products above.
-- The elementwise kernels (the BCE kernel, Adam) call no BLAS and give the
-  same bits for any thread or worker count.
+- The products here (``matmul``, ``bmm``) run on BLAS with the thread count
+  in force when they are called, so their bits may depend on the BLAS build
+  and on that count. Called directly, they use the process's count, which
+  the caller pins (for instance with ``OPENBLAS_NUM_THREADS`` set before
+  numpy is imported).
+- A training step (:meth:`kgedistill.training.Trainer.train_epoch`) runs
+  every product with numpy's OpenBLAS held to one thread
+  (:func:`_one_blas_thread`), and the fused score head
+  (:func:`kgedistill.training.score_bce`) holds it there for direct callers
+  too. So a training trajectory depends on the BLAS build but not on the
+  thread count. Where that library's thread calls are not found, both run
+  unpinned and depend on the thread count like a direct product.
+- What runs on the worker pool (:func:`_run_blocks`) gives the same bits
+  for any worker count: Adam, the rank-1 gradient update of a product with
+  a single left row, and the score head's blocks and its add into the
+  entity table's gradient. The elementwise kernels (the BCE kernel, Adam)
+  call no BLAS, so the thread count does not enter them either.
 
 The row lookup's gradient scatter-adds with ``np.add.at`` (sequential, in
 index order) straight into the table's ``grad``, so the rows of a
@@ -32,7 +37,11 @@ produce bit-identical outputs.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import mmap
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +64,75 @@ def no_grad():
 
 def grad_enabled() -> bool:
     return _grad_enabled
+
+
+# Blocked loops here and in the training layer hand each worker thread one
+# contiguous range of whole blocks; numpy releases the GIL inside its ufuncs
+# and BLAS calls, so the ranges run on separate cores. The pool starts on
+# first use, with one thread per usable core, and a loop with fewer than
+# ``min_per_worker`` blocks per worker runs inline on the calling thread.
+_WORKERS = len(os.sched_getaffinity(0))
+_MIN_BLOCKS_PER_WORKER = 4
+_pool: ThreadPoolExecutor | None = None
+
+
+def _run_blocks(n_blocks: int, work, min_per_worker: int = _MIN_BLOCKS_PER_WORKER) -> None:
+    """Call ``work(first, stop)`` on contiguous ranges covering ``range(n_blocks)``.
+
+    Each worker gets one range; the ranges depend on the worker count, so
+    ``work`` must give the same result however its blocks are grouped.
+    """
+    global _pool
+    workers = min(_WORKERS, n_blocks // min_per_worker)
+    if workers <= 1:
+        work(0, n_blocks)
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="kgedistill")
+    cuts = [n_blocks * i // workers for i in range(workers + 1)]
+    futures = [_pool.submit(work, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+# (get, set) thread-count calls of numpy's bundled OpenBLAS, looked up on
+# first use; empty when the library or its symbols are not found.
+_openblas_threads: tuple | None = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore it.
+
+    Inside, each BLAS call runs on the thread that makes it, so the pool's
+    workers neither wait for nor spin up BLAS helper threads, and no helper
+    left spinning after a product takes a core from them. Where numpy's
+    OpenBLAS is not found, the block runs unpinned.
+    """
+    global _openblas_threads
+    if _openblas_threads is None:
+        _openblas_threads = ()
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        for lib in sorted(libs.glob("*openblas*")):
+            handle = ctypes.CDLL(str(lib))
+            get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+            put = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                _openblas_threads = (get, put)
+                break
+    if not _openblas_threads:
+        yield
+        return
+    get, put = _openblas_threads
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 def zeros(shape) -> np.ndarray:
@@ -93,10 +171,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -256,14 +330,23 @@ _OUTER_BLOCK_ELEMENTS = 1 << 14
 
 
 def _add_outer(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """out += outer(x, y), through one scratch buffer of a few rows."""
+    """out += outer(x, y), a few rows at a time on the worker pool.
+
+    Each worker forms its blocks in one scratch buffer of a few rows; every
+    element is one product and one add, so the bits do not depend on the
+    blocking or the worker count.
+    """
     step = max(1, _OUTER_BLOCK_ELEMENTS // max(len(y), 1))
-    scratch = np.empty((min(step, len(x)), len(y)))
-    for start in range(0, len(x), step):
-        xb = x[start : start + step]
-        block = scratch[: len(xb)]
-        np.multiply.outer(xb, y, out=block)
-        out[start : start + step] += block
+
+    def rows(first: int, stop: int) -> None:
+        scratch = np.empty((min(step, len(x)), len(y)))
+        for start in range(first * step, min(stop * step, len(x)), step):
+            xb = x[start : start + step]
+            block = scratch[: len(xb)]
+            np.multiply.outer(xb, y, out=block)
+            out[start : start + step] += block
+
+    _run_blocks(-(-len(x) // step), rows)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -391,9 +474,11 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
 
     ``loss`` must be a scalar. Gradients add onto existing ``grad`` contents,
-    so callers zero them between steps. Each contribution to a leaf is added
-    into its ``grad`` as soon as it is computed, and a VJP with an in-place
-    form (the row lookup, a product with a single left row) adds into it
+    so a caller that wants fresh ones zeroes them between steps (the
+    trainer's Adam step zeroes each gradient after reading it). Each
+    contribution to a leaf is added into its ``grad`` as soon as it is
+    computed, and a VJP with an in-place form (the row lookup, a product
+    with a single left row, the score head's entity side) adds into it
     directly. On zeroed gradients the result has the same bits as summing
     the contributions first, except where a looked-up row repeats after the
     leaf already holds a contribution: those rows are added one at a time.

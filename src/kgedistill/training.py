@@ -2,28 +2,37 @@
 
 The trainer is fully deterministic: the seed fixes four independent random
 streams (model init, block init, epoch shuffling, dropout masks), so a
-(seed, config, dataset) triple determines every logged number. Keeping the
-streams separate is what makes "distillation enabled with beta 0" produce
-bit-identical parameters to "distillation disabled".
+(seed, config, dataset) triple determines every logged number for a given
+BLAS build. Each epoch runs its products on one BLAS thread, so the BLAS
+thread count does not enter. Keeping the streams separate is what makes
+"distillation enabled with beta 0" produce bit-identical parameters to
+"distillation disabled".
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import os
 import shutil
 import struct
 import uuid
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, custom_node, grad_enabled, no_grad, zeros
+from .autodiff import (
+    Tensor,
+    _one_blas_thread,
+    _run_blocks,
+    _with_leaf_add,
+    backward,
+    custom_node,
+    grad_enabled,
+    no_grad,
+    zeros,
+)
 from .config import RunConfig
 from .data import SparseTargets, TripleStore, group_queries, label_smooth, make_batches
 from .distill import SemanticBlock, TeacherCache, beta_at_epoch, distill_loss, extract, total_loss
@@ -52,84 +61,17 @@ def lr_at_epoch(epoch: int, lr_initial: float, decay: float) -> float:
 
 # Row blocks of the BCE kernel span about _BLOCK_ELEMENTS elements, so their
 # scratch buffers stay in the L2 cache; they also fix the order in which its
-# partial sums are added. The Adam update runs over slices of
-# _ADAM_BLOCK_ELEMENTS: any slicing gives the same bits, and larger slices
-# mean fewer ufunc calls per step. The fused score head works on blocks of
-# entity columns spanning about _SCORE_BLOCK_ELEMENTS scores (256 columns
-# at a batch of 512), big enough for its three products to run at GEMM
-# speed, and sums its query-side gradient over _SCORE_GROUPS fixed groups
-# of those blocks.
+# partial sums are added. The Adam update and the score head's add into the
+# entity table's gradient run over slices of _SLICE_ELEMENTS: any slicing
+# gives the same bits, and larger slices mean fewer ufunc calls per step.
+# The fused score head works on blocks of entity columns spanning about
+# _SCORE_BLOCK_ELEMENTS scores (256 columns at a batch of 512), big enough
+# for its three products to run at GEMM speed, and sums its query-side
+# gradient over _SCORE_GROUPS fixed groups of those blocks.
 _BLOCK_ELEMENTS = 1 << 14
-_ADAM_BLOCK_ELEMENTS = 1 << 16
+_SLICE_ELEMENTS = 1 << 16
 _SCORE_BLOCK_ELEMENTS = 1 << 17
 _SCORE_GROUPS = 8
-
-# The score-head and Adam loops hand each worker thread one contiguous range
-# of whole blocks; numpy releases the GIL inside its ufuncs and BLAS calls,
-# so the ranges run on separate cores. The pool starts on first use,
-# with one thread per usable core, and a loop with fewer than
-# ``min_per_worker`` blocks per worker runs inline on the calling thread.
-_WORKERS = len(os.sched_getaffinity(0))
-_MIN_BLOCKS_PER_WORKER = 4
-_pool: ThreadPoolExecutor | None = None
-
-
-def _run_blocks(n_blocks: int, work, min_per_worker: int = _MIN_BLOCKS_PER_WORKER) -> None:
-    """Call ``work(first, stop)`` on contiguous ranges covering ``range(n_blocks)``.
-
-    Each worker gets one range; the ranges depend on the worker count, so
-    ``work`` must give the same result however its blocks are grouped.
-    """
-    global _pool
-    workers = min(_WORKERS, n_blocks // min_per_worker)
-    if workers <= 1:
-        work(0, n_blocks)
-        return
-    if _pool is None:
-        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="kgedistill")
-    cuts = [n_blocks * i // workers for i in range(workers + 1)]
-    futures = [_pool.submit(work, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    wait(futures)
-    for future in futures:
-        future.result()
-
-
-# (get, set) thread-count calls of numpy's bundled OpenBLAS, looked up on
-# first use; empty when the library or its symbols are not found.
-_openblas_threads: tuple | None = None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore it.
-
-    Inside, each worker's BLAS calls run on the worker itself, so the
-    workers' products neither wait for nor spin up BLAS helper threads.
-    Where numpy's OpenBLAS is not found, the block runs unpinned.
-    """
-    global _openblas_threads
-    if _openblas_threads is None:
-        _openblas_threads = ()
-        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-        for lib in sorted(libs.glob("*openblas*")):
-            handle = ctypes.CDLL(str(lib))
-            get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
-            put = getattr(handle, "scipy_openblas_set_num_threads64_", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                put.argtypes, put.restype = (ctypes.c_int,), None
-                _openblas_threads = (get, put)
-                break
-    if not _openblas_threads:
-        yield
-        return
-    get, put = _openblas_threads
-    previous = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(previous)
 
 
 def bce_loss(logits: Tensor, targets: SparseTargets) -> Tensor:
@@ -193,7 +135,11 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     adds r E_blk into the query-side gradient and writes r^T z into the
     block's rows of an entities-shaped gradient buffer. So neither the
     logits nor the residual exist beyond one block, and backward only
-    scales both gradients by g / size, in place.
+    scales both gradients by g / size, in place. Where ``entities`` is a
+    leaf, backward scales its buffer and adds it into the leaf's ``grad``
+    in one pass over row slices of about ``_SLICE_ELEMENTS``, shared out
+    over the worker pool; each element is scaled and added on its own, so
+    the bits are those of scaling first and adding after.
 
     The blocks run on the worker pool with numpy's OpenBLAS held to one
     thread. The block partial sums are added in block order and the
@@ -286,7 +232,21 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
 
         return vjp
 
-    return custom_node(np.float64(value), (z, entities), (scaled("z"), scaled("entities")))
+    def add_entities(g, grad: np.ndarray) -> None:
+        d = take("entities")
+        step = max(1, _SLICE_ELEMENTS // max(dim, 1))
+
+        def rows(first: int, stop: int) -> None:
+            for start in range(first * step, min(stop * step, n_cols), step):
+                block = d[start : start + step]
+                block *= g
+                block /= size
+                grad[start : start + step] += block
+
+        _run_blocks(-(-n_cols // step), rows)
+
+    vjp_entities = _with_leaf_add(scaled("entities"), add_entities)
+    return custom_node(np.float64(value), (z, entities), (scaled("z"), vjp_entities))
 
 
 def _bce_block(u, out, e, scratch, off: float) -> tuple:
@@ -330,12 +290,16 @@ def _sigmoid(u: np.ndarray, e: np.ndarray, out: np.ndarray, scratch: np.ndarray)
 class Adam:
     """Bias-corrected Adam over named parameters (beta 0.9/0.999, eps 1e-8).
 
-    The update runs over slices of about ``_ADAM_BLOCK_ELEMENTS`` elements
-    with two small scratch buffers per worker, so each slice stays in cache
+    The update runs over slices of about ``_SLICE_ELEMENTS`` elements with
+    two small scratch buffers per worker, so each slice stays in cache
     through the whole update, and the slices of a parameter are shared out
-    over the module's worker pool (one thread per usable core). Every
-    operation is elementwise and in the order of the textbook formula, so
-    the result depends neither on the slicing nor on the number of workers.
+    over the worker pool (one thread per usable core). Every operation is
+    elementwise and in the order of the textbook formula, so the result
+    depends neither on the slicing nor on the number of workers.
+
+    Each gradient slice is zeroed right after the update has read it, so
+    a step leaves every gradient at zero, ready for the next ``backward``
+    to add into, without a separate zeroing pass.
     """
 
     beta1 = 0.9
@@ -348,24 +312,21 @@ class Adam:
         self.moment2 = {name: zeros(p.data.shape) for name, p in self.named_params}
         self.step_count = 0
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_params:
-            p.zero_grad()
-
     def step(self, lr: float) -> None:
         self.step_count += 1
         correction1 = 1.0 - self.beta1**self.step_count
         correction2 = 1.0 - self.beta2**self.step_count
         for name, p in self.named_params:
             flat = [_flat(a, name) for a in (p.data, p.grad, self.moment1[name], self.moment2[name])]
-            n_slices = -(-flat[0].size // _ADAM_BLOCK_ELEMENTS)
+            n_slices = -(-flat[0].size // _SLICE_ELEMENTS)
             _run_blocks(n_slices, partial(self._update, flat, lr, correction1, correction2))
 
     def _update(self, flat: list, lr: float, correction1: float, correction2: float,
                 first: int, stop: int) -> None:
         """Update slices ``first`` to ``stop`` of one parameter, whose flat
-        parameter, gradient and moment arrays are ``flat``."""
-        block = _ADAM_BLOCK_ELEMENTS
+        parameter, gradient and moment arrays are ``flat``, and zero those
+        slices of its gradient."""
+        block = _SLICE_ELEMENTS
         scratch = np.empty((2, min(block, flat[0].size)))
         for start in range(first * block, min(stop * block, flat[0].size), block):
             w, g, m, v = (a[start : start + block] for a in flat)
@@ -376,6 +337,7 @@ class Adam:
             # v = beta2 * v + (1 - beta2) * g^2
             v *= self.beta2
             np.multiply(g, g, out=t1)
+            g.fill(0.0)  # read for the last time
             v += np.multiply(1.0 - self.beta2, t1, out=t1)
             # w -= lr * (m / c1) / (sqrt(v / c2) + eps)
             np.divide(m, correction1, out=t1)
@@ -400,6 +362,10 @@ class Trainer:
     the full per-batch loop: BCE on smoothed 1-N targets, the softened KL
     term against the cached teacher vector when distillation is active, one
     Adam step, then a detached re-extraction that becomes the next teacher.
+    The whole loop runs with numpy's OpenBLAS held to one thread, so every
+    product of a step gives the same bits at any BLAS thread count, and no
+    BLAS helper thread competes with the worker pool; Adam leaves each
+    gradient zeroed for the next step's ``backward``.
     Random streams are ``stream(seed, label)`` for "shuffle", "dropout",
     "model-init" and "block-init"; checkpoints keep the first two's states.
     ``queries`` holds the distinct train queries as the CSR arrays of
@@ -461,33 +427,33 @@ class Trainer:
         batches = make_batches(self.store, cfg.batch_size, self.rng_shuffle, self.queries)
         first_batch = batches[0]
         bce_sum = kl_sum = loss_sum = 0.0
-        for index, batch in enumerate(batches):
-            self.adam.zero_grad()
-            targets = label_smooth(batch.targets(), cfg.label_smoothing)
-            bce = self.model.forward(
-                batch.heads, batch.relations, training=True, rng=self.rng_dropout,
-                targets=targets,
-            )
-            if use_isd and self.teacher.present:
-                student = extract(batch.heads, self.model.entity_embeddings, self.block)
-                kl = distill_loss(student, self.teacher.vector, dcfg.temperature)
-            else:
-                kl = Tensor(0.0)
-            loss = total_loss(bce, kl, beta)
-            if not np.isfinite(loss.data):
-                raise TrainingAbort(
-                    ep, index, f"non-finite loss at epoch {ep}, batch {index}"
+        with _one_blas_thread():
+            for index, batch in enumerate(batches):
+                targets = label_smooth(batch.targets(), cfg.label_smoothing)
+                bce = self.model.forward(
+                    batch.heads, batch.relations, training=True, rng=self.rng_dropout,
+                    targets=targets,
                 )
-            backward(loss)
-            self.adam.step(lr)
-            if use_isd:
-                heads = first_batch.heads if dcfg.static_input else batch.heads
-                with no_grad():
-                    refreshed = extract(heads, self.model.entity_embeddings, self.block)
-                self.teacher.refresh(refreshed.data)
-            bce_sum += float(bce.data)
-            kl_sum += float(kl.data)
-            loss_sum += float(loss.data)
+                if use_isd and self.teacher.present:
+                    student = extract(batch.heads, self.model.entity_embeddings, self.block)
+                    kl = distill_loss(student, self.teacher.vector, dcfg.temperature)
+                else:
+                    kl = Tensor(0.0)
+                loss = total_loss(bce, kl, beta)
+                if not np.isfinite(loss.data):
+                    raise TrainingAbort(
+                        ep, index, f"non-finite loss at epoch {ep}, batch {index}"
+                    )
+                backward(loss)
+                self.adam.step(lr)
+                if use_isd:
+                    heads = first_batch.heads if dcfg.static_input else batch.heads
+                    with no_grad():
+                        refreshed = extract(heads, self.model.entity_embeddings, self.block)
+                    self.teacher.refresh(refreshed.data)
+                bce_sum += float(bce.data)
+                kl_sum += float(kl.data)
+                loss_sum += float(loss.data)
 
         n = len(batches)
         record = {

@@ -51,7 +51,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def assert_gradients_match(fn, params, step: float = 1e-5, tol: float = 1e-5):
     """Backward pass vs. central differences for every listed parameter."""
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
     loss = fn()
     assert loss.data.size == 1
     backward(loss)

@@ -113,8 +113,9 @@ class TestBackward:
         backward(tensor_sum(x * x))
         backward(tensor_sum(x * x))
         np.testing.assert_array_equal(x.grad, [12.0])
-        x.zero_grad()
-        np.testing.assert_array_equal(x.grad, [0.0])
+        x.grad[...] = 0.0
+        backward(tensor_sum(x * x))
+        np.testing.assert_array_equal(x.grad, [6.0])
 
     def test_no_grad_suppresses_graph(self):
         x = Parameter([1.0, 2.0])

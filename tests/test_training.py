@@ -35,7 +35,7 @@ from kgedistill.data import (
     load_dataset,
 )
 from kgedistill.distill import SemanticBlock, distill_loss, extract, total_loss
-from kgedistill.errors import CheckpointError, ConfigError, ShapeError
+from kgedistill.errors import CheckpointError, ConfigError, ShapeError, TrainingAbort
 from kgedistill.evaluation import evaluate
 from kgedistill.models import EmbeddingModel
 from kgedistill.rng import stream
@@ -194,7 +194,7 @@ def adam_one_shot(p, g, m, v, lr, step):
 
 
 def test_blocked_adam_matches_one_shot_formula():
-    block = training._ADAM_BLOCK_ELEMENTS
+    block = training._SLICE_ELEMENTS
     shapes = [(7,), (2 * block + 3,), (130, 257), (block // 64, 64), (3, 1)]
     rng = np.random.default_rng(9)
     params = [(f"p{i}", Parameter(rng.normal(size=s))) for i, s in enumerate(shapes)]
@@ -210,6 +210,7 @@ def test_blocked_adam_matches_one_shot_formula():
             assert p.data.tobytes() == w.tobytes(), name
             assert adam.moment1[name].tobytes() == m.tobytes(), name
             assert adam.moment2[name].tobytes() == v.tobytes(), name
+            assert p.grad.tobytes() == bytes(p.grad.nbytes), name  # +0.0 everywhere
 
 
 def test_adam_rejects_non_contiguous_parameter():
@@ -284,27 +285,27 @@ def workers(monkeypatch):
     started = []
 
     def use(count: int) -> None:
-        if training._pool is not None:
-            started.append(training._pool)
-        monkeypatch.setattr(training, "_WORKERS", count)
-        monkeypatch.setattr(training, "_pool", None)
+        if autodiff._pool is not None:
+            started.append(autodiff._pool)
+        monkeypatch.setattr(autodiff, "_WORKERS", count)
+        monkeypatch.setattr(autodiff, "_pool", None)
 
-    monkeypatch.setattr(training, "_pool", None)
+    monkeypatch.setattr(autodiff, "_pool", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         yield use
     finally:
         sys.setswitchinterval(interval)
-        if training._pool is not None:
-            started.append(training._pool)
+        if autodiff._pool is not None:
+            started.append(autodiff._pool)
         for pool in started:
             pool.shutdown()
 
 
 @pytest.mark.parametrize("size", [64 * 12, 64 * 12 + 5])
 def test_adam_is_bit_identical_for_any_worker_count(monkeypatch, workers, size):
-    monkeypatch.setattr(training, "_ADAM_BLOCK_ELEMENTS", 64)
+    monkeypatch.setattr(training, "_SLICE_ELEMENTS", 64)
     rng = np.random.default_rng(23)
     init = [rng.normal(size=shape) for shape in ((size,), (size // 8, 8), (3, 1))]
     grads = [[rng.normal(size=w.shape) for w in init] for _ in range(3)]
@@ -321,7 +322,7 @@ def test_adam_is_bit_identical_for_any_worker_count(monkeypatch, workers, size):
             (p.data.tobytes(), adam.moment1[name].tobytes(), adam.moment2[name].tobytes())
             for name, p in params
         ]
-        assert (training._pool is None) == (count == 1)
+        assert (autodiff._pool is None) == (count == 1)
     assert runs[2] == runs[1]
     assert runs[3] == runs[1]
 
@@ -330,7 +331,7 @@ def test_import_and_memorization_training_start_no_thread(memorization_dataset_d
     script = (
         "import threading\n"
         "import kgedistill\n"
-        "from kgedistill import training\n"
+        "from kgedistill import autodiff, training\n"
         "from kgedistill.config import RunConfig\n"
         "from kgedistill.data import augment_reciprocal, load_dataset\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
@@ -340,7 +341,7 @@ def test_import_and_memorization_training_start_no_thread(memorization_dataset_d
         "for _ in range(3):\n"
         "    trainer.train_epoch()\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
-        "assert training._pool is None\n"
+        "assert autodiff._pool is None\n"
     )
     src = os.path.dirname(os.path.dirname(training.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -444,9 +445,9 @@ class TestScoreBce:
     def test_restores_the_blas_thread_count(self):
         z, table, targets = _score_case(np.random.default_rng(73))
         training.score_bce(Parameter(z), Parameter(table), targets)
-        if not training._openblas_threads:
+        if not autodiff._openblas_threads:
             pytest.skip("numpy's OpenBLAS thread calls are not available")
-        get, put = training._openblas_threads
+        get, put = autodiff._openblas_threads
         before = get()
         put(2)
         try:
@@ -460,16 +461,25 @@ class TestScoreBce:
 def test_score_bce_is_bit_identical_for_any_worker_count(monkeypatch, workers, n_cols):
     # 36-element blocks of 3 columns: 101 blocks (100 with a short last one
     # at 299 columns) in 8 groups, so every worker count splits the groups.
+    # The table gradient is added into one that is already there, over
+    # 10-element slices of 2 rows.
     monkeypatch.setattr(training, "_SCORE_BLOCK_ELEMENTS", 36)
+    monkeypatch.setattr(training, "_SLICE_ELEMENTS", 10)
     z, table, targets = _score_case(np.random.default_rng(79), n_cols=n_cols)
+    prior = np.random.default_rng(97).normal(size=table.shape)
     runs = {}
     for count in (1, 2, 3):
         workers(count)
-        value, dz, dtable = _fused_run(z, table, targets)
-        runs[count] = (value, dz.tobytes(), dtable.tobytes())
-        assert (training._pool is None) == (count == 1)
+        zp, tp = Parameter(z.copy()), Parameter(table.copy())
+        tp.grad[...] = prior
+        loss = training.score_bce(zp, tp, targets)
+        backward(loss * 0.75)
+        runs[count] = (float(loss.data), zp.grad.tobytes(), tp.grad.tobytes())
+        assert (autodiff._pool is None) == (count == 1)
     assert runs[2] == runs[1]
     assert runs[3] == runs[1]
+    _, _, fresh = _fused_run(z, table, targets)
+    assert runs[1][2] == (prior + fresh).tobytes()
 
 
 def test_training_step_builds_no_entity_wide_array(tmp_path, workers):
@@ -497,6 +507,81 @@ def test_training_step_builds_no_entity_wide_array(tmp_path, workers):
         tracemalloc.stop()
     assert np.isfinite(record["loss_bce"])
     assert peak < batch_size * n_entities * 8 / 4
+
+
+def _memorization_trainer(directory) -> Trainer:
+    store = augment_reciprocal(load_dataset(directory))
+    doc = {"model": {"d_e": 8}, "train": {"batch_size": 16, "epochs": 3, "seed": 3},
+           "isd": {"enabled": True, "beta_init": 0.5}}
+    return Trainer(store, RunConfig.from_dict(doc))
+
+
+def _all_gradients_zero(trainer: Trainer) -> bool:
+    return all(p.grad.tobytes() == bytes(p.grad.nbytes) for _, p in trainer.adam.named_params)
+
+
+def test_trainer_gradients_are_zero_after_an_epoch_and_an_abort(monkeypatch, memorization_dataset_dir):
+    trainer = _memorization_trainer(memorization_dataset_dir)
+    stepped = []
+    real_step = Adam.step
+
+    def record_step(self, lr):
+        stepped.append(any(p.grad.any() for _, p in self.named_params))
+        real_step(self, lr)
+
+    monkeypatch.setattr(Adam, "step", record_step)
+    trainer.train_epoch()
+    assert stepped and all(stepped)
+    assert _all_gradients_zero(trainer)
+
+    # The finiteness check runs before backward, so an abort adds nothing.
+    calls, real_total = [], training.total_loss
+
+    def non_finite_third(bce, kl, beta):
+        calls.append(beta)
+        return Tensor(np.nan) if len(calls) == 3 else real_total(bce, kl, beta)
+
+    monkeypatch.setattr(training, "total_loss", non_finite_third)
+    with pytest.raises(TrainingAbort):
+        trainer.train_epoch()
+    assert len(calls) == 3
+    assert _all_gradients_zero(trainer)
+
+
+def test_training_steps_run_on_one_blas_thread(monkeypatch, memorization_dataset_dir):
+    with autodiff._one_blas_thread():
+        pass
+    if not autodiff._openblas_threads:
+        pytest.skip("numpy's OpenBLAS thread calls are not available")
+    get, put = autodiff._openblas_threads
+    trainer = _memorization_trainer(memorization_dataset_dir)
+    seen, real_backward, real_step = [], training.backward, Adam.step
+
+    def record_backward(loss):
+        seen.append(get())
+        real_backward(loss)
+
+    def record_step(self, lr):
+        seen.append(get())
+        real_step(self, lr)
+
+    def failing_backward(loss):
+        raise RuntimeError("backward failed")
+
+    monkeypatch.setattr(training, "backward", record_backward)
+    monkeypatch.setattr(Adam, "step", record_step)
+    before = get()
+    put(2)
+    try:
+        trainer.train_epoch()
+        assert seen and set(seen) == {1}
+        assert get() == 2
+        monkeypatch.setattr(training, "backward", failing_backward)
+        with pytest.raises(RuntimeError, match="backward failed"):
+            trainer.train_epoch()
+        assert get() == 2
+    finally:
+        put(before)
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +678,26 @@ def test_rank_one_matmul_adds_into_a_leaf_holding_a_gradient(monkeypatch, outer_
     old = prior + (2.0 * row.data).T @ weights
     np.testing.assert_allclose(table.grad, old, rtol=4 * np.finfo(float).eps, atol=0.0)
     np.testing.assert_allclose(row.grad, 2.0 * (weights @ table.data.T), rtol=1e-15)
+
+
+def test_rank_one_matmul_update_is_bit_identical_for_any_worker_count(monkeypatch, workers):
+    # 12-element blocks of 2 rows: 21 blocks over 41 rows, added into a
+    # table that already holds a gradient.
+    monkeypatch.setattr(autodiff, "_OUTER_BLOCK_ELEMENTS", 12)
+    rng = np.random.default_rng(101)
+    row_init, table_init = rng.normal(size=(1, 41)), rng.normal(size=(41, 6))
+    prior, weights = rng.normal(size=(41, 6)), rng.normal(size=(1, 6))
+    runs = {}
+    for count in (1, 2, 3):
+        workers(count)
+        row, table = Parameter(row_init.copy()), Parameter(table_init.copy())
+        table.grad[...] = prior
+        backward(tensor_sum(mul(matmul(row, table), Tensor(weights))))
+        runs[count] = table.grad.tobytes()
+        assert (autodiff._pool is None) == (count == 1)
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+    assert runs[1] == (prior + np.multiply.outer(row_init[0], weights[0])).tobytes()
 
 
 def test_rank_one_matmul_into_an_interior_node_matches_finite_differences():
