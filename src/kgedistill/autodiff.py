@@ -146,9 +146,10 @@ def zeros(shape) -> np.ndarray:
 class Tensor:
     """A graph node holding a row-major float64 array.
 
-    Leaf tensors created with ``requires_grad=True`` (usually via
-    :class:`Parameter`) receive gradient accumulation during
-    :func:`backward`; interior nodes only carry transient gradients.
+    A tensor created with ``requires_grad=True`` (usually a
+    :class:`Parameter`) gets its zeroed ``grad`` buffer here, at
+    construction, and :func:`backward` accumulates into it; interior nodes
+    only carry transient gradients.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
@@ -165,10 +166,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def ndim(self) -> int:
         return self.data.ndim
 
@@ -179,32 +176,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, as_tensor(other))
 
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
     def __truediv__(self, other):
         return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
 
 class Parameter(Tensor):
@@ -295,10 +274,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
         ),
     )
-
-
-def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), (lambda g: -g,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -473,7 +448,9 @@ def custom_node(data: np.ndarray, parents, vjps) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
 
-    ``loss`` must be a scalar. Gradients add onto existing ``grad`` contents,
+    ``loss`` must be a scalar. Every leaf that needs a gradient was built
+    with ``requires_grad=True``, so its ``grad`` buffer exists already;
+    backward allocates none. Gradients add onto existing ``grad`` contents,
     so a caller that wants fresh ones zeroes them between steps (the
     trainer's Adam step zeroes each gradient after reading it). Each
     contribution to a leaf is added into its ``grad`` as soon as it is
@@ -487,7 +464,7 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss._parents:
         if loss.requires_grad:
-            _leaf_grad(loss)[...] += 1.0
+            loss.grad[...] += 1.0
         return
 
     # Iterative post-order DFS; recursion would overflow on long chains.
@@ -516,9 +493,9 @@ def backward(loss: Tensor) -> None:
             if not parent._parents:
                 add_into = getattr(vjp, "add_into", None)
                 if add_into is not None:
-                    add_into(g, _leaf_grad(parent))
+                    add_into(g, parent.grad)
                 else:
-                    _leaf_grad(parent)[...] += vjp(g)
+                    parent.grad[...] += vjp(g)
                 continue
             contribution = vjp(g)
             # Interior sums stay out of place: a VJP may hand the same array
@@ -528,10 +505,3 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + contribution
             else:
                 grads[key] = contribution
-
-
-def _leaf_grad(leaf: Tensor) -> np.ndarray:
-    """The ``grad`` buffer the leaf owns, allocated (zeroed) on first use."""
-    if leaf.grad is None:
-        leaf.grad = np.zeros(leaf.data.shape)
-    return leaf.grad

@@ -18,8 +18,6 @@ from .evaluation import evaluate
 from .models import count_parameters
 from .training import Trainer, load_checkpoint, model_from_checkpoint
 
-METRIC_KEYS = ("epoch", "loss_bce", "loss_kl", "loss_total", "beta", "lr")
-
 
 def _require(cfg_value: str, key: str) -> str:
     if not cfg_value:
@@ -28,13 +26,7 @@ def _require(cfg_value: str, key: str) -> str:
 
 
 def cmd_prepare(args) -> int:
-    if args.config:
-        dataset_dir = _require(load_run_config(args.config).dataset_dir, "dataset_dir")
-    elif args.dataset_dir:
-        dataset_dir = args.dataset_dir
-    else:
-        raise ConfigError("prepare needs --config or a dataset directory")
-    store = load_dataset(dataset_dir)
+    store = load_dataset(args.dataset_dir)
     augmented = augment_reciprocal(store)
     stats = store.stats()
     stats["augmented_relations"] = augmented.n_relations
@@ -60,24 +52,20 @@ def cmd_train(args) -> int:
     with open(metrics_path, "w", encoding="utf-8") as metrics_file:
         for epoch in range(cfg.train.epochs):
             record = trainer.train_epoch()
-            line = {key: record[key] for key in METRIC_KEYS}
             if (
                 filter_index is not None
                 and (epoch + 1) % cfg.train.eval_every == 0
                 and len(store.valid) > 0
             ):
                 report = evaluate(trainer.model, store, filter_index, split="valid")
-                line.update((f"valid_{k}", report[k]) for k in ("mrr", "h1", "h3", "h10"))
-                record.update({k: line[k] for k in line if k.startswith("valid_")})
-            metrics_file.write(json.dumps(line) + "\n")
+                record.update((f"valid_{k}", report[k]) for k in ("mrr", "h1", "h3", "h10"))
+            metrics_file.write(json.dumps(record) + "\n")
             metrics_file.flush()
     trainer.save(out_dir / "checkpoint")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    if args.split not in ("train", "valid", "test"):
-        raise ConfigError(f"unknown split {args.split!r}, expected train, valid or test")
     ckpt = load_checkpoint(args.checkpoint)
     store = augment_reciprocal(load_dataset(args.dataset_dir))
     ckpt.check_vocab(store)
@@ -89,14 +77,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    table = ckpt.tensors.get("model.entity_embeddings")
-    if table is None:
-        raise CheckpointError("checkpoint has no entity embedding table")
-    if len(ckpt.entities) != table.shape[0]:
-        raise CheckpointError(
-            f"checkpoint lists {len(ckpt.entities)} entities for a "
-            f"{table.shape[0]}-row embedding table"
-        )
+    table = model_from_checkpoint(ckpt).entity_embeddings.data
     with open(args.out, "w", encoding="utf-8") as fh:
         for name, row in zip(ckpt.entities, table):
             values = "\t".join(f"{v:.17g}" for v in row)
@@ -106,20 +87,12 @@ def cmd_export_embeddings(args) -> int:
 
 def cmd_count_params(args) -> int:
     cfg = load_run_config(args.config)
-    _require(cfg.dataset_dir, "dataset_dir")
-    store = load_dataset(cfg.dataset_dir)
-    n_relations = 2 * store.n_relations  # reciprocal augmentation
-    if cfg.isd.enabled:
-        total = count_parameters(
-            cfg.model,
-            store.n_entities,
-            n_relations,
-            isd_k_b=cfg.isd.k_b or cfg.model.d_e,
-            isd_batch_size=cfg.train.batch_size,
-        )
-    else:
-        total = count_parameters(cfg.model, store.n_entities, n_relations)
-    print(total)
+    store = augment_reciprocal(load_dataset(_require(cfg.dataset_dir, "dataset_dir")))
+    isd = cfg.isd.enabled
+    print(count_parameters(
+        cfg.model, store.n_entities, store.n_relations,
+        (cfg.isd.k_b or cfg.model.d_e) if isd else None, cfg.train.batch_size if isd else None,
+    ))
     return 0
 
 
@@ -131,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="load a dataset and report its statistics")
-    p.add_argument("dataset_dir", nargs="?", help="directory with train/valid/test.txt")
-    p.add_argument("--config", help="run config whose dataset_dir to use")
+    p.add_argument("dataset_dir", help="directory with train/valid/test.txt")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="run the full training pipeline")

@@ -29,36 +29,33 @@ RECIPROCAL_SUFFIX = "_reciprocal"
 
 @dataclass
 class Vocabulary:
-    """Dense, contiguous string-to-id maps for entities and relations."""
+    """Name-to-id maps for entities and relations, the whole record: ids run
+    0, 1, 2, ... in insertion order, so the names in id order are the keys."""
 
-    entities: list[str] = field(default_factory=list)
-    relations: list[str] = field(default_factory=list)
     entity_ids: dict[str, int] = field(default_factory=dict)
     relation_ids: dict[str, int] = field(default_factory=dict)
 
     @property
+    def entities(self) -> list[str]:
+        return list(self.entity_ids)
+
+    @property
+    def relations(self) -> list[str]:
+        return list(self.relation_ids)
+
+    @property
     def n_entities(self) -> int:
-        return len(self.entities)
+        return len(self.entity_ids)
 
     @property
     def n_relations(self) -> int:
-        return len(self.relations)
+        return len(self.relation_ids)
 
     def add_entity(self, name: str) -> int:
-        idx = self.entity_ids.get(name)
-        if idx is None:
-            idx = len(self.entities)
-            self.entity_ids[name] = idx
-            self.entities.append(name)
-        return idx
+        return self.entity_ids.setdefault(name, len(self.entity_ids))
 
     def add_relation(self, name: str) -> int:
-        idx = self.relation_ids.get(name)
-        if idx is None:
-            idx = len(self.relations)
-            self.relation_ids[name] = idx
-            self.relations.append(name)
-        return idx
+        return self.relation_ids.setdefault(name, len(self.relation_ids))
 
 
 @dataclass
@@ -90,7 +87,7 @@ class TripleStore:
 
     def split(self, name: str) -> np.ndarray:
         if name not in _SPLITS:
-            raise ValueError(f"unknown split {name!r}, expected one of {_SPLITS}")
+            raise ConfigError(f"unknown split {name!r}, expected one of {_SPLITS}")
         return getattr(self, name)
 
     def stats(self) -> dict:
@@ -189,14 +186,11 @@ def augment_reciprocal(store: TripleStore) -> TripleStore:
     if store.augmented:
         raise ValueError("store is already reciprocal-augmented")
     n_rel = store.vocab.n_relations
-    vocab = Vocabulary(
-        entities=list(store.vocab.entities),
-        relations=list(store.vocab.relations) + [r + RECIPROCAL_SUFFIX for r in store.vocab.relations],
-        entity_ids=dict(store.vocab.entity_ids),
-        relation_ids=dict(store.vocab.relation_ids),
-    )
-    for i, name in enumerate(store.vocab.relations):
-        vocab.relation_ids[name + RECIPROCAL_SUFFIX] = n_rel + i
+    vocab = Vocabulary(dict(store.vocab.entity_ids), dict(store.vocab.relation_ids))
+    for name in store.vocab.relations:
+        vocab.add_relation(name + RECIPROCAL_SUFFIX)
+    if vocab.n_relations != 2 * n_rel:
+        raise ConfigError(f"a relation is already named like an inverse (suffix {RECIPROCAL_SUFFIX!r})")
 
     def double(split: np.ndarray) -> np.ndarray:
         if len(split) == 0:
@@ -420,24 +414,19 @@ def group_queries(store: TripleStore) -> TrainQueries:
 
 
 def make_batches(
-    store: TripleStore,
-    batch_size: int,
-    rng: np.random.Generator,
-    queries: TrainQueries | None = None,
+    store: TripleStore, batch_size: int, rng: np.random.Generator, queries: TrainQueries
 ) -> list[Batch]:
-    """Shuffle distinct train queries and group them into full batches.
+    """Shuffle the distinct train queries and group them into full batches.
 
+    ``queries`` is :func:`group_queries` of ``store``, which
+    :class:`~kgedistill.training.Trainer` builds once and passes every epoch.
     The final partial batch is dropped: the distillation block's expanding
     projection has a fixed row count, so every batch must have exactly
-    ``batch_size`` rows. Pass ``queries`` (from :func:`group_queries`, as
-    :class:`~kgedistill.training.Trainer` does once) to avoid regrouping on
-    every epoch. The epoch's rows are gathered from its arrays in one go and
-    each batch is a slice of them.
+    ``batch_size`` rows. The epoch's rows are gathered from the query arrays
+    in one go and each batch is a slice of them.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if queries is None:
-        queries = group_queries(store)
     if batch_size > len(queries):
         raise ConfigError(
             f"batch_size {batch_size} exceeds the {len(queries)} distinct train queries"

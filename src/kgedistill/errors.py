@@ -18,9 +18,5 @@ class CheckpointError(RuntimeError):
 
 
 class TrainingAbort(RuntimeError):
-    """Training stopped because a loss became non-finite."""
-
-    def __init__(self, epoch: int, batch_index: int, message: str):
-        self.epoch = epoch
-        self.batch_index = batch_index
-        super().__init__(message)
+    """Training stopped because a loss became non-finite; the message names
+    the epoch and batch."""

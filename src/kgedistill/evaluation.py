@@ -88,7 +88,7 @@ def rank_split(
     Returns ``(head_ranks, tail_ranks)`` aligned with the split's
     original-direction triples (reciprocal copies are skipped). Each block
     of ``batch_size`` queries is scored in one forward pass and ranked as a
-    whole.
+    whole; its scores are dropped before the next block is scored.
     """
     if not store.augmented:
         raise ConfigError("ranking requires a reciprocal-augmented store")
@@ -107,6 +107,7 @@ def rank_split(
                 logits = model.forward(queries_h[block], queries_r[block]).data
             known = filter_index.batch_tails(queries_h[block], queries_r[block])
             ranks[block] = _rank_rows(logits, true_ids[block], *known)
+            del logits
         return ranks
 
     heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]

@@ -441,9 +441,7 @@ class Trainer:
                     kl = Tensor(0.0)
                 loss = total_loss(bce, kl, beta)
                 if not np.isfinite(loss.data):
-                    raise TrainingAbort(
-                        ep, index, f"non-finite loss at epoch {ep}, batch {index}"
-                    )
+                    raise TrainingAbort(f"non-finite loss at epoch {ep}, batch {index}")
                 backward(loss)
                 self.adam.step(lr)
                 if use_isd:

@@ -79,7 +79,7 @@ def test_evaluate_report_is_unchanged(tmp_path, memorization_dataset_dir, capsys
 
 def test_training_abort_maps_to_exit_3(monkeypatch, capsys):
     def abort(args):
-        raise TrainingAbort(0, 0, "non-finite loss at epoch 0, batch 0")
+        raise TrainingAbort("non-finite loss at epoch 0, batch 0")
 
     monkeypatch.setattr(cli, "cmd_train", abort)
     assert cli.main(["train", "--config", "unused.json"]) == 3
@@ -106,10 +106,12 @@ def test_malformed_manifests_exit_2(tmp_path, memorization_dataset_dir, capsys):
     checkpoint = tmp_path / "checkpoint"
     checkpoint.mkdir()
     for manifest, message in (
-        ([1, 2], "not a kgedistill-checkpoint manifest"),
-        ({"format": "kgedistill-checkpoint", "version": 1}, "manifest lacks adam_step"),
+        ("[1, 2]", "not a kgedistill-checkpoint manifest"),
+        ('{"format": "kgedistill-checkpoint", "version": 1}', "manifest lacks adam_step"),
+        ('{"format": "kgedistill-checkpoint", "version": 2}', "unsupported version 2"),
+        ("{not json", "corrupt manifest"),
     ):
-        (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+        (checkpoint / "manifest.json").write_text(manifest)
         capsys.readouterr()
         assert cli.main(["export-embeddings", str(checkpoint), str(tmp_path / "out.tsv")]) == 2
         assert message in capsys.readouterr().err
@@ -137,6 +139,85 @@ def test_checkpoint_missing_a_file_exits_2(tmp_path, memorization_dataset_dir, c
     store = augment_reciprocal(load_dataset(memorization_dataset_dir))
     Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}})).save(tmp_path / "checkpoint")
     (tmp_path / "checkpoint" / missing).unlink()
-    capsys.readouterr()
-    assert cli.main(["evaluate", str(tmp_path / "checkpoint"), str(memorization_dataset_dir)]) == 2
+    checkpoint = str(tmp_path / "checkpoint")
+    for argv in (["evaluate", checkpoint, str(memorization_dataset_dir)],
+                 ["export-embeddings", checkpoint, str(tmp_path / "out.tsv")]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def _write_config(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["distmult", "tucker"])
+@pytest.mark.parametrize("isd", [{}, {"enabled": True, "k_b": 3}], ids=["plain", "distill"])
+def test_count_params_matches_the_trainer(tmp_path, memorization_dataset_dir, capsys, kind, isd):
+    doc = {"dataset_dir": str(memorization_dataset_dir), "model": {"kind": kind, "d_e": 8},
+           "train": {"batch_size": 16}, "isd": isd}
+    assert cli.main(["count-params", "--config", _write_config(tmp_path / "c.json", doc)]) == 0
+    trainer = Trainer(augment_reciprocal(load_dataset(memorization_dataset_dir)), RunConfig.from_dict(doc))
+    assert int(capsys.readouterr().out) == sum(p.data.size for _, p in trainer.adam.named_params)
+
+
+@pytest.mark.parametrize(
+    "section, values, message",
+    [
+        ("model", {"d_e": 0}, "entity dimension must be >= 1"),
+        ("model", {"kind": "tucker", "d_r": 0}, "relation dimension must be >= 1"),
+        ("model", {"kind": "lowfer", "k_l": 0}, "lowfer factorization rank must be >= 1"),
+        ("model", {"dropout2": 1.0}, "dropout2 must lie in [0, 1)"),
+        ("isd", {"m_exponent": -400.0}, "temperature must be positive"),
+        ("isd", {"beta_init": 1.5}, "beta_init must lie in [0, 1]"),
+        ("isd", {"k_b": 0}, "k_b must be >= 1"),
+        ("train", {"batch_size": 0}, "batch_size must be >= 1"),
+        ("train", {"lr": 0.0}, "lr must be positive"),
+        ("train", {"lr_decay": 0.0}, "lr_decay must lie in (0, 1]"),
+        ("train", {"label_smoothing": 1.0}, "label_smoothing must lie in [0, 1)"),
+        ("train", {"epochs": 0}, "epochs must be >= 1"),
+        ("train", {"eval_every": -1}, "eval_every must be >= 0"),
+    ],
+)
+def test_invalid_config_values_exit_2(tmp_path, memorization_dataset_dir, capsys, section, values, message):
+    doc = {"dataset_dir": str(memorization_dataset_dir), section: values}
+    assert cli.main(["count-params", "--config", _write_config(tmp_path / "c.json", doc)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_unusable_run_configs_exit_2(tmp_path, memorization_dataset_dir, capsys):
+    (tmp_path / "broken.json").write_text('{"model": ')
+    assert cli.main(["count-params", "--config", str(tmp_path / "broken.json")]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+    no_output = _write_config(tmp_path / "c.json", {"dataset_dir": str(memorization_dataset_dir)})
+    assert cli.main(["train", "--config", no_output]) == 2
+    assert "config key output_dir is required" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_an_unknown_split(tmp_path, memorization_dataset_dir, capsys):
+    store = augment_reciprocal(load_dataset(memorization_dataset_dir))
+    Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}})).save(tmp_path / "checkpoint")
+    capsys.readouterr()
+    args = ["evaluate", str(tmp_path / "checkpoint"), str(memorization_dataset_dir), "--split", "bogus"]
+    assert cli.main(args) == 2
+    assert "unknown split 'bogus'" in capsys.readouterr().err
+
+
+def test_export_embeddings_rejects_an_entity_list_one_name_short(tmp_path, memorization_dataset_dir, capsys):
+    store = augment_reciprocal(load_dataset(memorization_dataset_dir))
+    Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}})).save(tmp_path / "checkpoint")
+    names = tmp_path / "checkpoint" / "entities.txt"
+    names.write_text("".join(names.read_text().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    assert cli.main(["export-embeddings", str(tmp_path / "checkpoint"), str(tmp_path / "out.tsv")]) == 2
+    assert "tensor model.entity_embeddings has shape" in capsys.readouterr().err
+
+
+def test_prepare_takes_no_config_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prepare", "--config", str(tmp_path / "c.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kgedistill") and "unrecognized arguments: --config" in err

@@ -139,21 +139,21 @@ class TestMakeBatches:
 
     def test_partial_batch_dropped(self, tmp_path):
         store = make_store(tmp_path, [(f"h{i}", "r", f"t{i}") for i in range(5)])
-        batches = make_batches(store, 2, stream(0, "shuffle"))
+        batches = make_batches(store, 2, stream(0, "shuffle"), group_queries(store))
         assert len(batches) == 2
         assert all(len(b) == 2 for b in batches)
 
     def test_same_seed_same_order(self, tmp_path):
         store = self._store(tmp_path)
-        a = make_batches(store, 4, stream(3, "shuffle"))
-        b = make_batches(store, 4, stream(3, "shuffle"))
+        a = make_batches(store, 4, stream(3, "shuffle"), group_queries(store))
+        b = make_batches(store, 4, stream(3, "shuffle"), group_queries(store))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.heads, y.heads)
             np.testing.assert_array_equal(x.relations, y.relations)
 
     def test_target_row_marks_training_tails(self, tmp_path):
         store = make_store(tmp_path, [("a", "r", "b"), ("a", "r", "c"), ("d", "r", "b")])
-        batches = make_batches(store, 2, stream(1, "shuffle"))
+        batches = make_batches(store, 2, stream(1, "shuffle"), group_queries(store))
         batch = batches[0]
         y = batch.targets().dense()
         for i in range(len(batch)):
@@ -166,11 +166,16 @@ class TestMakeBatches:
     def test_oversized_batch_rejected(self, tmp_path):
         store = make_store(tmp_path, [("a", "r", "b")])
         with pytest.raises(ConfigError):
-            make_batches(store, 2, stream(0, "shuffle"))
+            make_batches(store, 2, stream(0, "shuffle"), group_queries(store))
+
+    def test_zero_batch_size_rejected(self, tmp_path):
+        store = self._store(tmp_path)
+        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+            make_batches(store, 0, stream(0, "shuffle"), group_queries(store))
 
     def test_all_rows_have_a_positive(self, tmp_path):
         store = self._store(tmp_path)
-        for batch in make_batches(store, 4, stream(5, "shuffle")):
+        for batch in make_batches(store, 4, stream(5, "shuffle"), group_queries(store)):
             assert (batch.targets().dense().sum(axis=1) >= 1).all()
 
 
@@ -207,6 +212,20 @@ class TestLabelSmooth:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             label_smooth(SparseTargets([0], [0], (1, 2)), 1.0)
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [([0, 1], [0, 1, 1]), ([[0, 1]], [[0, 1]])], ids=["lengths", "not-1d"]
+)
+def test_sparse_targets_reject_misshaped_ids(rows, cols):
+    with pytest.raises(ValueError, match="row ids .* vs column ids"):
+        SparseTargets(rows, cols, (2, 2))
+
+
+def test_relation_named_like_an_inverse_rejected(tmp_path):
+    store = make_store(tmp_path, [("a", "r", "b"), ("b", "r_reciprocal", "a")])
+    with pytest.raises(ConfigError, match="already named like an inverse"):
+        augment_reciprocal(store)
 
 
 def dict_loop_queries(store) -> list:
@@ -273,8 +292,8 @@ def test_grouped_queries_hold_a_few_bytes_per_train_row():
          rng.integers(0, n_entities, n_rows)], axis=1,
     )
     vocab = Vocabulary(
-        entities=[f"e{i}" for i in range(n_entities)],
-        relations=[f"r{i}" for i in range(n_relations)],
+        entity_ids={f"e{i}": i for i in range(n_entities)},
+        relation_ids={f"r{i}": i for i in range(n_relations)},
     )
     empty = np.empty((0, 3), dtype=np.int64)
     store = augment_reciprocal(TripleStore(vocab, triples, empty, empty, n_relations))

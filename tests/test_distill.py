@@ -6,7 +6,7 @@ import pytest
 from conftest import assert_gradients_match, synthetic_triples, write_dataset
 
 from kgedistill.autodiff import Parameter, Tensor, backward, tensor_sum
-from kgedistill.data import augment_reciprocal, load_dataset, make_batches
+from kgedistill.data import augment_reciprocal, group_queries, load_dataset, make_batches
 from kgedistill.distill import (
     SemanticBlock,
     TeacherCache,
@@ -25,7 +25,7 @@ def _toy_setup(tmp_path, bs=2, d=4, k_b=3, seed=5):
     store = augment_reciprocal(load_dataset(tmp_path / "kg"))
     entities = Parameter(stream(seed, "e").normal(0, 0.5, (store.n_entities, d)))
     block = SemanticBlock(d, store.n_entities, bs, k_b, stream(seed, "b"))
-    batch = make_batches(store, bs, stream(seed, "s"))[0]
+    batch = make_batches(store, bs, stream(seed, "s"), group_queries(store))[0]
     return store, entities, block, batch
 
 
@@ -211,6 +211,10 @@ class TestBetaSchedule:
             beta_at_epoch(11, 10, 1.0)
         with pytest.raises(ValueError):
             beta_at_epoch(-1, 10, 1.0)
+
+    def test_empty_schedule(self):
+        with pytest.raises(ValueError, match="total_epochs must be >= 1"):
+            beta_at_epoch(0, 0, 1.0)
 
 
 class TestTotalLoss:

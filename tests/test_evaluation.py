@@ -1,5 +1,6 @@
 """Filtered ranking: tie handling, filtering, and MRR/Hits@k by hand."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from kgedistill.config import ModelConfig
 from kgedistill.data import TripleStore, Vocabulary, augment_reciprocal, build_filter_index
+from kgedistill.errors import ConfigError
 from kgedistill.evaluation import evaluate, filtered_rank, rank_split
 from kgedistill.models import EmbeddingModel
 from kgedistill.rng import stream
@@ -155,3 +157,44 @@ def test_evaluate_by_hand():
     assert report["head"] == pytest.approx({"mrr": (1 + 1 / 2) / 2, "h1": 0.5, "h3": 1.0, "h10": 1.0})
     assert report["mrr"] == pytest.approx(17 / 24)
     assert (report["h1"], report["h3"], report["h10"]) == (0.5, 1.0, 1.0)
+
+
+def _random_store(n_ent: int, n_rel: int, n_train: int, n_test: int, augment: bool = True):
+    rng = np.random.default_rng(0)
+
+    def triples(n):
+        return np.stack(
+            [rng.integers(0, n_ent, n), rng.integers(0, n_rel, n), rng.integers(0, n_ent, n)], axis=1
+        )
+
+    vocab = Vocabulary({f"e{i}": i for i in range(n_ent)}, {f"r{i}": i for i in range(n_rel)})
+    store = TripleStore(vocab, triples(n_train), _triples(), triples(n_test), n_rel)
+    return augment_reciprocal(store) if augment else store
+
+
+@pytest.mark.parametrize("kind", ["distmult", "complex", "tucker", "lowfer"])
+def test_rank_split_holds_one_block_of_scores_at_a_time(kind):
+    """Three blocks per direction at d_e 4, so the scores dominate every
+    other allocation; holding the previous block while the next is scored
+    would double the peak."""
+    n_ent, batch_size = 8_000, 256
+    store = _random_store(n_ent, 4, 2_000, 3 * batch_size)
+    index = build_filter_index(store)
+    model = EmbeddingModel(ModelConfig(kind=kind, d_e=4), store.n_entities, store.n_relations, stream(0))
+    tracemalloc.start()
+    try:
+        rank_split(model, store, index, "test", batch_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * batch_size * n_ent * 8, peak
+
+
+def test_rank_split_rejects_an_unaugmented_store_and_an_empty_split():
+    store = _random_store(6, 2, 10, 4)
+    model = EmbeddingModel(ModelConfig(d_e=2), store.n_entities, store.n_relations, stream(0))
+    index = build_filter_index(store)
+    with pytest.raises(ConfigError, match="reciprocal-augmented"):
+        rank_split(model, _random_store(6, 2, 10, 4, augment=False), index)
+    with pytest.raises(ValueError, match="no triples to rank"):
+        rank_split(model, store, index, "valid")

@@ -138,7 +138,7 @@ class TestPrimitiveGradients:
             lambda: tensor_sum(a - b),
             lambda: tensor_sum(a * b),
             lambda: tensor_sum(a / c),
-            lambda: tensor_sum(-a * 2.0 + 1.0),
+            lambda: tensor_sum(a * -2.0 + 1.0),
             lambda: mean(a * a),
             lambda: tensor_sum(mean(a, axis=0) * b),
         ]
@@ -234,6 +234,10 @@ class TestDropout:
             dropout(Tensor([1.0]), 1.0, stream(0), training=True)
         with pytest.raises(ValueError):
             dropout(Tensor([1.0]), -0.1, stream(0), training=True)
+
+    def test_training_mode_needs_an_rng(self):
+        with pytest.raises(ValueError, match="needs an rng stream"):
+            dropout(Tensor([1.0]), 0.5, None, training=True)
 
     def test_gradient_with_frozen_mask(self):
         x = Parameter(np.linspace(-1, 1, 12))

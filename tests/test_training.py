@@ -1,5 +1,6 @@
-"""BCE loss, Adam, leaf gradient accumulation, and bit-exact resume."""
+"""BCE loss, Adam, leaf gradient accumulation, bit-exact resume, golden trajectories."""
 
+import hashlib
 import json
 import os
 import struct
@@ -548,6 +549,17 @@ def test_trainer_gradients_are_zero_after_an_epoch_and_an_abort(monkeypatch, mem
     assert _all_gradients_zero(trainer)
 
 
+def test_trainer_needs_an_augmented_store_and_stops_at_its_schedule(memorization_dataset_dir):
+    doc = {"model": {"d_e": 4}, "train": {"batch_size": 16, "epochs": 1}}
+    store = load_dataset(memorization_dataset_dir)
+    with pytest.raises(ConfigError, match="reciprocal-augmented"):
+        Trainer(store, RunConfig.from_dict(doc))
+    trainer = Trainer(augment_reciprocal(store), RunConfig.from_dict(doc))
+    trainer.train_epoch()
+    with pytest.raises(ValueError, match="outside the configured schedule of 1"):
+        trainer.train_epoch()
+
+
 def test_training_steps_run_on_one_blas_thread(monkeypatch, memorization_dataset_dir):
     with autodiff._one_blas_thread():
         pass
@@ -1025,3 +1037,51 @@ def test_tensor_file_is_written_without_a_copy(tmp_path):
         tracemalloc.stop()
     assert peak < value.nbytes // 16, peak
     assert (tmp_path / "t.bin").read_bytes() == _header(1, value.size) + value.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Golden trajectories
+# ---------------------------------------------------------------------------
+
+# SHA-256 over every checkpointed array (sorted by name) and the metrics
+# history after 3 epochs on the memorization graph, per model kind and
+# distillation arm. A refactor must leave these unchanged; a deliberate
+# trajectory change records new literals and says so in CHANGES.md. Like
+# GOLDEN_REPORT, the literals hold for the BLAS build they were recorded on.
+GOLDEN_ARMS = {
+    "off": {},
+    "beta-0.5": {"enabled": True, "beta_init": 0.5},
+    "static": {"enabled": True, "static_input": True},
+}
+GOLDEN_TRAJECTORIES = {
+    ("distmult", "off"): "7bcf19c6bdd9d9061b141e75f064db0c8b271cdc38eeb4db449063c2dfca86e1",
+    ("distmult", "beta-0.5"): "d656bf30e97f032a4e49d94be865aa85ca37b22360e1dda5f08fd846f9985036",
+    ("distmult", "static"): "44049d1ee846bb962b3aea0ef98acda5d546695513e369bc96303b401adcc031",
+    ("complex", "off"): "7c4917e0041da833fea992d1c2ff349da9f298ec0948cec3f25a628180cbe039",
+    ("complex", "beta-0.5"): "01035d4842167e3437951bda391350306ee7fa0ee085e0a286f5316dcc52d3d6",
+    ("complex", "static"): "450c12fee33a982c397326231804b70ecbff2dd956adca9cc22a6623207f70e8",
+    ("tucker", "off"): "8a48ed1c56a9084155e914a04f100d37a33cfe8a980cd0faa91a2b70e468272d",
+    ("tucker", "beta-0.5"): "f2b019a111617fb1fd005351a21235b9fd62aa6cd59920783c6de39302173ab1",
+    ("tucker", "static"): "726c9d289dc1b50ef179438e122936ab18f899a2c582926acf3e06ed0d71ca9b",
+    ("lowfer", "off"): "33db4266bbdefb8493fb5210e1ecfe85ddca6b93b30873d51f33135f1ad8d629",
+    ("lowfer", "beta-0.5"): "99729eb7b2e7eeade8679d93bcf779745414e3f9b7737f9d3a37bfc2c58b7c8d",
+    ("lowfer", "static"): "6ff77a050688da85606f7ca3f32aad5279d3cf5111aee328947a0093d5179384",
+}
+
+
+def test_fixed_seed_trajectories_are_unchanged(tmp_path):
+    store = _store(tmp_path)
+    got = {}
+    for kind, arm in GOLDEN_TRAJECTORIES:
+        doc = {"model": {"kind": kind, "d_e": 8}, "train": {"batch_size": 16, "epochs": 3, "seed": 2},
+               "isd": GOLDEN_ARMS[arm]}
+        trainer = Trainer(store, RunConfig.from_dict(doc))
+        for _ in range(3):
+            trainer.train_epoch()
+        digest = hashlib.sha256()
+        for name, arr in sorted(trainer._named_tensors().items()):
+            digest.update(name.encode())
+            digest.update(arr.tobytes())
+        digest.update(json.dumps(trainer.metrics_history).encode())
+        got[kind, arm] = digest.hexdigest()
+    assert got == GOLDEN_TRAJECTORIES
