@@ -358,17 +358,16 @@ def reshape(a: Tensor, shape) -> Tensor:
 # Reductions
 # ---------------------------------------------------------------------------
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a: Tensor, axis=None) -> Tensor:
     def vjp(g):
         if axis is None:
             return np.broadcast_to(g, a.data.shape)
-        g_expanded = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(g_expanded, a.data.shape)
+        return np.broadcast_to(np.expand_dims(g, axis), a.data.shape)
 
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), (vjp,))
+    return _node(a.data.sum(axis=axis), (a,), (vjp,))
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a: Tensor, axis=None) -> Tensor:
     if axis is None:
         count = a.data.size
     else:
@@ -377,10 +376,9 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is None:
             return np.broadcast_to(g / count, a.data.shape)
-        g_expanded = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(g_expanded / count, a.data.shape)
+        return np.broadcast_to(np.expand_dims(g, axis) / count, a.data.shape)
 
-    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), (vjp,))
+    return _node(a.data.mean(axis=axis), (a,), (vjp,))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ Each field's annotation is the type its key accepts and its default is the
 value an omitted key takes. Unknown keys are rejected (typos in
 hyperparameter names must not silently fall back to defaults), and an
 optional field is left unset by omitting its key, never by ``null``.
+
+A config is checked once, when it is built, and is frozen: an invalid one
+cannot exist, so nothing that receives a config checks it again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ MODEL_KINDS = ("distmult", "complex", "tucker", "lowfer")
 _BATCHNORM_DEFAULT = {"distmult": False, "complex": False, "tucker": True, "lowfer": True}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Scoring-model shape: dimensions, dropout rates, batchnorm."""
 
@@ -47,7 +50,7 @@ class ModelConfig:
             return _BATCHNORM_DEFAULT[self.kind]
         return self.batchnorm
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
         if self.d_e < 1:
@@ -67,10 +70,9 @@ class ModelConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {rate}")
-        return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistillConfig:
     """Self-distillation settings: temperature 10^m, mixing schedule, ablation."""
 
@@ -84,17 +86,16 @@ class DistillConfig:
     def temperature(self) -> float:
         return 10.0 ** self.m_exponent
 
-    def validate(self) -> "DistillConfig":
+    def __post_init__(self):
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.beta_init <= 1.0:
             raise ConfigError(f"beta_init must lie in [0, 1], got {self.beta_init}")
         if self.k_b is not None and self.k_b < 1:
             raise ConfigError(f"k_b must be >= 1, got {self.k_b}")
-        return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimization schedule and loop bookkeeping."""
 
@@ -106,7 +107,7 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 0  # 0 disables periodic validation
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
@@ -119,10 +120,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
-        return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs: data location, model, schedule, distillation."""
 
@@ -131,12 +131,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     isd: DistillConfig = field(default_factory=DistillConfig)
-
-    def validate(self) -> "RunConfig":
-        self.model.validate()
-        self.train.validate()
-        self.isd.validate()
-        return self
 
     def to_dict(self) -> dict:
         """Default-filled echo of the config, as stored in checkpoints.
@@ -150,7 +144,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Parse and validate a run-config document (see the module docstring)."""
-        return _from_dict(cls, doc, "").validate()
+        return _from_dict(cls, doc, "")
 
 
 # ---------------------------------------------------------------------------

@@ -193,8 +193,6 @@ def augment_reciprocal(store: TripleStore) -> TripleStore:
         raise ConfigError(f"a relation is already named like an inverse (suffix {RECIPROCAL_SUFFIX!r})")
 
     def double(split: np.ndarray) -> np.ndarray:
-        if len(split) == 0:
-            return split.copy()
         inverse = split[:, [2, 1, 0]].copy()
         inverse[:, 1] += n_rel
         return np.concatenate([split, inverse], axis=0)

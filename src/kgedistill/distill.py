@@ -37,7 +37,6 @@ class SemanticBlock:
 
     def __init__(self, embed_dim: int, n_entities: int, batch_size: int, k_b: int,
                  rng: np.random.Generator):
-        self.batch_size = batch_size
         self.w_central = Parameter(rng.normal(0.0, 0.02, (embed_dim, k_b)))
         self.w_features = Parameter(rng.normal(0.0, 0.02, (embed_dim, k_b)))
         self.w_expand = Parameter(rng.normal(0.0, 0.02, (batch_size, n_entities)))
@@ -56,8 +55,8 @@ class TeacherCache:
     Empty until the first iteration completes; never part of any gradient.
     """
 
-    def __init__(self, vector: np.ndarray | None = None):
-        self.vector = None if vector is None else np.asarray(vector, dtype=np.float64)
+    def __init__(self):
+        self.vector = None
 
     @property
     def present(self) -> bool:
@@ -83,7 +82,7 @@ def extract(heads: np.ndarray, entities: Tensor, block: SemanticBlock) -> Tensor
     both triple directions, so the per-iteration inputs sweep the graph.
     """
     heads = np.asarray(heads, dtype=np.int64)
-    bs = block.batch_size
+    bs = block.w_expand.shape[0]
     if len(heads) != bs:
         raise ShapeError(f"block is bound to batch size {bs}, got {len(heads)} rows")
     x = gather_rows(entities, heads)

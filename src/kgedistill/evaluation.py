@@ -95,7 +95,7 @@ def rank_split(
     triples = store.split(split)
     triples = triples[triples[:, 1] < store.base_relation_count]
     if len(triples) == 0:
-        raise ValueError(f"split {split!r} has no triples to rank")
+        raise ConfigError(f"split {split!r} has no triples to rank")
 
     n_rel = store.base_relation_count
 

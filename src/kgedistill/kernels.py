@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, as_tensor, custom_node
+from .autodiff import Parameter, Tensor, as_tensor, custom_node, mean, sqrt
 from .errors import ShapeError
 
 
@@ -53,7 +53,6 @@ class BatchNorm:
     eps = 1e-5
 
     def __init__(self, dim: int):
-        self.dim = dim
         self.scale = Parameter(np.ones(dim))
         self.shift = Parameter(np.zeros(dim))
         self.running_mean = np.zeros(dim)
@@ -61,18 +60,16 @@ class BatchNorm:
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         x = as_tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ShapeError(f"batchnorm expects (batch, {self.dim}), got {x.shape}")
+        if x.ndim != 2 or x.shape[1:] != self.scale.shape:
+            raise ShapeError(f"batchnorm expects (batch, {self.scale.shape[0]}), got {x.shape}")
         if training:
-            from .autodiff import mean as t_mean, sqrt as t_sqrt
-
-            mu = t_mean(x, axis=0)
+            mu = mean(x, axis=0)
             centered = x - mu
-            var = t_mean(centered * centered, axis=0)
+            var = mean(centered * centered, axis=0)
             m = self.momentum
             self.running_mean = (1.0 - m) * self.running_mean + m * mu.data
             self.running_var = (1.0 - m) * self.running_var + m * var.data
-            normalized = centered / t_sqrt(var + self.eps)
+            normalized = centered / sqrt(var + self.eps)
         else:
             denom = np.sqrt(self.running_var + self.eps)
             normalized = (x - self.running_mean) / denom

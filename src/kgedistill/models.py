@@ -129,10 +129,7 @@ class EmbeddingModel:
 
     def __init__(self, config: ModelConfig, n_entities: int, n_relations: int,
                  rng: np.random.Generator):
-        config.validate()
         self.config = config
-        self.n_entities = n_entities
-        self.n_relations = n_relations
         d_e, d_r = config.d_e, config.rel_dim
 
         self.entity_embeddings = Parameter(rng.normal(0.0, 0.05, (n_entities, d_e)))

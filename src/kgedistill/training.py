@@ -376,10 +376,8 @@ class Trainer:
     def __init__(self, store: TripleStore, run_config: RunConfig):
         if not store.augmented:
             raise ConfigError("trainer requires a reciprocal-augmented store")
-        run_config.validate()
         self.store = store
         self.run_config = run_config
-        self.epoch = 0
         self.metrics_history: list[dict] = []
 
         seed = run_config.train.seed
@@ -402,6 +400,11 @@ class Trainer:
         self.teacher = TeacherCache()
         self.queries = group_queries(store)
         self.adam = Adam(self._named_parameters())
+
+    @property
+    def epoch(self) -> int:
+        """The next epoch to run: one record per epoch run so far."""
+        return len(self.metrics_history)
 
     def _named_parameters(self) -> list:
         named = [(f"model.{n}", p) for n, p in self.model.named_parameters()]
@@ -462,7 +465,6 @@ class Trainer:
             "lr": lr,
             "loss_total": loss_sum / n,
         }
-        self.epoch += 1
         self.metrics_history.append(record)
         return record
 
@@ -485,9 +487,9 @@ class Trainer:
     def save(self, directory: str | Path) -> None:
         """Write a resumable checkpoint directory. It holds:
 
-        - ``manifest.json``: format, version, run config, epoch, Adam step
-          count, the states of the shuffle and dropout streams, and the
-          metrics history;
+        - ``manifest.json``: format, version, run config, Adam step count,
+          the states of the shuffle and dropout streams, and the metrics
+          history, whose length is the epoch count;
         - ``<name>.bin`` for each array of :meth:`_named_tensors`, which
           alone says which tensors there are and whether a teacher is saved;
         - ``entities.txt`` and ``relations.txt``: the vocabulary names in id
@@ -520,7 +522,6 @@ class Trainer:
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "config": self.run_config.to_dict(),
-            "epoch": self.epoch,
             "adam_step": self.adam.step_count,
             "rng": {
                 "shuffle": self.rng_shuffle.bit_generator.state,
@@ -546,7 +547,6 @@ class Trainer:
         trainer = cls(store, ckpt.config)
         _load_tensors(trainer._named_tensors(), ckpt.tensors)
         trainer.adam.step_count = ckpt.manifest["adam_step"]
-        trainer.epoch = ckpt.manifest["epoch"]
         trainer.metrics_history = list(ckpt.manifest["metrics_history"])
         trainer.rng_shuffle.bit_generator.state = ckpt.manifest["rng"]["shuffle"]
         trainer.rng_dropout.bit_generator.state = ckpt.manifest["rng"]["dropout"]
@@ -564,7 +564,7 @@ CHECKPOINT_VERSION = 1
 _TENSOR_MAGIC = b"KGE1"
 _MAX_RANK = 8
 # The manifest keys read by loading a checkpoint, resuming from it or building its model.
-_MANIFEST_KEYS = ("adam_step", "config", "epoch", "metrics_history", "rng")
+_MANIFEST_KEYS = ("adam_step", "config", "metrics_history", "rng")
 
 
 @dataclass
@@ -674,11 +674,11 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     ]
     if missing:
         raise CheckpointError(f"{manifest_path}: manifest lacks {', '.join(missing)}")
-    for key in ("adam_step", "epoch"):
-        if type(manifest[key]) is not int or manifest[key] < 0:
-            raise CheckpointError(
-                f"{manifest_path}: {key} must be a non-negative integer, got {manifest[key]!r}"
-            )
+    adam_step = manifest["adam_step"]
+    if type(adam_step) is not int or adam_step < 0:
+        raise CheckpointError(
+            f"{manifest_path}: adam_step must be a non-negative integer, got {adam_step!r}"
+        )
     if not isinstance(manifest["metrics_history"], list):
         raise CheckpointError(f"{manifest_path}: metrics_history must be a list")
     for key in ("shuffle", "dropout"):

@@ -120,7 +120,7 @@ def test_malformed_manifests_exit_2(tmp_path, memorization_dataset_dir, capsys):
     store = augment_reciprocal(load_dataset(memorization_dataset_dir))
     Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}})).save(checkpoint)
     saved = json.loads((checkpoint / "manifest.json").read_text())
-    for key, value in (("epoch", "0"), ("adam_step", False), ("metrics_history", None)):
+    for key, value in (("adam_step", False), ("metrics_history", None)):
         (checkpoint / "manifest.json").write_text(json.dumps({**saved, key: value}))
         capsys.readouterr()
         assert cli.main(["evaluate", str(checkpoint), str(memorization_dataset_dir)]) == 2
@@ -203,6 +203,19 @@ def test_evaluate_rejects_an_unknown_split(tmp_path, memorization_dataset_dir, c
     args = ["evaluate", str(tmp_path / "checkpoint"), str(memorization_dataset_dir), "--split", "bogus"]
     assert cli.main(args) == 2
     assert "unknown split 'bogus'" in capsys.readouterr().err
+
+
+def test_evaluating_an_empty_split_exits_2(tmp_path, memorization_dataset_dir, capsys):
+    (memorization_dataset_dir / "valid.txt").write_text("")
+    config = _write_config(tmp_path / "c.json", {
+        "dataset_dir": str(memorization_dataset_dir), "output_dir": str(tmp_path / "run"),
+        "model": {"d_e": 4}, "train": {"batch_size": 16, "epochs": 1},
+    })
+    assert cli.main(["train", "--config", config]) == 0
+    capsys.readouterr()
+    args = ["evaluate", str(tmp_path / "run" / "checkpoint"), str(memorization_dataset_dir), "--split", "valid"]
+    assert cli.main(args) == 2
+    assert "split 'valid' has no triples to rank" in capsys.readouterr().err
 
 
 def test_export_embeddings_rejects_an_entity_list_one_name_short(tmp_path, memorization_dataset_dir, capsys):

@@ -1,6 +1,7 @@
 """Run-config schema: strict parsing and the checkpoint round trip."""
 
 import json
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,14 @@ def test_to_dict_omits_unset_optional_keys():
     assert "d_r" not in doc["model"] and "batchnorm" not in doc["model"]
     assert "k_b" not in doc["isd"]
     assert doc["train"]["lr"] == 0.001
+
+
+def test_configs_cannot_change_once_built():
+    config = RunConfig.from_dict({})
+    for section in (config, config.model, config.train, config.isd):
+        for f in fields(section):
+            with pytest.raises(FrozenInstanceError):
+                setattr(section, f.name, getattr(section, f.name))
 
 
 def test_unknown_key_rejected():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name that it never uses, and no
-top-level definition or method in the package goes unnamed by all the code."""
+"""Source hygiene: no module imports a name that it never uses, the package
+imports at module level only, and no top-level definition or method in the
+package goes unnamed by all the code."""
 
 import ast
 from pathlib import Path
@@ -140,3 +141,35 @@ def test_the_orphan_scan_covers_methods_and_properties_but_not_dunders():
 def test_no_orphaned_definitions(path):
     others = [p.read_text(encoding="utf-8") for p in CODE if p != path]
     assert orphaned_definitions(path.read_text(encoding="utf-8"), others) == []
+
+
+# ``training`` imports ``models``, so ``models.forward`` imports the fused
+# score head when it runs; a module-level import would be a cycle.
+NESTED_IMPORTS_ALLOWED = {"models.py": ["forward: from .training import score_bce"]}
+
+
+def nested_imports(source: str) -> list[str]:
+    """``function: statement`` for each import inside a function, under the
+    innermost function that makes it."""
+    owner = {}
+    for fn in ast.walk(ast.parse(source)):  # breadth first: outer functions come first
+        if isinstance(fn, FUNCTIONS):
+            imports = (n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom)))
+            owner.update((node, fn.name) for node in imports)
+    return sorted(f"{name}: {ast.unparse(node)}" for node, name in owner.items())
+
+
+def test_the_nested_import_scan_names_the_innermost_function():
+    source = (
+        "import os\n"
+        "def outer():\n    import json\n    def inner():\n        from .x import y as z\n"
+        "class C:\n    def method(self):\n        import os.path\n"
+    )
+    assert nested_imports(source) == [
+        "inner: from .x import y as z", "method: import os.path", "outer: import json",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == NESTED_IMPORTS_ALLOWED.get(path.name, [])

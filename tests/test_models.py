@@ -253,10 +253,6 @@ class TestCountParameters:
         config = ModelConfig(kind="distmult", d_e=100, batchnorm=False)
         assert count_parameters(config, 40943, 22) == (40943 + 22) * 100
 
-    def test_zero_dimension_counts_zero(self):
-        config = ModelConfig(kind="distmult", d_e=0, batchnorm=False)
-        assert count_parameters(config, 40943, 22) == 0
-
     def test_tucker_core_adds_product(self):
         base = ModelConfig(kind="distmult", d_e=100, d_r=100, batchnorm=False)
         tucker = ModelConfig(kind="tucker", d_e=100, d_r=30, batchnorm=False)
@@ -289,15 +285,15 @@ class TestCountParameters:
 class TestModelConfigValidation:
     def test_complex_needs_even_dimension(self):
         with pytest.raises(ConfigError):
-            ModelConfig(kind="complex", d_e=5).validate()
+            ModelConfig(kind="complex", d_e=5)
 
     def test_distmult_needs_matching_dims(self):
         with pytest.raises(ConfigError):
-            ModelConfig(kind="distmult", d_e=4, d_r=3).validate()
+            ModelConfig(kind="distmult", d_e=4, d_r=3)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            ModelConfig(kind="transe").validate()
+            ModelConfig(kind="transe")
 
     def test_batchnorm_defaults_per_kind(self):
         assert not ModelConfig(kind="distmult").use_batchnorm

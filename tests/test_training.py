@@ -883,8 +883,8 @@ def test_failed_save_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
 
 
 def test_manifest_in_the_earlier_format_loads_evaluates_and_resumes(tmp_path):
-    """Manifests once also held seed, teacher_present, tensors, n_entities,
-    n_relations and base_relations; the reader ignores those keys."""
+    """Manifests once also held epoch, seed, teacher_present, tensors,
+    n_entities, n_relations and base_relations; the reader ignores those keys."""
     store = _store(tmp_path)
     doc = {"model": {"kind": "distmult", "d_e": 8}, "train": {"batch_size": 16, "epochs": 6, "seed": 5},
            "isd": {"enabled": True, "beta_init": 0.5}}
@@ -899,10 +899,10 @@ def test_manifest_in_the_earlier_format_loads_evaluates_and_resumes(tmp_path):
     path = tmp_path / "ckpt" / "manifest.json"
     manifest = json.loads(path.read_text())
     assert sorted(manifest) == [
-        "adam_step", "config", "epoch", "format", "metrics_history", "rng", "version",
+        "adam_step", "config", "format", "metrics_history", "rng", "version",
     ]
     manifest.update(
-        seed=5, teacher_present=True, tensors=sorted(first._named_tensors()),
+        epoch=3, seed=5, teacher_present=True, tensors=sorted(first._named_tensors()),
         n_entities=store.n_entities, n_relations=store.n_relations,
         base_relations=store.base_relation_count,
     )
@@ -920,6 +920,21 @@ def test_manifest_in_the_earlier_format_loads_evaluates_and_resumes(tmp_path):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_resumed_epoch_is_the_length_of_the_history(tmp_path):
+    """A manifest's own epoch count, as earlier manifests held, is not read."""
+    store = _store(tmp_path)
+    doc = {"model": {"d_e": 4}, "train": {"batch_size": 16, "epochs": 4}, "isd": {"enabled": True}}
+    trainer = Trainer(store, RunConfig.from_dict(doc))
+    for _ in range(2):
+        trainer.train_epoch()
+    trainer.save(tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "epoch": 0}))
+    resumed = Trainer.resume(tmp_path / "ckpt", store)
+    assert resumed.epoch == len(resumed.metrics_history) == 2
+    assert resumed.train_epoch() == trainer.train_epoch()
 
 
 @pytest.mark.parametrize(
@@ -952,11 +967,10 @@ def _drop_rng_dropout(manifest):
     "edit, message",
     [
         (_drop_rng_dropout, "lacks rng.dropout"),
-        (lambda m: m.update(epoch="0"), "epoch must be a non-negative integer, got '0'"),
         (lambda m: m.update(adam_step=-1), "adam_step must be a non-negative integer"),
         (lambda m: m.update(metrics_history={}), "metrics_history must be a list"),
     ],
-    ids=["no-rng-stream", "string-epoch", "negative-adam-step", "dict-history"],
+    ids=["no-rng-stream", "negative-adam-step", "dict-history"],
 )
 def test_malformed_manifest_rejected(tmp_path, edit, message):
     store = _store(tmp_path)
@@ -980,7 +994,7 @@ def test_save_replaces_an_earlier_checkpoint(tmp_path):
     trainer.save(tmp_path / "ckpt")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "memo"]
     assert not (tmp_path / "ckpt" / "stale.bin").exists()
-    assert load_checkpoint(tmp_path / "ckpt").manifest["epoch"] == 1
+    assert len(load_checkpoint(tmp_path / "ckpt").manifest["metrics_history"]) == 1
 
 
 # ---------------------------------------------------------------------------
