@@ -17,7 +17,7 @@ Which results depend on the BLAS thread count:
 - A training step (:meth:`kgedistill.training.Trainer.train_epoch`) runs
   every product with numpy's OpenBLAS held to one thread
   (:func:`_one_blas_thread`), and the fused score head
-  (:func:`kgedistill.training.score_bce`) holds it there for direct callers
+  (:func:`kgedistill.models.score_bce`) holds it there for direct callers
   too. So a training trajectory depends on the BLAS build but not on the
   thread count. Where that library's thread calls are not found, both run
   unpinned and depend on the thread count like a direct product.
@@ -66,7 +66,7 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-# Blocked loops here and in the training layer hand each worker thread one
+# Blocked loops here, in the score head and in Adam hand each worker thread one
 # contiguous range of whole blocks; numpy releases the GIL inside its ufuncs
 # and BLAS calls, so the ranges run on separate cores. The pool starts on
 # first use, with one thread per usable core, and a loop with fewer than

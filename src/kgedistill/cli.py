@@ -1,7 +1,8 @@
 """Command-line surface: prepare, train, evaluate, export, count parameters.
 
-Exit codes: 0 success, 2 configuration or input-schema problem, 3 numeric
-abort (non-finite loss), 1 anything else.
+Exit codes: 0 success, 2 configuration, input-schema or checkpoint problem
+(a NaN or infinite checkpoint tensor among them), 3 numeric abort
+(non-finite loss), 1 anything else.
 """
 
 from __future__ import annotations

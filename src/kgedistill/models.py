@@ -4,8 +4,8 @@ All four models share one pipeline: look up embeddings, regularize the head
 embedding (batchnorm, input dropout), form a model-specific interaction
 vector, regularize it (hidden dropout, batchnorm, output dropout), and
 contract with the full entity table to produce one logit per entity. In
-training the contraction is fused with the BCE loss, so the logits are
-never built whole.
+training the contraction is fused with the 1-N BCE loss (:func:`score_bce`),
+so the logits are never built whole.
 """
 
 from __future__ import annotations
@@ -15,8 +15,13 @@ import numpy as np
 from .autodiff import (
     Parameter,
     Tensor,
+    _one_blas_thread,
+    _run_blocks,
+    _with_leaf_add,
     bmm,
+    custom_node,
     gather_rows,
+    grad_enabled,
     halves,
     hcat,
     matmul,
@@ -28,17 +33,16 @@ from .autodiff import (
     transpose,
 )
 from .config import ModelConfig
+from .data import SparseTargets
 from .errors import ShapeError
 from .kernels import BatchNorm, dropout
 
 __all__ = [
     "EmbeddingModel",
     "ModelConfig",
+    "bce_loss",
     "count_parameters",
-    "score_complex",
-    "score_distmult",
-    "score_lowfer",
-    "score_tucker",
+    "score_bce",
 ]
 
 
@@ -88,35 +92,236 @@ def lowfer_interaction(
 
 
 # ---------------------------------------------------------------------------
-# Bare score functions (no dropout/batchnorm), usable standalone
+# The 1-N BCE score head
 # ---------------------------------------------------------------------------
 
-def score_distmult(h_emb: Tensor, r_emb: Tensor, entities: Tensor) -> Tensor:
-    """u[i, t] = sum_j h[i, j] r[i, j] E[t, j]."""
-    return matmul(distmult_interaction(h_emb, r_emb), transpose(entities))
+# Row blocks of the BCE kernel span about _BLOCK_ELEMENTS elements, so their
+# scratch buffers stay in the L2 cache; they also fix the order in which its
+# partial sums are added. The score head's add into the entity table's
+# gradient and the Adam update in ``training`` run over slices of
+# _SLICE_ELEMENTS: any slicing gives the same bits, and larger slices mean
+# fewer ufunc calls per step.
+# The fused score head works on blocks of entity columns spanning about
+# _SCORE_BLOCK_ELEMENTS scores (256 columns at a batch of 512), big enough
+# for its three products to run at GEMM speed, and sums its query-side
+# gradient over _SCORE_GROUPS fixed groups of those blocks.
+_BLOCK_ELEMENTS = 1 << 14
+_SLICE_ELEMENTS = 1 << 16
+_SCORE_BLOCK_ELEMENTS = 1 << 17
+_SCORE_GROUPS = 8
 
 
-def score_complex(h_emb: Tensor, r_emb: Tensor, entities: Tensor) -> Tensor:
-    """u[i, t] = Re(sum_j h_j r_j conj(t_j)) over split-half complex rows."""
-    return matmul(complex_interaction(h_emb, r_emb), transpose(entities))
+def bce_loss(logits: Tensor, targets: SparseTargets) -> Tensor:
+    """Multi-label binary cross entropy over all entities, from logits.
+
+    ``targets`` is :class:`~kgedistill.data.SparseTargets` shaped like the
+    logits (as returned by ``Batch.targets`` and mapped by ``label_smooth``),
+    whose entries are ``on`` at the positives and ``off`` everywhere else.
+
+    The value is mean(softplus(u) - y * u) with softplus(u) computed as
+    max(u, 0) + log1p(exp(-|u|)), which never exponentiates a positive
+    logit. sum(y * u) is off * sum(u) plus (on - off) times the sum over
+    the positives, so no dense target matrix is built. One serial pass over
+    row blocks (:func:`_bce_block`) adds the partial sums in block order and
+    stores the residual sigmoid(u) - y; the gradient is g * residual / size.
+    Training takes the same loss through :func:`score_bce`, which never
+    builds the logits; this form is the reference for callers holding them.
+    """
+    _check_targets("bce_loss", targets, logits.shape)
+    u = logits.data
+    residual = np.empty_like(u)
+    step = max(1, _BLOCK_ELEMENTS // max(u.shape[1], 1))
+    scratch = np.empty((2, min(step, len(u)), u.shape[1]))
+    softplus_sum = u_sum = 0.0
+    for start in range(0, len(u), step):
+        ub = u[start : start + step]
+        e, s = scratch[0, : len(ub)], scratch[1, : len(ub)]
+        log1p_sum, max_sum, block_u_sum = _bce_block(
+            ub, residual[start : start + step], e, s, targets.off
+        )
+        softplus_sum += log1p_sum
+        softplus_sum += max_sum
+        u_sum += block_u_sum
+    u_pos = u[targets.rows, targets.cols]
+    yu_sum = targets.off * u_sum + (targets.on - targets.off) * float(u_pos.sum())
+    residual[targets.rows, targets.cols] = _positive_residual(u_pos, targets.on)
+    value = (softplus_sum - yu_sum) / u.size if u.size else float("nan")
+    return custom_node(np.float64(value), (logits,), (lambda g: g * residual / u.size,))
 
 
-def score_tucker(h_emb: Tensor, r_emb: Tensor, core: Tensor, entities: Tensor) -> Tensor:
-    """u[i, t] = sum_{a,b,c} W[a, b, c] h[i, a] r[i, b] E[t, c]."""
-    return matmul(tucker_interaction(h_emb, r_emb, core), transpose(entities))
+def _check_targets(name: str, targets: SparseTargets, shape: tuple) -> None:
+    """Raise unless ``targets`` are sparse, shaped ``shape`` and within [0, 1]."""
+    if not isinstance(targets, SparseTargets):
+        raise TypeError(f"{name} takes SparseTargets, got {type(targets).__name__}")
+    if targets.shape != tuple(shape):
+        raise ShapeError(f"{name}: scores {tuple(shape)} vs targets {targets.shape}")
+    if min(targets.on, targets.off) < 0.0 or max(targets.on, targets.off) > 1.0:
+        raise ValueError(f"{name} targets must lie in [0, 1]")
 
 
-def score_lowfer(
-    h_emb: Tensor,
-    r_emb: Tensor,
-    u_factor: Tensor,
-    v_factor: Tensor,
-    k_l: int,
-    entities: Tensor,
-) -> Tensor:
-    return matmul(
-        lowfer_interaction(h_emb, r_emb, u_factor, v_factor, k_l), transpose(entities)
-    )
+def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
+    """``bce_loss(matmul(z, transpose(entities)), targets)`` without the logits.
+
+    ``z`` holds one query vector per row and ``entities`` one entity per
+    row; ``targets`` is :class:`~kgedistill.data.SparseTargets` shaped
+    (queries, entities). The entity columns are taken in blocks of about
+    ``_SCORE_BLOCK_ELEMENTS`` scores. For each block the forward pass
+    computes the scores u = z E_blk^T, the block's BCE partial sums and
+    residual r = sigmoid(u) - y with the kernel :func:`bce_loss` uses (the
+    positives found by ``searchsorted`` over the targets sorted by column),
+    adds r E_blk into the query-side gradient and writes r^T z into the
+    block's rows of an entities-shaped gradient buffer. So neither the
+    logits nor the residual exist beyond one block, and backward only
+    scales both gradients by g / size, in place. Where ``entities`` is a
+    leaf, backward scales its buffer and adds it into the leaf's ``grad``
+    in one pass over row slices of about ``_SLICE_ELEMENTS``, shared out
+    over the worker pool; each element is scaled and added on its own, so
+    the bits are those of scaling first and adding after.
+
+    The blocks run on the worker pool with numpy's OpenBLAS held to one
+    thread. The block partial sums are added in block order and the
+    query-side gradient is summed within each of ``_SCORE_GROUPS`` fixed
+    groups of blocks, then over the groups in order, so nothing depends on
+    the number of workers. The results differ from the unfused chain's by
+    a few ulp: the sums run in another order, and the gradients are scaled
+    after the products rather than before.
+    """
+    if z.ndim != 2 or entities.ndim != 2 or z.shape[1] != entities.shape[1]:
+        raise ShapeError(f"score_bce: incompatible shapes {z.shape} x {entities.shape}")
+    n_rows, n_cols, dim = z.shape[0], entities.shape[0], z.shape[1]
+    _check_targets("score_bce", targets, (n_rows, n_cols))
+    on, off = targets.on, targets.off
+
+    zd, ed = np.ascontiguousarray(z.data), np.ascontiguousarray(entities.data)
+    want_dz = grad_enabled() and z.requires_grad
+    want_de = grad_enabled() and entities.requires_grad
+    cols = max(1, _SCORE_BLOCK_ELEMENTS // max(n_rows, 1))
+    n_blocks = -(-n_cols // cols)
+    per_group = -(-n_blocks // _SCORE_GROUPS)
+    n_groups = -(-n_blocks // per_group) if n_blocks else 0
+    # Positives sorted by column; block i holds entries bounds[i]:bounds[i + 1].
+    by_col = np.lexsort((targets.rows, targets.cols))
+    pos_rows, pos_cols = targets.rows[by_col], targets.cols[by_col]
+    bounds = np.searchsorted(pos_cols, np.arange(n_blocks + 1) * cols)
+    # Per block: sum of log1p(exp(-|u|)), sum of max(u, 0), sum of u, and
+    # the sum of u over the positives.
+    partials = np.empty((n_blocks, 4))
+    dz_groups = np.zeros((n_groups, n_rows, dim)) if want_dz else None
+    d_entities = np.empty_like(ed) if want_de else None
+
+    def group_blocks(first: int, stop: int) -> None:
+        width = min(cols, n_cols)
+        scratch = np.empty((3, n_rows * width))
+        product = np.empty((n_rows, dim)) if want_dz else None
+        for group in range(first, stop):
+            for i in range(group * per_group, min((group + 1) * per_group, n_blocks)):
+                lo, hi = i * cols, min((i + 1) * cols, n_cols)
+                u, e, s = (buf[: n_rows * (hi - lo)].reshape(n_rows, hi - lo) for buf in scratch)
+                e_blk = ed[lo:hi]
+                np.matmul(zd, e_blk.T, out=u)
+                rows = pos_rows[bounds[i] : bounds[i + 1]]
+                at = pos_cols[bounds[i] : bounds[i + 1]] - lo
+                u_pos = u[rows, at]
+                partials[i, :3] = _bce_block(u, u, e, s, off)
+                partials[i, 3] = u_pos.sum()
+                u[rows, at] = _positive_residual(u_pos, on)  # u now holds r
+                if want_dz:
+                    if i == group * per_group:
+                        np.matmul(u, e_blk, out=dz_groups[group])
+                    else:
+                        dz_groups[group] += np.matmul(u, e_blk, out=product)
+                if want_de:
+                    np.matmul(u.T, zd, out=d_entities[lo:hi])
+
+    with _one_blas_thread():
+        _run_blocks(n_groups, group_blocks, min_per_worker=1)
+    softplus_sum = u_sum = pos_sum = 0.0
+    for log1p_sum, max_sum, block_u_sum, block_pos_sum in partials.tolist():
+        softplus_sum += log1p_sum
+        softplus_sum += max_sum
+        u_sum += block_u_sum
+        pos_sum += block_pos_sum
+    size = n_rows * n_cols
+    yu_sum = off * u_sum + (on - off) * pos_sum
+    value = (softplus_sum - yu_sum) / size if size else float("nan")
+
+    dz = None
+    if want_dz:
+        dz = dz_groups[0] if n_groups else np.zeros((n_rows, dim))
+        for group in range(1, n_groups):
+            dz += dz_groups[group]
+    # Each backward pass calls a VJP once; handing a gradient on drops this
+    # node's reference to it, so the entities-shaped buffer lives no longer
+    # than the backward pass that consumes it.
+    pending = {"z": dz, "entities": d_entities}
+
+    def take(name: str) -> np.ndarray:
+        if pending.get(name) is None:
+            raise RuntimeError("score_bce gradient was already taken; rebuild the loss")
+        return pending.pop(name)
+
+    def scaled(name: str):
+        def vjp(g):
+            out = take(name)
+            out *= g
+            out /= size
+            return out
+
+        return vjp
+
+    def add_entities(g, grad: np.ndarray) -> None:
+        d = take("entities")
+        step = max(1, _SLICE_ELEMENTS // max(dim, 1))
+
+        def rows(first: int, stop: int) -> None:
+            for start in range(first * step, min(stop * step, n_cols), step):
+                block = d[start : start + step]
+                block *= g
+                block /= size
+                grad[start : start + step] += block
+
+        _run_blocks(-(-n_cols // step), rows)
+
+    vjp_entities = _with_leaf_add(scaled("entities"), add_entities)
+    return custom_node(np.float64(value), (z, entities), (scaled("z"), vjp_entities))
+
+
+def _bce_block(u, out, e, scratch, off: float) -> tuple:
+    """BCE partial sums over one block of logits ``u`` whose targets are all
+    ``off``; leaves the residual sigmoid(u) - off in ``out``, which may be
+    ``u`` itself. The caller corrects the positives.
+
+    Returns sum(log1p(exp(-|u|))), sum(max(u, 0)) and sum(u). ``e`` and
+    ``scratch`` are buffers shaped like ``u``.
+    """
+    np.abs(u, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    log1p_sum = np.log1p(e, out=scratch).sum()
+    max_sum = np.maximum(u, 0.0, out=scratch).sum()
+    u_sum = u.sum()
+    _sigmoid(u, e, out, scratch)
+    out -= off
+    return log1p_sum, max_sum, u_sum
+
+
+def _positive_residual(u: np.ndarray, on: float) -> np.ndarray:
+    """sigmoid(u) - on for the logits of the positives, by the block formula."""
+    e = np.exp(-np.abs(u))
+    return _sigmoid(u, e, np.empty_like(u), np.empty_like(u)) - on
+
+
+def _sigmoid(u: np.ndarray, e: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """exp(min(u, 0)) / (1 + e) with ``e = exp(-|u|)``: the logistic function
+    without overflow and with full relative precision in both tails.
+
+    exp(min(u, 0)) is e where u <= 0 and 1 where u > 0; since e <= 1 it is
+    max(e, u > 0), which needs no second exponential. ``out`` may be ``u``.
+    """
+    np.greater(u, 0.0, out=out, casting="unsafe")
+    np.maximum(e, out, out=out)
+    np.divide(out, np.add(e, 1.0, out=scratch), out=out)
+    return out
 
 
 class EmbeddingModel:
@@ -194,7 +399,7 @@ class EmbeddingModel:
 
         Given ``targets`` (:class:`~kgedistill.data.SparseTargets` over the
         same rows and entities), returns instead their mean BCE, taken by
-        :func:`~kgedistill.training.score_bce` without building the logits.
+        :func:`score_bce` without building the logits.
         """
         cfg = self.config
         h = gather_rows(self.entity_embeddings, heads)
@@ -209,8 +414,6 @@ class EmbeddingModel:
         z = dropout(z, cfg.dropout3, rng, training)
         if targets is None:
             return matmul(z, transpose(self.entity_embeddings))
-        from .training import score_bce  # training imports this module
-
         return score_bce(z, self.entity_embeddings, targets)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_malformed_manifests_exit_2(tmp_path, memorization_dataset_dir, capsys):
     checkpoint.mkdir()
     for manifest, message in (
         ("[1, 2]", "not a kgedistill-checkpoint manifest"),
-        ('{"format": "kgedistill-checkpoint", "version": 1}', "manifest lacks adam_step"),
+        ('{"format": "kgedistill-checkpoint", "version": 1}', "manifest lacks config"),
         ('{"format": "kgedistill-checkpoint", "version": 2}', "unsupported version 2"),
         ("{not json", "corrupt manifest"),
     ):
@@ -120,11 +121,25 @@ def test_malformed_manifests_exit_2(tmp_path, memorization_dataset_dir, capsys):
     store = augment_reciprocal(load_dataset(memorization_dataset_dir))
     Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}})).save(checkpoint)
     saved = json.loads((checkpoint / "manifest.json").read_text())
-    for key, value in (("adam_step", False), ("metrics_history", None)):
-        (checkpoint / "manifest.json").write_text(json.dumps({**saved, key: value}))
-        capsys.readouterr()
-        assert cli.main(["evaluate", str(checkpoint), str(memorization_dataset_dir)]) == 2
-        assert f"{key} must be" in capsys.readouterr().err
+    (checkpoint / "manifest.json").write_text(json.dumps({**saved, "metrics_history": None}))
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(checkpoint), str(memorization_dataset_dir)]) == 2
+    assert "metrics_history must be" in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_tensor_exits_2(tmp_path, memorization_dataset_dir, capsys):
+    """Ranking would score a NaN entity table as perfect (MRR 2.0)."""
+    store = augment_reciprocal(load_dataset(memorization_dataset_dir))
+    trainer = Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}, "train": {"batch_size": 16}}))
+    trainer.train_epoch()
+    trainer.save(tmp_path / "checkpoint")
+    path = tmp_path / "checkpoint" / "model.entity_embeddings.bin"
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = struct.pack("<d", np.nan)  # the table's last entry
+    path.write_bytes(raw)
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(tmp_path / "checkpoint"), str(memorization_dataset_dir)]) == 2
+    assert f"{path}: holds a NaN or infinite value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

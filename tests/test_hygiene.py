@@ -3,6 +3,7 @@ imports at module level only, and no top-level definition or method in the
 package goes unnamed by all the code."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,12 @@ def named_in(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
+@functools.cache
+def names_in_source(source: str) -> frozenset[str]:
+    """:func:`named_in` over all of ``source``, parsed once per test session."""
+    return frozenset(named_in(ast.parse(source)))
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -87,7 +94,7 @@ def orphaned_definitions(module: str, others: list[str]) -> list[str]:
     properties of its top-level classes other than dunders, that nothing
     names: not ``others``, and not ``module`` outside the definition itself."""
     tree = ast.parse(module)
-    named = set().union(*(named_in(ast.parse(source)) for source in others))
+    named = set().union(*map(names_in_source, others))
     definitions = [node for node in tree.body if isinstance(node, (*FUNCTIONS, ast.ClassDef))]
     definitions += [
         node
@@ -143,11 +150,6 @@ def test_no_orphaned_definitions(path):
     assert orphaned_definitions(path.read_text(encoding="utf-8"), others) == []
 
 
-# ``training`` imports ``models``, so ``models.forward`` imports the fused
-# score head when it runs; a module-level import would be a cycle.
-NESTED_IMPORTS_ALLOWED = {"models.py": ["forward: from .training import score_bce"]}
-
-
 def nested_imports(source: str) -> list[str]:
     """``function: statement`` for each import inside a function, under the
     innermost function that makes it."""
@@ -172,4 +174,4 @@ def test_the_nested_import_scan_names_the_innermost_function():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_imports_are_at_module_level(path):
-    assert nested_imports(path.read_text(encoding="utf-8")) == NESTED_IMPORTS_ALLOWED.get(path.name, [])
+    assert nested_imports(path.read_text(encoding="utf-8")) == []

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from conftest import assert_gradients_match
 
-from kgedistill.autodiff import Parameter, Tensor, tensor_sum
+from kgedistill.autodiff import Parameter, Tensor, matmul, tensor_sum, transpose
 from kgedistill.config import ModelConfig
 from kgedistill.errors import ConfigError, ShapeError
 from kgedistill.models import (
     EmbeddingModel,
+    complex_interaction,
     count_parameters,
-    score_complex,
-    score_distmult,
-    score_lowfer,
-    score_tucker,
+    distmult_interaction,
+    lowfer_interaction,
+    tucker_interaction,
 )
 from kgedistill.rng import stream
 
@@ -21,12 +21,13 @@ from kgedistill.rng import stream
 class TestDistmult:
     def test_zero_embeddings_give_zero_logits(self):
         z = Tensor(np.zeros((2, 3)))
-        out = score_distmult(z, z, Tensor(np.ones((5, 3))))
+        out = matmul(distmult_interaction(z, z), transpose(Tensor(np.ones((5, 3)))))
         np.testing.assert_array_equal(out.data, np.zeros((2, 5)))
 
     def test_hand_value(self):
-        out = score_distmult(
-            Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]), Tensor([[5.0, 6.0]])
+        out = matmul(
+            distmult_interaction(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])),
+            transpose(Tensor([[5.0, 6.0]])),
         )
         assert out.data[0, 0] == 63.0
 
@@ -35,17 +36,17 @@ class TestDistmult:
         # symmetry holds bit-for-bit regardless of product association.
         rng = np.random.default_rng(0)
         for _ in range(20):
-            h, r, t = (rng.integers(-9, 10, 4).astype(float) for _ in range(3))
-            a = score_distmult(Tensor([h]), Tensor([r]), Tensor([t])).data[0, 0]
-            b = score_distmult(Tensor([t]), Tensor([r]), Tensor([h])).data[0, 0]
+            h, r, t = (Tensor([rng.integers(-9, 10, 4).astype(float)]) for _ in range(3))
+            a = matmul(distmult_interaction(h, r), transpose(t)).data[0, 0]
+            b = matmul(distmult_interaction(t, r), transpose(h)).data[0, 0]
             assert a == b
 
     def test_head_tail_symmetry_on_continuous_inputs(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            h, r, t = (rng.normal(0, 1, 4) for _ in range(3))
-            a = score_distmult(Tensor([h]), Tensor([r]), Tensor([t])).data[0, 0]
-            b = score_distmult(Tensor([t]), Tensor([r]), Tensor([h])).data[0, 0]
+            h, r, t = (Tensor([rng.normal(0, 1, 4)]) for _ in range(3))
+            a = matmul(distmult_interaction(h, r), transpose(t)).data[0, 0]
+            b = matmul(distmult_interaction(t, r), transpose(h)).data[0, 0]
             np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
@@ -55,42 +56,45 @@ class TestComplex:
         h_re, r_re = rng.normal(0, 1, (2, 3)), rng.normal(0, 1, (2, 3))
         e_re = rng.normal(0, 1, (5, 3))
         zeros2, zeros5 = np.zeros((2, 3)), np.zeros((5, 3))
-        full = score_complex(
-            Tensor(np.hstack([h_re, zeros2])),
-            Tensor(np.hstack([r_re, zeros2])),
-            Tensor(np.hstack([e_re, zeros5])),
+        h, r = Tensor(np.hstack([h_re, zeros2])), Tensor(np.hstack([r_re, zeros2]))
+        full = matmul(complex_interaction(h, r), transpose(Tensor(np.hstack([e_re, zeros5])))).data
+        real_only = matmul(
+            distmult_interaction(Tensor(h_re), Tensor(r_re)), transpose(Tensor(e_re))
         ).data
-        real_only = score_distmult(Tensor(h_re), Tensor(r_re), Tensor(e_re)).data
         assert np.abs(full - real_only).max() <= 1e-12
 
     def test_one_unit_hand_value(self):
         # h = 1, r = i, t = i -> Re(1 * i * conj(i)) = 1
-        out = score_complex(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]), Tensor([[0.0, 1.0]]))
+        out = matmul(
+            complex_interaction(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]])),
+            transpose(Tensor([[0.0, 1.0]])),
+        )
         assert out.data[0, 0] == 1.0
 
     def test_pure_imaginary_relation_is_antisymmetric(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             d = 3
-            h = rng.normal(0, 1, 2 * d)
-            t = rng.normal(0, 1, 2 * d)
-            r = np.concatenate([np.zeros(d), rng.normal(0, 1, d)])
-            ht = score_complex(Tensor([h]), Tensor([r]), Tensor([t])).data[0, 0]
-            th = score_complex(Tensor([t]), Tensor([r]), Tensor([h])).data[0, 0]
+            h = Tensor([rng.normal(0, 1, 2 * d)])
+            t = Tensor([rng.normal(0, 1, 2 * d)])
+            r = Tensor([np.concatenate([np.zeros(d), rng.normal(0, 1, d)])])
+            ht = matmul(complex_interaction(h, r), transpose(t)).data[0, 0]
+            th = matmul(complex_interaction(t, r), transpose(h)).data[0, 0]
             np.testing.assert_allclose(ht, -th, atol=1e-12)
 
     def test_odd_dimension_rejected(self):
+        odd = Tensor([[1.0, 2.0, 3.0]])
         with pytest.raises((ShapeError, ConfigError)):
-            score_complex(Tensor([[1.0, 2.0, 3.0]]), Tensor([[1.0, 2.0, 3.0]]), Tensor([[1.0, 2.0, 3.0]]))
+            matmul(complex_interaction(odd, odd), transpose(odd))
 
 
 class TestTucker:
     def test_zero_core_gives_zero(self):
-        out = score_tucker(
-            Tensor(np.ones((2, 3))),
-            Tensor(np.ones((2, 4))),
-            Tensor(np.zeros((3, 4, 3))),
-            Tensor(np.ones((5, 3))),
+        out = matmul(
+            tucker_interaction(
+                Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.zeros((3, 4, 3)))
+            ),
+            transpose(Tensor(np.ones((5, 3)))),
         )
         np.testing.assert_array_equal(out.data, np.zeros((2, 5)))
 
@@ -102,26 +106,30 @@ class TestTucker:
             core[i, i, i] = 1.0
         h, r = rng.normal(0, 1, (2, d)), rng.normal(0, 1, (2, d))
         e = rng.normal(0, 1, (6, d))
-        tucker = score_tucker(Tensor(h), Tensor(r), Tensor(core), Tensor(e)).data
-        dist = score_distmult(Tensor(h), Tensor(r), Tensor(e)).data
+        h, r, e = Tensor(h), Tensor(r), Tensor(e)
+        tucker = matmul(tucker_interaction(h, r, Tensor(core)), transpose(e)).data
+        dist = matmul(distmult_interaction(h, r), transpose(e)).data
         assert np.abs(tucker - dist).max() <= 1e-12
 
     def test_scalar_hand_value(self):
-        out = score_tucker(
-            Tensor([[3.0]]), Tensor([[5.0]]), Tensor([[[2.0]]]), Tensor([[7.0]])
+        out = matmul(
+            tucker_interaction(Tensor([[3.0]]), Tensor([[5.0]]), Tensor([[[2.0]]])),
+            transpose(Tensor([[7.0]])),
         )
         assert out.data[0, 0] == 210.0
 
 
 class TestLowfer:
     def test_zero_factor_gives_zero(self):
-        out = score_lowfer(
-            Tensor(np.ones((2, 3))),
-            Tensor(np.ones((2, 3))),
-            Tensor(np.zeros((3, 6))),
-            Tensor(np.ones((3, 6))),
-            2,
-            Tensor(np.ones((4, 3))),
+        out = matmul(
+            lowfer_interaction(
+                Tensor(np.ones((2, 3))),
+                Tensor(np.ones((2, 3))),
+                Tensor(np.zeros((3, 6))),
+                Tensor(np.ones((3, 6))),
+                2,
+            ),
+            transpose(Tensor(np.ones((4, 3)))),
         )
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
@@ -131,19 +139,18 @@ class TestLowfer:
         eye = np.eye(d)
         h, r = rng.normal(0, 1, (2, d)), rng.normal(0, 1, (2, d))
         e = rng.normal(0, 1, (6, d))
-        low = score_lowfer(Tensor(h), Tensor(r), Tensor(eye), Tensor(eye), 1, Tensor(e)).data
-        dist = score_distmult(Tensor(h), Tensor(r), Tensor(e)).data
+        h, r, e = Tensor(h), Tensor(r), Tensor(e)
+        low = matmul(lowfer_interaction(h, r, Tensor(eye), Tensor(eye), 1), transpose(e)).data
+        dist = matmul(distmult_interaction(h, r), transpose(e)).data
         assert np.abs(low - dist).max() <= 1e-12
 
     def test_hand_value_with_rank_two(self):
         # g = [6, 12], z = 18, u = 18 * 5 = 90
-        out = score_lowfer(
-            Tensor([[2.0]]),
-            Tensor([[3.0]]),
-            Tensor([[1.0, 1.0]]),
-            Tensor([[1.0, 2.0]]),
-            2,
-            Tensor([[5.0]]),
+        out = matmul(
+            lowfer_interaction(
+                Tensor([[2.0]]), Tensor([[3.0]]), Tensor([[1.0, 1.0]]), Tensor([[1.0, 2.0]]), 2
+            ),
+            transpose(Tensor([[5.0]])),
         )
         assert out.data[0, 0] == 90.0
 
@@ -157,7 +164,9 @@ class TestScoreGradients:
         r = Parameter(rng.normal(0, 1, (3, 4)))
         e = Parameter(rng.normal(0, 1, (6, 4)))
         w = rng.normal(0, 1, (3, 6))
-        assert_gradients_match(lambda: tensor_sum(score_distmult(h, r, e) * w), [h, r, e])
+        assert_gradients_match(
+            lambda: tensor_sum(matmul(distmult_interaction(h, r), transpose(e)) * w), [h, r, e]
+        )
 
     def test_complex(self):
         rng = np.random.default_rng(6)
@@ -165,7 +174,9 @@ class TestScoreGradients:
         r = Parameter(rng.normal(0, 1, (2, 6)))
         e = Parameter(rng.normal(0, 1, (5, 6)))
         w = rng.normal(0, 1, (2, 5))
-        assert_gradients_match(lambda: tensor_sum(score_complex(h, r, e) * w), [h, r, e])
+        assert_gradients_match(
+            lambda: tensor_sum(matmul(complex_interaction(h, r), transpose(e)) * w), [h, r, e]
+        )
 
     def test_tucker(self):
         rng = np.random.default_rng(7)
@@ -175,7 +186,8 @@ class TestScoreGradients:
         e = Parameter(rng.normal(0, 1, (5, 3)))
         w = rng.normal(0, 1, (2, 5))
         assert_gradients_match(
-            lambda: tensor_sum(score_tucker(h, r, core, e) * w), [h, r, core, e]
+            lambda: tensor_sum(matmul(tucker_interaction(h, r, core), transpose(e)) * w),
+            [h, r, core, e],
         )
 
     def test_lowfer(self):
@@ -187,7 +199,8 @@ class TestScoreGradients:
         e = Parameter(rng.normal(0, 1, (5, 3)))
         w = rng.normal(0, 1, (2, 5))
         assert_gradients_match(
-            lambda: tensor_sum(score_lowfer(h, r, u, v, 2, e) * w), [h, r, u, v, e]
+            lambda: tensor_sum(matmul(lowfer_interaction(h, r, u, v, 2), transpose(e)) * w),
+            [h, r, u, v, e],
         )
 
 
@@ -221,15 +234,14 @@ class TestForwardPipeline:
             r = Tensor(model.relation_embeddings.data[rels])
             e = Tensor(model.entity_embeddings.data)
             if kind == "distmult":
-                want = score_distmult(h, r, e).data
+                want = matmul(distmult_interaction(h, r), transpose(e)).data
             elif kind == "complex":
-                want = score_complex(h, r, e).data
+                want = matmul(complex_interaction(h, r), transpose(e)).data
             elif kind == "tucker":
-                want = score_tucker(h, r, Tensor(model.core.data), e).data
+                want = matmul(tucker_interaction(h, r, Tensor(model.core.data)), transpose(e)).data
             else:
-                want = score_lowfer(
-                    h, r, Tensor(model.u_factor.data), Tensor(model.v_factor.data), 2, e
-                ).data
+                u, v = Tensor(model.u_factor.data), Tensor(model.v_factor.data)
+                want = matmul(lowfer_interaction(h, r, u, v, 2), transpose(e)).data
             np.testing.assert_array_equal(got, want)
 
     def test_training_forward_reproducible_with_seed(self):

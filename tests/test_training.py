@@ -14,7 +14,7 @@ import pytest
 from conftest import assert_gradients_match, synthetic_triples, write_dataset
 from scipy.special import expit
 
-from kgedistill import autodiff, training
+from kgedistill import autodiff, models, training
 from kgedistill.autodiff import (
     Parameter,
     Tensor,
@@ -38,16 +38,9 @@ from kgedistill.data import (
 from kgedistill.distill import SemanticBlock, distill_loss, extract, total_loss
 from kgedistill.errors import CheckpointError, ConfigError, ShapeError, TrainingAbort
 from kgedistill.evaluation import evaluate
-from kgedistill.models import EmbeddingModel
+from kgedistill.models import EmbeddingModel, bce_loss, score_bce
 from kgedistill.rng import stream
-from kgedistill.training import (
-    Adam,
-    Trainer,
-    bce_loss,
-    load_checkpoint,
-    lr_at_epoch,
-    model_from_checkpoint,
-)
+from kgedistill.training import Adam, Trainer, load_checkpoint, lr_at_epoch, model_from_checkpoint
 
 
 def rel_err(a, b) -> float:
@@ -89,7 +82,7 @@ class TestBceLoss:
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_sparse_matches_dense(self, monkeypatch, block, epsilon):
         """At either block size, the kernel matches the closed form on the dense targets."""
-        monkeypatch.setattr(training, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(models, "_BLOCK_ELEMENTS", block)
         rng = np.random.default_rng(3)
         batch = random_batch(rng)
         logits = rng.normal(0.0, 4.0, (len(batch), batch.n_entities))
@@ -145,7 +138,7 @@ class TestBceLoss:
                       1e-300, 0.5, 1.0, 36.0, 700.0, 800.0, np.inf])
         u = np.concatenate([u, np.random.default_rng(5).normal(0.0, 30.0, 1000)])
         e = np.exp(-np.abs(u))
-        got = training._sigmoid(u, e, np.empty_like(u), np.empty_like(u))
+        got = models._sigmoid(u, e, np.empty_like(u), np.empty_like(u))
         assert got.tobytes() == (np.exp(np.minimum(u, 0.0)) / (1.0 + e)).tobytes()
 
     def test_zero_epsilon_keeps_hard_targets(self):
@@ -367,7 +360,7 @@ def _score_case(rng, n_rows=12, n_cols=301, dim=5, epsilon=0.1):
 def _fused_run(z, table, targets, upstream=0.75, interior=False):
     """``interior`` passes the table through a product, so it is no leaf."""
     zp, tp = Parameter(z.copy()), Parameter(table.copy())
-    loss = training.score_bce(zp, tp * 1.0 if interior else tp, targets)
+    loss = score_bce(zp, tp * 1.0 if interior else tp, targets)
     backward(loss * upstream)
     return float(loss.data), zp.grad, tp.grad
 
@@ -385,7 +378,7 @@ class TestScoreBce:
     def test_matches_the_unfused_chain(self, monkeypatch, epsilon, block):
         # 40-element blocks of 3 columns: 101 blocks in 8 groups of 13. A leaf
         # table adds the VJP's buffer into its grad, an interior one passes it on.
-        monkeypatch.setattr(training, "_SCORE_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(models, "_SCORE_BLOCK_ELEMENTS", block)
         z, table, targets = _score_case(np.random.default_rng(43), epsilon=epsilon)
         for interior in (False, True):
             value, dz, dtable = _fused_run(z, table, targets, interior=interior)
@@ -395,30 +388,34 @@ class TestScoreBce:
             assert rel_err(dtable, want_dtable) <= 1e-14
 
     def test_finite_differences(self, monkeypatch):
-        monkeypatch.setattr(training, "_SCORE_BLOCK_ELEMENTS", 8)
+        monkeypatch.setattr(models, "_SCORE_BLOCK_ELEMENTS", 8)
         z, table, targets = _score_case(np.random.default_rng(47), n_rows=3, n_cols=11, dim=4)
         zp, tp = Parameter(z), Parameter(table)
-        assert_gradients_match(lambda: training.score_bce(zp, tp, targets) * 3.0, [zp, tp])
+        assert_gradients_match(lambda: score_bce(zp, tp, targets) * 3.0, [zp, tp])
 
     def test_adds_into_a_table_holding_a_gradient(self):
         z, table, targets = _score_case(np.random.default_rng(53))
         prior = np.random.default_rng(59).normal(size=table.shape)
         zp, tp = Parameter(z), Parameter(table)
         tp.grad[...] = prior
-        backward(training.score_bce(zp, tp, targets))
+        backward(score_bce(zp, tp, targets))
         _, _, fresh = _fused_run(z, table, targets, upstream=1.0)
         assert tp.grad.tobytes() == (prior + fresh).tobytes()
 
     def test_without_gradients_gives_the_value_only(self):
         z, table, targets = _score_case(np.random.default_rng(61))
         with no_grad():
-            loss = training.score_bce(Parameter(z), Parameter(table), targets)
+            loss = score_bce(Parameter(z), Parameter(table), targets)
         assert not loss.requires_grad
         assert float(loss.data) == _fused_run(z, table, targets)[0]
 
-    def test_model_forward_with_targets_is_the_bce_of_its_logits(self):
+    @pytest.mark.parametrize("kind", ["distmult", "complex", "tucker", "lowfer"])
+    def test_model_forward_with_targets_is_the_bce_of_its_logits(self, kind):
+        """At each kind's default batchnorm: off for DistMult and ComplEx, on
+        for TuckER and LowFER, whose inference forward reads running statistics."""
         rng = np.random.default_rng(67)
-        model = EmbeddingModel(ModelConfig(kind="complex", d_e=6), 40, 4, stream(2, "model"))
+        config = ModelConfig(kind=kind, d_e=6, k_l=2)
+        model = EmbeddingModel(config, 40, 4, stream(2, "model"))
         heads, relations = rng.integers(0, 40, 9), rng.integers(0, 4, 9)
         targets = label_smooth(SparseTargets(np.arange(9), rng.integers(0, 40, 9), (9, 40)), 0.1)
         fused = model.forward(heads, relations, targets=targets)
@@ -428,31 +425,31 @@ class TestScoreBce:
     def test_rejects_bad_targets(self):
         z, table = Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3)))
         with pytest.raises(ShapeError):
-            training.score_bce(z, table, SparseTargets([0], [0], (2, 4)))
+            score_bce(z, table, SparseTargets([0], [0], (2, 4)))
         with pytest.raises(ShapeError):
-            training.score_bce(z, Tensor(np.zeros((5, 2))), SparseTargets([0], [0], (2, 5)))
+            score_bce(z, Tensor(np.zeros((5, 2))), SparseTargets([0], [0], (2, 5)))
         with pytest.raises(TypeError):
-            training.score_bce(z, table, np.zeros((2, 5)))
+            score_bce(z, table, np.zeros((2, 5)))
         with pytest.raises(ValueError):
-            training.score_bce(z, table, SparseTargets([0], [0], (2, 5), on=1.5))
+            score_bce(z, table, SparseTargets([0], [0], (2, 5), on=1.5))
 
     def test_second_backward_over_one_graph_raises(self):
         z, table, targets = _score_case(np.random.default_rng(71))
-        loss = training.score_bce(Parameter(z), Parameter(table), targets)
+        loss = score_bce(Parameter(z), Parameter(table), targets)
         backward(loss)
         with pytest.raises(RuntimeError):
             backward(loss)
 
     def test_restores_the_blas_thread_count(self):
         z, table, targets = _score_case(np.random.default_rng(73))
-        training.score_bce(Parameter(z), Parameter(table), targets)
+        score_bce(Parameter(z), Parameter(table), targets)
         if not autodiff._openblas_threads:
             pytest.skip("numpy's OpenBLAS thread calls are not available")
         get, put = autodiff._openblas_threads
         before = get()
         put(2)
         try:
-            training.score_bce(Parameter(z), Parameter(table), targets)
+            score_bce(Parameter(z), Parameter(table), targets)
             assert get() == 2
         finally:
             put(before)
@@ -464,8 +461,8 @@ def test_score_bce_is_bit_identical_for_any_worker_count(monkeypatch, workers, n
     # at 299 columns) in 8 groups, so every worker count splits the groups.
     # The table gradient is added into one that is already there, over
     # 10-element slices of 2 rows.
-    monkeypatch.setattr(training, "_SCORE_BLOCK_ELEMENTS", 36)
-    monkeypatch.setattr(training, "_SLICE_ELEMENTS", 10)
+    monkeypatch.setattr(models, "_SCORE_BLOCK_ELEMENTS", 36)
+    monkeypatch.setattr(models, "_SLICE_ELEMENTS", 10)
     z, table, targets = _score_case(np.random.default_rng(79), n_cols=n_cols)
     prior = np.random.default_rng(97).normal(size=table.shape)
     runs = {}
@@ -473,7 +470,7 @@ def test_score_bce_is_bit_identical_for_any_worker_count(monkeypatch, workers, n
         workers(count)
         zp, tp = Parameter(z.copy()), Parameter(table.copy())
         tp.grad[...] = prior
-        loss = training.score_bce(zp, tp, targets)
+        loss = score_bce(zp, tp, targets)
         backward(loss * 0.75)
         runs[count] = (float(loss.data), zp.grad.tobytes(), tp.grad.tobytes())
         assert (autodiff._pool is None) == (count == 1)
@@ -883,8 +880,9 @@ def test_failed_save_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
 
 
 def test_manifest_in_the_earlier_format_loads_evaluates_and_resumes(tmp_path):
-    """Manifests once also held epoch, seed, teacher_present, tensors,
-    n_entities, n_relations and base_relations; the reader ignores those keys."""
+    """Manifests once also held adam_step, epoch, seed, teacher_present,
+    tensors, n_entities, n_relations and base_relations; the reader ignores
+    those keys."""
     store = _store(tmp_path)
     doc = {"model": {"kind": "distmult", "d_e": 8}, "train": {"batch_size": 16, "epochs": 6, "seed": 5},
            "isd": {"enabled": True, "beta_init": 0.5}}
@@ -898,13 +896,11 @@ def test_manifest_in_the_earlier_format_loads_evaluates_and_resumes(tmp_path):
     first.save(tmp_path / "ckpt")
     path = tmp_path / "ckpt" / "manifest.json"
     manifest = json.loads(path.read_text())
-    assert sorted(manifest) == [
-        "adam_step", "config", "format", "metrics_history", "rng", "version",
-    ]
+    assert sorted(manifest) == ["config", "format", "metrics_history", "rng", "version"]
     manifest.update(
-        epoch=3, seed=5, teacher_present=True, tensors=sorted(first._named_tensors()),
-        n_entities=store.n_entities, n_relations=store.n_relations,
-        base_relations=store.base_relation_count,
+        adam_step=first.adam.step_count, epoch=3, seed=5, teacher_present=True,
+        tensors=sorted(first._named_tensors()), n_entities=store.n_entities,
+        n_relations=store.n_relations, base_relations=store.base_relation_count,
     )
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
@@ -923,7 +919,8 @@ def test_manifest_in_the_earlier_format_loads_evaluates_and_resumes(tmp_path):
 
 
 def test_resumed_epoch_is_the_length_of_the_history(tmp_path):
-    """A manifest's own epoch count, as earlier manifests held, is not read."""
+    """A manifest's own epoch and Adam step counts, as earlier manifests
+    held, are not read: both follow from the history and the batch count."""
     store = _store(tmp_path)
     doc = {"model": {"d_e": 4}, "train": {"batch_size": 16, "epochs": 4}, "isd": {"enabled": True}}
     trainer = Trainer(store, RunConfig.from_dict(doc))
@@ -931,9 +928,10 @@ def test_resumed_epoch_is_the_length_of_the_history(tmp_path):
         trainer.train_epoch()
     trainer.save(tmp_path / "ckpt")
     path = tmp_path / "ckpt" / "manifest.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), "epoch": 0}))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "epoch": 0, "adam_step": 0}))
     resumed = Trainer.resume(tmp_path / "ckpt", store)
     assert resumed.epoch == len(resumed.metrics_history) == 2
+    assert resumed.adam.step_count == trainer.adam.step_count == 2 * (len(trainer.queries) // 16)
     assert resumed.train_epoch() == trainer.train_epoch()
 
 
@@ -967,10 +965,9 @@ def _drop_rng_dropout(manifest):
     "edit, message",
     [
         (_drop_rng_dropout, "lacks rng.dropout"),
-        (lambda m: m.update(adam_step=-1), "adam_step must be a non-negative integer"),
         (lambda m: m.update(metrics_history={}), "metrics_history must be a list"),
     ],
-    ids=["no-rng-stream", "negative-adam-step", "dict-history"],
+    ids=["no-rng-stream", "dict-history"],
 )
 def test_malformed_manifest_rejected(tmp_path, edit, message):
     store = _store(tmp_path)
@@ -1022,8 +1019,11 @@ def _header(rank: int, *dims: int) -> bytes:
         (_header(2, 3), "truncated dimension header"),
         (_header(1, 3) + bytes(16), "expected 24 data bytes .* got 16"),
         (_header(1, 3) + bytes(32), "expected 24 data bytes .* got 32"),
+        *((_header(1, 3) + struct.pack("<3d", 0.0, bad, 1.0), "holds a NaN or infinite value")
+          for bad in (np.nan, np.inf, -np.inf)),
     ],
-    ids=["bad-magic", "short-header", "rank-over-8", "short-dims", "short-body", "trailing-bytes"],
+    ids=["bad-magic", "short-header", "rank-over-8", "short-dims", "short-body", "trailing-bytes",
+         "nan", "inf", "minus-inf"],
 )
 def test_corrupt_tensor_file_rejected(tmp_path, content, message):
     path = tmp_path / "t.bin"
@@ -1033,7 +1033,8 @@ def test_corrupt_tensor_file_rejected(tmp_path, content, message):
 
 
 def test_tensor_file_round_trip(tmp_path):
-    for value in (np.arange(12.0).reshape(3, 4), np.zeros((0, 5)), np.array([-0.0, np.inf, 1e-310]),
+    extremes = np.array([-0.0, np.finfo(float).max, 1e-310])  # a non-finite value is rejected
+    for value in (np.arange(12.0).reshape(3, 4), np.zeros((0, 5)), extremes,
                   np.asfortranarray(np.arange(6.0).reshape(2, 3))):
         training._write_tensor(tmp_path / "t.bin", value)
         got = training._read_tensor(tmp_path / "t.bin")
