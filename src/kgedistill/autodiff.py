@@ -169,9 +169,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # Operator sugar; scalars and ndarrays are wrapped as constants.
     def __add__(self, other):
         return add(self, as_tensor(other))

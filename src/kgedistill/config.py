@@ -6,7 +6,8 @@ document whose keys are their field names: top-level ``dataset_dir`` and
 Each field's annotation is the type its key accepts and its default is the
 value an omitted key takes. Unknown keys are rejected (typos in
 hyperparameter names must not silently fall back to defaults), and an
-optional field is left unset by omitting its key, never by ``null``.
+optional field is left unset by omitting its key, never by ``null``, and a
+float field never holds NaN or an infinity.
 
 A config is checked once, when it is built, and is frozen: an invalid one
 cannot exist, so nothing that receives a config checks it again.
@@ -15,6 +16,7 @@ cannot exist, so nothing that receives a config checks it again.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -51,6 +53,7 @@ class ModelConfig:
         return self.batchnorm
 
     def __post_init__(self):
+        _check_finite(self)
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
         if self.d_e < 1:
@@ -87,8 +90,13 @@ class DistillConfig:
         return 10.0 ** self.m_exponent
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        _check_finite(self)
+        try:
+            temperature = self.temperature
+        except OverflowError:
+            temperature = math.inf
+        if not 0.0 < temperature < math.inf:
+            raise ConfigError(f"temperature must be positive and finite, got 10^{self.m_exponent}")
         if not 0.0 <= self.beta_init <= 1.0:
             raise ConfigError(f"beta_init must lie in [0, 1], got {self.beta_init}")
         if self.k_b is not None and self.k_b < 1:
@@ -108,6 +116,7 @@ class TrainConfig:
     eval_every: int = 0  # 0 disables periodic validation
 
     def __post_init__(self):
+        _check_finite(self)
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
@@ -145,6 +154,14 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Parse and validate a run-config document (see the module docstring)."""
         return _from_dict(cls, doc, "")
+
+
+def _check_finite(config) -> None:
+    """Raise :class:`ConfigError` if a float field of ``config`` is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be a finite number, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +213,6 @@ def load_run_config(path: str | Path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(doc)

@@ -239,11 +239,6 @@ class FilterIndex:
         stop = np.where(found, self.indptr[np.minimum(pos + 1, n_keys)], 0)
         return start, stop
 
-    def tails(self, head: int, relation: int) -> np.ndarray:
-        """All known true tails for the query, sorted; empty if unseen."""
-        start, stop = self.rows([head], [relation])
-        return self.indices[start[0] : stop[0]]
-
     def batch_tails(self, heads, relations) -> tuple[np.ndarray, np.ndarray]:
         """``(row, tail)`` pairs: every known tail of every query, row by row.
 
@@ -252,9 +247,6 @@ class FilterIndex:
         start, stop = self.rows(heads, relations)
         counts = stop - start
         return np.repeat(np.arange(len(counts)), counts), _take_runs(self.indices, start, counts)
-
-    def __len__(self) -> int:
-        return len(self.keys)
 
 
 def _run_bounds(sorted_codes: np.ndarray) -> np.ndarray:
@@ -318,19 +310,13 @@ class SparseTargets:
         object.__setattr__(self, "rows", flat // n_cols)
         object.__setattr__(self, "cols", flat % n_cols)
 
-    def dense(self) -> np.ndarray:
-        y = np.full(self.shape, self.off)
-        y[self.rows, self.cols] = self.on
-        return y
-
 
 class Batch:
     """A block of (head, relation) queries with their training tails.
 
     Row ``i``'s tails are ``tail_ids[indptr[i]:indptr[i + 1]]``.
-    ``targets()`` gives the multi-label 0/1 matrix in sparse form; call its
-    ``dense()`` for the full ``len(batch)`` x ``n_entities`` array, which at
-    40k-entity scale is ~160 MB.
+    ``targets()`` gives the ``len(heads)`` x ``n_entities`` multi-label 0/1
+    matrix in sparse form; dense, it would take ~160 MB at 40k-entity scale.
     """
 
     def __init__(self, heads: np.ndarray, relations: np.ndarray, tails, n_entities: int):
@@ -348,9 +334,6 @@ class Batch:
         batch.heads, batch.relations, batch.n_entities = heads, relations, n_entities
         batch.indptr, batch.tail_ids = indptr, tail_ids
         return batch
-
-    def __len__(self) -> int:
-        return len(self.heads)
 
     @property
     def tails(self) -> tuple:

@@ -41,12 +41,10 @@ class SemanticBlock:
         self.w_features = Parameter(rng.normal(0.0, 0.02, (embed_dim, k_b)))
         self.w_expand = Parameter(rng.normal(0.0, 0.02, (batch_size, n_entities)))
 
-    def named_parameters(self) -> list:
-        return [
-            ("w_central", self.w_central),
-            ("w_features", self.w_features),
-            ("w_expand", self.w_expand),
-        ]
+    def state(self) -> dict:
+        """Every tensor the block holds, by name."""
+        return {"w_central": self.w_central, "w_features": self.w_features,
+                "w_expand": self.w_expand}
 
 
 class TeacherCache:

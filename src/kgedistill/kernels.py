@@ -45,8 +45,8 @@ class BatchNorm:
     """Per-feature batch normalization with running statistics.
 
     Training standardizes by batch mean and population variance (eps 1e-5)
-    and updates running stats with momentum 0.1; inference standardizes by
-    the running stats. Scale starts at 1, shift at 0.
+    and updates running stats with momentum 0.1, in place; inference
+    standardizes by the running stats. Scale starts at 1, shift at 0.
     """
 
     momentum = 0.1
@@ -55,8 +55,8 @@ class BatchNorm:
     def __init__(self, dim: int):
         self.scale = Parameter(np.ones(dim))
         self.shift = Parameter(np.zeros(dim))
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
+        self.running_mean = Tensor(np.zeros(dim))
+        self.running_var = Tensor(np.ones(dim))
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         x = as_tensor(x)
@@ -67,16 +67,16 @@ class BatchNorm:
             centered = x - mu
             var = mean(centered * centered, axis=0)
             m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mu.data
-            self.running_var = (1.0 - m) * self.running_var + m * var.data
+            for stat, batch_stat in ((self.running_mean, mu), (self.running_var, var)):
+                stat.data *= 1.0 - m
+                stat.data += m * batch_stat.data
             normalized = centered / sqrt(var + self.eps)
         else:
-            denom = np.sqrt(self.running_var + self.eps)
+            denom = np.sqrt(self.running_var.data + self.eps)
             normalized = (x - self.running_mean) / denom
         return normalized * self.scale + self.shift
 
-    def parameters(self):
-        return [("scale", self.scale), ("shift", self.shift)]
-
-    def buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
+    def state(self) -> dict:
+        """Every tensor the layer holds, by name; the running stats take no gradient."""
+        return {"scale": self.scale, "shift": self.shift,
+                "running_mean": self.running_mean, "running_var": self.running_var}

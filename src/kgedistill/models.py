@@ -351,29 +351,23 @@ class EmbeddingModel:
         self.bn_input = BatchNorm(d_e) if config.use_batchnorm else None
         self.bn_output = BatchNorm(d_e) if config.use_batchnorm else None
 
-    # -- parameter bookkeeping ------------------------------------------------
+    # -- state -----------------------------------------------------------------
 
-    def named_parameters(self) -> list:
-        out = [
-            ("entity_embeddings", self.entity_embeddings),
-            ("relation_embeddings", self.relation_embeddings),
-        ]
-        if self.core is not None:
-            out.append(("core", self.core))
-        if self.u_factor is not None:
-            out.append(("u_factor", self.u_factor))
-            out.append(("v_factor", self.v_factor))
+    def state(self) -> dict:
+        """Every tensor the model holds, by name: the parameters, then each
+        batchnorm layer's tensors as ``bn_input.<name>`` or ``bn_output.<name>``."""
+        tensors = {
+            "entity_embeddings": self.entity_embeddings,
+            "relation_embeddings": self.relation_embeddings,
+            "core": self.core,
+            "u_factor": self.u_factor,
+            "v_factor": self.v_factor,
+        }
+        tensors = {name: t for name, t in tensors.items() if t is not None}
         for prefix, bn in (("bn_input", self.bn_input), ("bn_output", self.bn_output)):
             if bn is not None:
-                out.extend((f"{prefix}.{n}", p) for n, p in bn.parameters())
-        return out
-
-    def named_buffers(self) -> list:
-        out = []
-        for prefix, bn in (("bn_input", self.bn_input), ("bn_output", self.bn_output)):
-            if bn is not None:
-                out.extend((f"{prefix}.{n}", b) for n, b in bn.buffers())
-        return out
+                tensors.update((f"{prefix}.{n}", t) for n, t in bn.state().items())
+        return tensors
 
     # -- forward pass ----------------------------------------------------------
 
@@ -428,8 +422,9 @@ def count_parameters(
     distillation block, when both of its shape arguments are given).
 
     Counts embedding tables, the TuckER core or LowFER factors, batchnorm
-    scale/shift, and the block's three projections. Batchnorm running stats
-    are buffers, not learnable, and are excluded.
+    scale/shift, and the block's three projections: the tensors of the
+    model's and block's ``state()`` that take a gradient. Batchnorm running
+    stats take none and are excluded.
     """
     d_e, d_r = config.d_e, config.rel_dim
     total = n_entities * d_e + n_relations * d_r

@@ -12,6 +12,7 @@ thread count does not enter. Keeping the streams separate is what makes
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import struct
@@ -131,7 +132,10 @@ class Trainer:
     "model-init" and "block-init"; checkpoints keep the first two's states.
     ``queries`` holds the distinct train queries as the CSR arrays of
     :func:`~kgedistill.data.group_queries`, grouped once here and shuffled
-    into batches every epoch.
+    into batches every epoch. ``state`` maps ``model.<name>`` and
+    ``block.<name>`` to the tensors of the model's and the block's
+    ``state()``. It is built once and its arrays are updated in place;
+    Adam and checkpoints read it.
     """
 
     def __init__(self, store: TripleStore, run_config: RunConfig):
@@ -160,18 +164,13 @@ class Trainer:
             )
         self.teacher = TeacherCache()
         self.queries = group_queries(store)
-        self.adam = Adam(self._named_parameters())
+        self.state = _state(model=self.model, block=self.block)
+        self.adam = Adam((name, t) for name, t in self.state.items() if t.requires_grad)
 
     @property
     def epoch(self) -> int:
         """The next epoch to run: one record per epoch run so far."""
         return len(self.metrics_history)
-
-    def _named_parameters(self) -> list:
-        named = [(f"model.{n}", p) for n, p in self.model.named_parameters()]
-        if self.block is not None:
-            named.extend((f"block.{n}", p) for n, p in self.block.named_parameters())
-        return named
 
     def train_epoch(self) -> dict:
         """Run one epoch and return its metrics record."""
@@ -232,12 +231,9 @@ class Trainer:
     # -- checkpointing ---------------------------------------------------------
 
     def _named_tensors(self) -> dict:
-        """Every array a checkpoint restores, by name: model parameters and
-        buffers, block parameters, both Adam moments and, once there is one,
-        the teacher vector."""
-        tensors = _model_tensors(self.model)
-        if self.block is not None:
-            tensors.update((f"block.{n}", p.data) for n, p in self.block.named_parameters())
+        """Every array a checkpoint restores, by name: those of :attr:`state`,
+        both Adam moments and, once there is one, the teacher vector."""
+        tensors = {name: t.data for name, t in self.state.items()}
         for name in self.adam.moment1:
             tensors[f"adam.m.{name}"] = self.adam.moment1[name]
             tensors[f"adam.v.{name}"] = self.adam.moment2[name]
@@ -252,8 +248,12 @@ class Trainer:
           shuffle and dropout streams, and the metrics history, whose length
           is the epoch count and, times the batches per epoch, the Adam step
           count;
-        - ``<name>.bin`` for each array of :meth:`_named_tensors`, which
-          alone says which tensors there are and whether a teacher is saved;
+        - one ``<name>.bin`` per array of :meth:`_named_tensors`:
+          ``model.<name>`` and ``block.<name>`` for each tensor of
+          :attr:`state`; ``adam.m.<name>`` and ``adam.v.<name>``, the two
+          moments of each of its parameters, under the parameter's name
+          there; and ``teacher.vector`` once there is a teacher. The files
+          alone say which tensors there are;
         - ``entities.txt`` and ``relations.txt``: the vocabulary names in id
           order, one a line, which alone give the table sizes.
 
@@ -386,13 +386,16 @@ def _read_tensor(path: Path) -> np.ndarray:
         if len(raw_dims) < 8 * rank:
             raise CheckpointError(f"{path}: truncated dimension header")
         dims = struct.unpack(f"<{rank}Q", raw_dims)
-        expected = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        expected = math.prod(dims)
         body = os.fstat(fh.fileno()).st_size - 8 - 8 * rank
         if body != expected * 8:
             raise CheckpointError(
                 f"{path}: expected {expected * 8} data bytes for shape {dims}, got {body}"
             )
-        out = np.empty(dims, dtype="<f8")
+        try:
+            out = np.empty(dims, dtype="<f8")
+        except ValueError as exc:  # a zero-size shape with a dimension numpy cannot hold
+            raise CheckpointError(f"{path}: implausible shape {dims}") from exc
         if fh.readinto(out.data) != body:
             raise CheckpointError(f"{path}: file shrank while it was read")
     # min and max propagate NaN and build no full-size mask.
@@ -414,11 +417,11 @@ def _load_tensors(targets: dict, tensors: dict) -> None:
         target[...] = value
 
 
-def _model_tensors(model: EmbeddingModel) -> dict:
-    """The model's parameters and buffers under their checkpoint names."""
-    tensors = {f"model.{n}": p.data for n, p in model.named_parameters()}
-    tensors.update((f"model.{n}", b) for n, b in model.named_buffers())
-    return tensors
+def _state(**components) -> dict:
+    """Every tensor of the components, as ``<keyword>.<name>`` for each name
+    of its ``state()``; a component given as ``None`` is left out."""
+    return {f"{prefix}.{name}": t for prefix, component in components.items()
+            if component is not None for name, t in component.state().items()}
 
 
 def load_checkpoint(directory: str | Path) -> Checkpoint:
@@ -430,7 +433,7 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointError(f"{manifest_path}: corrupt manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{manifest_path}: not a {CHECKPOINT_FORMAT} manifest")
@@ -458,8 +461,11 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     def read_names(path: Path) -> list[str]:
         if not path.is_file():
             raise CheckpointError(f"no {path.name} in {directory}")
-        with open(path, "r", encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return [line.rstrip("\n") for line in fh]
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: not UTF-8 text: {exc}") from exc
 
     return Checkpoint(
         manifest=manifest,
@@ -475,5 +481,5 @@ def model_from_checkpoint(ckpt: Checkpoint) -> EmbeddingModel:
     model = EmbeddingModel(
         config.model, len(ckpt.entities), len(ckpt.relations), stream(0, "unused-init")
     )
-    _load_tensors(_model_tensors(model), ckpt.tensors)
+    _load_tensors({name: t.data for name, t in _state(model=model).items()}, ckpt.tensors)
     return model

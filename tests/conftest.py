@@ -61,6 +61,13 @@ def assert_gradients_match(fn, params, step: float = 1e-5, tol: float = 1e-5):
         assert err <= tol, f"gradient mismatch: rel err {err:.3e} (shape {p.shape})"
 
 
+def dense(targets) -> np.ndarray:
+    """The full matrix that sparse targets stand for."""
+    y = np.full(targets.shape, targets.off)
+    y[targets.rows, targets.cols] = targets.on
+    return y
+
+
 # ---------------------------------------------------------------------------
 # Synthetic knowledge graphs
 # ---------------------------------------------------------------------------

@@ -126,6 +126,15 @@ def test_malformed_manifests_exit_2(tmp_path, memorization_dataset_dir, capsys):
     assert cli.main(["evaluate", str(checkpoint), str(memorization_dataset_dir)]) == 2
     assert "metrics_history must be" in capsys.readouterr().err
 
+    # Bytes that are not UTF-8, in the manifest and in a vocabulary file.
+    (checkpoint / "manifest.json").write_bytes(b'{"format": "\xff"}')
+    assert cli.main(["evaluate", str(checkpoint), str(memorization_dataset_dir)]) == 2
+    assert "corrupt manifest" in capsys.readouterr().err
+    (checkpoint / "manifest.json").write_text(json.dumps(saved))
+    (checkpoint / "entities.txt").write_bytes(b"e0\n\xff\n")
+    assert cli.main(["evaluate", str(checkpoint), str(memorization_dataset_dir)]) == 2
+    assert f"{checkpoint / 'entities.txt'}: not UTF-8 text" in capsys.readouterr().err
+
 
 def test_non_finite_checkpoint_tensor_exits_2(tmp_path, memorization_dataset_dir, capsys):
     """Ranking would score a NaN entity table as perfect (MRR 2.0)."""
@@ -140,6 +149,18 @@ def test_non_finite_checkpoint_tensor_exits_2(tmp_path, memorization_dataset_dir
     capsys.readouterr()
     assert cli.main(["evaluate", str(tmp_path / "checkpoint"), str(memorization_dataset_dir)]) == 2
     assert f"{path}: holds a NaN or infinite value" in capsys.readouterr().err
+
+
+def test_tensor_header_whose_size_overflows_int64_exits_2(tmp_path, memorization_dataset_dir, capsys):
+    """(2^32, 2^32) elements wrap to 0 bytes in int64, which a bare header matches."""
+    store = augment_reciprocal(load_dataset(memorization_dataset_dir))
+    Trainer(store, RunConfig.from_dict({"model": {"d_e": 4}})).save(tmp_path / "checkpoint")
+    path = tmp_path / "checkpoint" / "model.entity_embeddings.bin"
+    path.write_bytes(b"KGE1" + struct.pack("<I2Q", 2, 2**32, 2**32))
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(tmp_path / "checkpoint"), str(memorization_dataset_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}: expected {2**64 * 8} data bytes" in err
 
 
 @pytest.mark.parametrize(
@@ -193,6 +214,10 @@ def test_count_params_matches_the_trainer(tmp_path, memorization_dataset_dir, ca
         ("train", {"label_smoothing": 1.0}, "label_smoothing must lie in [0, 1)"),
         ("train", {"epochs": 0}, "epochs must be >= 1"),
         ("train", {"eval_every": -1}, "eval_every must be >= 0"),
+        ("isd", {"m_exponent": 400.0}, "temperature must be positive and finite"),
+        ("isd", {"m_exponent": float("nan")}, "m_exponent must be a finite number"),
+        ("train", {"lr": float("nan")}, "lr must be a finite number"),
+        ("train", {"lr": float("inf")}, "lr must be a finite number"),
     ],
 )
 def test_invalid_config_values_exit_2(tmp_path, memorization_dataset_dir, capsys, section, values, message):
@@ -202,9 +227,10 @@ def test_invalid_config_values_exit_2(tmp_path, memorization_dataset_dir, capsys
 
 
 def test_unusable_run_configs_exit_2(tmp_path, memorization_dataset_dir, capsys):
-    (tmp_path / "broken.json").write_text('{"model": ')
-    assert cli.main(["count-params", "--config", str(tmp_path / "broken.json")]) == 2
-    assert "is not valid JSON" in capsys.readouterr().err
+    for broken in (b'{"model": ', b'{"dataset_dir": "\xff"}'):
+        (tmp_path / "broken.json").write_bytes(broken)
+        assert cli.main(["count-params", "--config", str(tmp_path / "broken.json")]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
     no_output = _write_config(tmp_path / "c.json", {"dataset_dir": str(memorization_dataset_dir)})
     assert cli.main(["train", "--config", no_output]) == 2

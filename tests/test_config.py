@@ -1,13 +1,15 @@
 """Run-config schema: strict parsing and the checkpoint round trip."""
 
 import json
+import math
 from dataclasses import FrozenInstanceError, fields
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgedistill.config import RunConfig
+from kgedistill.config import DistillConfig, ModelConfig, RunConfig, TrainConfig
 from kgedistill.errors import ConfigError
 
 unit = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
@@ -126,10 +128,37 @@ def test_to_dict_golden_format(given, expected):
         {"isd": [True]},
         {"dataset_dir": 3},
         [],
+        # Python's json module reads NaN, Infinity and -Infinity as floats.
+        json.loads('{"train": {"lr": NaN}}'),
+        json.loads('{"isd": {"m_exponent": Infinity}}'),
+        json.loads('{"isd": {"beta_init": -Infinity}}'),
     ],
     ids=["unknown-key", "null-optional", "bool-as-int", "string-as-number", "non-object-section",
-         "non-string-dataset-dir", "non-object-root"],
+         "non-string-dataset-dir", "non-object-root", "nan", "infinity", "minus-infinity"],
 )
 def test_malformed_documents_rejected(doc):
     with pytest.raises(ConfigError):
         RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_non_finite_float_fields_rejected_even_when_built_directly(value):
+    checked = []
+    for section in (ModelConfig, TrainConfig, DistillConfig):
+        for name, hint in get_type_hints(section).items():
+            if hint is float:
+                with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+                    section(**{name: value})
+                checked.append(name)
+    assert sorted(checked) == ["beta_init", "dropout1", "dropout2", "dropout3", "label_smoothing",
+                               "lr", "lr_decay", "m_exponent"]
+
+
+@pytest.mark.parametrize("m", [308.3, 400.0, -400.0])
+def test_temperature_outside_the_positive_finite_floats_rejected(m):
+    with pytest.raises(ConfigError, match="temperature must be positive and finite"):
+        DistillConfig(m_exponent=m)
+
+
+def test_largest_finite_temperature_accepted():
+    assert DistillConfig(m_exponent=308.0).temperature == 1e308

@@ -272,8 +272,8 @@ class TestBatchNorm:
     def test_running_stats_momentum(self):
         bn = BatchNorm(1)
         bn(Tensor([[0.0], [2.0]]), training=True)
-        np.testing.assert_allclose(bn.running_mean, [0.1])  # 0.9*0 + 0.1*1
-        np.testing.assert_allclose(bn.running_var, [0.9 * 1.0 + 0.1 * 1.0])
+        np.testing.assert_allclose(bn.running_mean.data, [0.1])  # 0.9*0 + 0.1*1
+        np.testing.assert_allclose(bn.running_var.data, [0.9 * 1.0 + 0.1 * 1.0])
 
     def test_gradients_through_training_mode(self):
         rng = np.random.default_rng(11)

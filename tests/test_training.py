@@ -11,7 +11,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from conftest import assert_gradients_match, synthetic_triples, write_dataset
+from conftest import assert_gradients_match, dense, synthetic_triples, write_dataset
 from scipy.special import expit
 
 from kgedistill import autodiff, models, training
@@ -69,7 +69,7 @@ def loss_and_grad(logits: np.ndarray, targets):
 
 def dense_bce(logits: np.ndarray, targets: SparseTargets):
     """Value and gradient of the BCE by the closed form on the dense targets."""
-    y = targets.dense()
+    y = dense(targets)
     return np.mean(np.logaddexp(0.0, logits) - y * logits), (expit(logits) - y) / logits.size
 
 
@@ -85,7 +85,7 @@ class TestBceLoss:
         monkeypatch.setattr(models, "_BLOCK_ELEMENTS", block)
         rng = np.random.default_rng(3)
         batch = random_batch(rng)
-        logits = rng.normal(0.0, 4.0, (len(batch), batch.n_entities))
+        logits = rng.normal(0.0, 4.0, (len(batch.heads), batch.n_entities))
         sparse = label_smooth(batch.targets(), epsilon)
         value, grad = loss_and_grad(logits, sparse)
         want_value, want_grad = dense_bce(logits, sparse)
@@ -95,7 +95,7 @@ class TestBceLoss:
     def test_matches_logaddexp_formula(self):
         rng = np.random.default_rng(4)
         batch = random_batch(rng)
-        logits = rng.normal(0.0, 3.0, (len(batch), batch.n_entities))
+        logits = rng.normal(0.0, 3.0, (len(batch.heads), batch.n_entities))
         targets = label_smooth(batch.targets(), 0.1)
         value, grad = loss_and_grad(logits, targets)
         want_value, want_grad = dense_bce(logits, targets)
@@ -110,7 +110,7 @@ class TestBceLoss:
         with mpmath.workdps(50):
             pairs = [
                 (mpmath.mpf(u), mpmath.mpf(t))
-                for u, t in zip(logits.ravel().tolist(), targets.dense().ravel().tolist())
+                for u, t in zip(logits.ravel().tolist(), dense(targets).ravel().tolist())
             ]
             exact = float(sum(mpmath.log1p(mpmath.exp(u)) - t * u for u, t in pairs) / logits.size)
             exact_grad = np.array(
@@ -121,7 +121,7 @@ class TestBceLoss:
         if epsilon == 0.0:
             # Hard targets: the off-target entries are sigmoid(u) itself, so
             # each must keep full relative precision, even at 1e-304.
-            off = targets.dense().ravel() == 0.0
+            off = dense(targets).ravel() == 0.0
             np.testing.assert_allclose(grad.ravel()[off], exact_grad[off], rtol=4e-16, atol=0.0)
 
     def test_finite_differences(self):
@@ -151,7 +151,7 @@ class TestBceLoss:
     def test_smoothing_maps_on_and_off_exactly(self):
         targets = label_smooth(SparseTargets([0, 0], [1, 3], (1, 4)), 0.1)
         np.testing.assert_array_equal(
-            targets.dense(), (1.0 - 0.1) * np.array([[0.0, 1.0, 0.0, 1.0]]) + 0.1 / 4
+            dense(targets), (1.0 - 0.1) * np.array([[0.0, 1.0, 0.0, 1.0]]) + 0.1 / 4
         )
 
     def test_out_of_range_tail_raises(self):
@@ -165,7 +165,7 @@ class TestBceLoss:
         batch = Batch(np.array([0]), np.array([0]), (np.array([2, 2, 1]),), 4)
         targets = batch.targets()
         assert targets.cols.tolist() == [1, 2]
-        np.testing.assert_array_equal(targets.dense(), [[0.0, 1.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(dense(targets), [[0.0, 1.0, 1.0, 0.0]])
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -555,6 +555,53 @@ def test_trainer_needs_an_augmented_store_and_stops_at_its_schedule(memorization
     trainer.train_epoch()
     with pytest.raises(ValueError, match="outside the configured schedule of 1"):
         trainer.train_epoch()
+
+
+def _held_arrays(obj) -> list:
+    """Every array ``obj`` holds in an attribute, bare or as a Tensor's data,
+    looking inside the plain objects it holds (its batchnorm layers)."""
+    found = []
+    for value in vars(obj).values():
+        if isinstance(value, Tensor):
+            found.append(value.data)
+        elif isinstance(value, np.ndarray):
+            found.append(value)
+        elif hasattr(value, "__dict__"):
+            found.extend(_held_arrays(value))
+    return found
+
+
+@pytest.mark.parametrize("kind", ["distmult", "complex", "tucker", "lowfer"])
+@pytest.mark.parametrize("batchnorm", [False, True], ids=["plain", "batchnorm"])
+def test_state_lists_every_tensor_once_and_training_keeps_its_arrays(
+    memorization_dataset_dir, kind, batchnorm
+):
+    store = augment_reciprocal(load_dataset(memorization_dataset_dir))
+    doc = {"model": {"kind": kind, "d_e": 4, "k_l": 2, "batchnorm": batchnorm},
+           "train": {"batch_size": 16, "epochs": 2}, "isd": {"enabled": True, "k_b": 3, "beta_init": 0.5}}
+    trainer = Trainer(store, RunConfig.from_dict(doc))
+    arrays = {name: t.data for name, t in trainer.state.items()}
+    trainer.train_epoch()
+    assert all(trainer.state[name].data is arr for name, arr in arrays.items())
+    for component in (trainer.model, trainer.block):
+        state = list(component.state().values())
+        assert len({id(t) for t in state}) == len(state)
+        assert sorted(map(id, _held_arrays(component))) == sorted(id(t.data) for t in state)
+    assert sorted(map(id, arrays.values())) == sorted(
+        id(t.data) for component in (trainer.model, trainer.block) for t in component.state().values()
+    )
+
+
+@pytest.mark.parametrize("kind", ["distmult", "complex", "tucker", "lowfer"])
+def test_count_parameters_matches_what_adam_updates(memorization_dataset_dir, kind):
+    store = augment_reciprocal(load_dataset(memorization_dataset_dir))
+    doc = {"model": {"kind": kind, "d_e": 6, "d_r": 6 if kind in ("distmult", "complex") else 4, "k_l": 2},
+           "train": {"batch_size": 16}, "isd": {"enabled": True, "k_b": 5}}
+    config = RunConfig.from_dict(doc)
+    trainer = Trainer(store, config)
+    assert models.count_parameters(
+        config.model, store.n_entities, store.n_relations, isd_k_b=5, isd_batch_size=16
+    ) == sum(p.data.size for _, p in trainer.adam.named_params)
 
 
 def test_training_steps_run_on_one_blas_thread(monkeypatch, memorization_dataset_dir):
@@ -1021,9 +1068,13 @@ def _header(rank: int, *dims: int) -> bytes:
         (_header(1, 3) + bytes(32), "expected 24 data bytes .* got 32"),
         *((_header(1, 3) + struct.pack("<3d", 0.0, bad, 1.0), "holds a NaN or infinite value")
           for bad in (np.nan, np.inf, -np.inf)),
+        # 2^32 * 2^32 elements wrap to 0 in int64, which a header alone would match.
+        (_header(2, 2**32, 2**32), "expected 147573952589676412928 data bytes .* got 0"),
+        (_header(2, 2**63, 2**63 + 1), "expected .* data bytes .* got 0"),
+        (_header(2, 0, 2**63), "implausible shape"),
     ],
     ids=["bad-magic", "short-header", "rank-over-8", "short-dims", "short-body", "trailing-bytes",
-         "nan", "inf", "minus-inf"],
+         "nan", "inf", "minus-inf", "size-wraps-to-0", "size-wraps-negative", "zero-size-huge-dim"],
 )
 def test_corrupt_tensor_file_rejected(tmp_path, content, message):
     path = tmp_path / "t.bin"
