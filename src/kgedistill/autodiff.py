@@ -1,11 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Everything is 64-bit: single precision would make the finite-difference
-gradient checks that guard this package meaningless. Ops build a computation
-graph while gradients are enabled; :func:`backward` walks the graph in
-reverse topological order and accumulates into the ``grad`` array of every
-reachable leaf. Under :func:`no_grad` the same ops return plain constants,
-so inference and detached teacher extraction carry no graph.
+Tensors, their gradients and every op here are 64-bit, so finite-difference
+gradient checks guard them tightly. The one single-precision computation is
+the fused score head (:func:`kgedistill.models.score_bce`), which runs its
+products and its BCE kernel in float32 and hands float64 gradients on;
+parameters, Adam, distillation and evaluation stay float64.
+
+Ops build a computation graph while gradients are enabled; :func:`backward`
+walks the graph in reverse topological order and accumulates into the
+``grad`` array of every reachable leaf. Under :func:`no_grad` the same ops
+return plain constants, so inference and detached teacher extraction carry
+no graph.
 
 Which results depend on the BLAS thread count:
 

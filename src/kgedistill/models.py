@@ -5,7 +5,10 @@ embedding (batchnorm, input dropout), form a model-specific interaction
 vector, regularize it (hidden dropout, batchnorm, output dropout), and
 contract with the full entity table to produce one logit per entity. In
 training the contraction is fused with the 1-N BCE loss (:func:`score_bce`),
-so the logits are never built whole.
+so the logits are never built whole, and runs in float32: its loss agrees
+with the float64 chain to about 1e-6 relative and its gradients to about
+1e-5 of their largest entry. Inference logits and :func:`bce_loss` are
+float64.
 """
 
 from __future__ import annotations
@@ -165,34 +168,42 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     ``z`` holds one query vector per row and ``entities`` one entity per
     row; ``targets`` is :class:`~kgedistill.data.SparseTargets` shaped
     (queries, entities). The entity columns are taken in blocks of about
-    ``_SCORE_BLOCK_ELEMENTS`` scores. For each block the forward pass
-    computes the scores u = z E_blk^T, the block's BCE partial sums and
-    residual r = sigmoid(u) - y with the kernel :func:`bce_loss` uses (the
-    positives found by ``searchsorted`` over the targets sorted by column),
-    adds r E_blk into the query-side gradient and writes r^T z into the
-    block's rows of an entities-shaped gradient buffer. So neither the
-    logits nor the residual exist beyond one block, and backward only
-    scales both gradients by g / size, in place. Where ``entities`` is a
-    leaf, backward scales its buffer and adds it into the leaf's ``grad``
-    in one pass over row slices of about ``_SLICE_ELEMENTS``, shared out
-    over the worker pool; each element is scaled and added on its own, so
-    the bits are those of scaling first and adding after.
+    ``_SCORE_BLOCK_ELEMENTS`` scores. For each block the forward pass copies
+    the block's entity rows into float32 scratch, computes the scores
+    u = z E_blk^T, the block's BCE partial sums and residual
+    r = sigmoid(u) - y with the kernel :func:`bce_loss` uses (the positives
+    found by ``searchsorted`` over the targets sorted by column), adds
+    r E_blk into the query-side gradient and writes r^T z into the block's
+    rows of an entities-shaped float32 gradient buffer. So neither the
+    logits nor the residual exist beyond one block, no float32 copy of the
+    table is made, and backward only scales both gradients by g / size, in
+    place. Where ``entities`` is a leaf, backward scales its buffer and adds
+    it into the leaf's ``grad`` in one pass over row slices of about
+    ``_SLICE_ELEMENTS``, shared out over the worker pool; each element is
+    scaled and added on its own, so the bits are those of scaling first and
+    adding after.
+
+    The three products and the BCE kernel run in float32. What they feed
+    stays float64: the sums over blocks (each block sums its own scores in
+    float32), the positives' logits and residuals, the query-side gradient
+    summed over blocks, and both gradients handed on. The value agrees with
+    the float64 chain to within 1e-6 relative and the gradients to within
+    1e-5 of their largest entry.
 
     The blocks run on the worker pool with numpy's OpenBLAS held to one
     thread. The block partial sums are added in block order and the
     query-side gradient is summed within each of ``_SCORE_GROUPS`` fixed
     groups of blocks, then over the groups in order, so nothing depends on
-    the number of workers. The results differ from the unfused chain's by
-    a few ulp: the sums run in another order, and the gradients are scaled
-    after the products rather than before.
+    the number of workers.
     """
     if z.ndim != 2 or entities.ndim != 2 or z.shape[1] != entities.shape[1]:
         raise ShapeError(f"score_bce: incompatible shapes {z.shape} x {entities.shape}")
     n_rows, n_cols, dim = z.shape[0], entities.shape[0], z.shape[1]
     _check_targets("score_bce", targets, (n_rows, n_cols))
-    on, off = targets.on, targets.off
+    # Python floats, so the float32 kernels stay in float32.
+    on, off = float(targets.on), float(targets.off)
 
-    zd, ed = np.ascontiguousarray(z.data), np.ascontiguousarray(entities.data)
+    z32, ed = z.data.astype(np.float32), entities.data
     want_dz = grad_enabled() and z.requires_grad
     want_de = grad_enabled() and entities.requires_grad
     cols = max(1, _SCORE_BLOCK_ELEMENTS // max(n_rows, 1))
@@ -207,31 +218,30 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     # the sum of u over the positives.
     partials = np.empty((n_blocks, 4))
     dz_groups = np.zeros((n_groups, n_rows, dim)) if want_dz else None
-    d_entities = np.empty_like(ed) if want_de else None
+    d_entities = np.empty((n_cols, dim), np.float32) if want_de else None
 
     def group_blocks(first: int, stop: int) -> None:
         width = min(cols, n_cols)
-        scratch = np.empty((3, n_rows * width))
-        product = np.empty((n_rows, dim)) if want_dz else None
+        scratch = np.empty((3, n_rows * width), np.float32)
+        e32 = np.empty((width, dim), np.float32)
+        product = np.empty((n_rows, dim), np.float32) if want_dz else None
         for group in range(first, stop):
             for i in range(group * per_group, min((group + 1) * per_group, n_blocks)):
                 lo, hi = i * cols, min((i + 1) * cols, n_cols)
                 u, e, s = (buf[: n_rows * (hi - lo)].reshape(n_rows, hi - lo) for buf in scratch)
-                e_blk = ed[lo:hi]
-                np.matmul(zd, e_blk.T, out=u)
+                e_blk = e32[: hi - lo]
+                e_blk[...] = ed[lo:hi]
+                np.matmul(z32, e_blk.T, out=u)
                 rows = pos_rows[bounds[i] : bounds[i + 1]]
                 at = pos_cols[bounds[i] : bounds[i + 1]] - lo
-                u_pos = u[rows, at]
+                u_pos = u[rows, at].astype(np.float64)
                 partials[i, :3] = _bce_block(u, u, e, s, off)
                 partials[i, 3] = u_pos.sum()
                 u[rows, at] = _positive_residual(u_pos, on)  # u now holds r
                 if want_dz:
-                    if i == group * per_group:
-                        np.matmul(u, e_blk, out=dz_groups[group])
-                    else:
-                        dz_groups[group] += np.matmul(u, e_blk, out=product)
+                    dz_groups[group] += np.matmul(u, e_blk, out=product)
                 if want_de:
-                    np.matmul(u.T, zd, out=d_entities[lo:hi])
+                    np.matmul(u.T, z32, out=d_entities[lo:hi])
 
     with _one_blas_thread():
         _run_blocks(n_groups, group_blocks, min_per_worker=1)
@@ -263,21 +273,19 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     def scaled(name: str):
         def vjp(g):
             out = take(name)
-            out *= g
-            out /= size
-            return out
+            out *= float(g) / size
+            return out.astype(np.float64, copy=False)
 
         return vjp
 
     def add_entities(g, grad: np.ndarray) -> None:
-        d = take("entities")
+        d, scale = take("entities"), float(g) / size
         step = max(1, _SLICE_ELEMENTS // max(dim, 1))
 
         def rows(first: int, stop: int) -> None:
             for start in range(first * step, min(stop * step, n_cols), step):
                 block = d[start : start + step]
-                block *= g
-                block /= size
+                block *= scale
                 grad[start : start + step] += block
 
         _run_blocks(-(-n_cols // step), rows)

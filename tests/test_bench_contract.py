@@ -12,7 +12,15 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from kgedistill import evaluation
+from kgedistill.autodiff import gather_rows, matmul, no_grad, transpose
+from kgedistill.config import ModelConfig
+from kgedistill.data import Batch, label_smooth
+from kgedistill.models import EmbeddingModel, bce_loss
+from kgedistill.rng import stream
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "kgebench"
 
@@ -69,3 +77,32 @@ def test_eval_path_ranks_pass_the_oracle(tmp_path):
     ops = bench.Ops()
     bench.check_ranks(store, trainer.model, splits, head, tail, 5, ops)
     assert (ops.failed, ops.attempted) == (0, 1), ops.notes
+
+
+@pytest.mark.parametrize("kind", ["distmult", "complex", "tucker", "lowfer"])
+def test_eval_logits_and_bce_loss_stay_float64(kind):
+    """Only the training head computes in float32. The eval forward, which
+    the rank and restore checks read, is the float64 product chain byte for
+    byte, and ``bce_loss`` meets the loss check's 1e-12 against its oracle.
+    Each kind runs at its default batchnorm, moved off its initial
+    statistics by one training forward."""
+    oracles = _import("oracles")
+    rng = np.random.default_rng(5)
+    model = EmbeddingModel(ModelConfig(kind=kind, d_e=6, k_l=2), 40, 4, stream(3, "model"))
+    model.entity_embeddings.data *= 20.0  # logits of order one
+    heads, relations = rng.integers(0, 40, 12), rng.integers(0, 4, 12)
+    tails = [rng.choice(40, size=k, replace=False) for k in rng.integers(1, 5, 12)]
+    with no_grad():
+        model.forward(heads, relations, training=True, rng=stream(3, "drop"))
+        logits = model.forward(heads, relations)
+        h = gather_rows(model.entity_embeddings, heads)
+        if model.bn_input is not None:
+            h = model.bn_input(h, False)
+        z = model.interaction(h, gather_rows(model.relation_embeddings, relations))
+        if model.bn_output is not None:
+            z = model.bn_output(z, False)
+        chain = matmul(z, transpose(model.entity_embeddings))
+        value = float(bce_loss(logits, label_smooth(Batch(heads, relations, tuple(tails), 40).targets(), 0.1)).data)
+    assert logits.data.dtype == np.float64
+    assert logits.data.tobytes() == chain.data.tobytes()
+    assert oracles.relative_error(value, oracles.bce_reference(logits.data, tails, 0.1)) <= 1e-12

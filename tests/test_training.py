@@ -372,6 +372,15 @@ def _chain_run(z, table, targets, upstream=0.75, interior=False):
     return float(loss.data), zp.grad, tp.grad
 
 
+# The fused head computes in float32 and the chain in float64. On the cases
+# below the measured errors against the chain stay under 3e-8 relative for
+# the value and 5e-7 of the largest entry for either gradient (at 512 x
+# 40,943 x 200 they are 2e-10 and 6e-7), so the bounds leave a margin of at
+# least 20.
+VALUE_TOL = 1e-6
+GRAD_TOL = 1e-5
+
+
 class TestScoreBce:
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     @pytest.mark.parametrize("block", [40, 1 << 17])
@@ -383,15 +392,36 @@ class TestScoreBce:
         for interior in (False, True):
             value, dz, dtable = _fused_run(z, table, targets, interior=interior)
             want_value, want_dz, want_dtable = _chain_run(z, table, targets, interior=interior)
-            assert rel_err(value, want_value) <= 1e-14
-            assert rel_err(dz, want_dz) <= 1e-14
-            assert rel_err(dtable, want_dtable) <= 1e-14
+            assert rel_err(value, want_value) <= VALUE_TOL
+            assert rel_err(dz, want_dz) <= GRAD_TOL
+            assert rel_err(dtable, want_dtable) <= GRAD_TOL
+
+    def test_matches_the_unfused_chain_over_wide_blocks(self, monkeypatch):
+        """64 x 20,000 x 32 with logits of sd ~13: 313 blocks of 64 columns in
+        8 groups of 40, so float32 rounding accumulates over long dot
+        products, long block sums and long group sums of the query gradient."""
+        monkeypatch.setattr(models, "_SCORE_BLOCK_ELEMENTS", 1 << 12)
+        z, table, targets = _score_case(np.random.default_rng(89), n_rows=64, n_cols=20_000, dim=32)
+        value, dz, dtable = _fused_run(z, table, targets)
+        want_value, want_dz, want_dtable = _chain_run(z, table, targets)
+        assert rel_err(value, want_value) <= VALUE_TOL
+        assert rel_err(dz, want_dz) <= GRAD_TOL
+        assert rel_err(dtable, want_dtable) <= GRAD_TOL
 
     def test_finite_differences(self, monkeypatch):
+        """Central differences of the float32 head with step 1e-2 and tolerance 1e-4.
+
+        The logits are rounded to float32, a relative error of ~6e-8, so the
+        differenced loss carries rounding noise of order 6e-8 / step, while
+        the truncation error grows as step**2. At step 1e-5 (the float64
+        default) the noise gives a relative error of 3e-2; at 1e-3 it is
+        2e-4, at 1e-2 2e-5 and at 3e-2 truncation takes it back up to 1e-4.
+        Step 1e-2 sits at the minimum and the tolerance leaves a margin of 5.
+        """
         monkeypatch.setattr(models, "_SCORE_BLOCK_ELEMENTS", 8)
         z, table, targets = _score_case(np.random.default_rng(47), n_rows=3, n_cols=11, dim=4)
         zp, tp = Parameter(z), Parameter(table)
-        assert_gradients_match(lambda: score_bce(zp, tp, targets) * 3.0, [zp, tp])
+        assert_gradients_match(lambda: score_bce(zp, tp, targets) * 3.0, [zp, tp], step=1e-2, tol=1e-4)
 
     def test_adds_into_a_table_holding_a_gradient(self):
         z, table, targets = _score_case(np.random.default_rng(53))
@@ -420,7 +450,7 @@ class TestScoreBce:
         targets = label_smooth(SparseTargets(np.arange(9), rng.integers(0, 40, 9), (9, 40)), 0.1)
         fused = model.forward(heads, relations, targets=targets)
         chain = bce_loss(model.forward(heads, relations), targets)
-        assert rel_err(float(fused.data), float(chain.data)) <= 1e-14
+        assert rel_err(float(fused.data), float(chain.data)) <= VALUE_TOL
 
     def test_rejects_bad_targets(self):
         z, table = Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3)))
@@ -505,6 +535,28 @@ def test_training_step_builds_no_entity_wide_array(tmp_path, workers):
         tracemalloc.stop()
     assert np.isfinite(record["loss_bce"])
     assert peak < batch_size * n_entities * 8 / 4
+
+
+def test_score_head_holds_no_float32_copy_of_the_table(monkeypatch, workers):
+    """One forward and backward at 64 x 50,000 x 16 peak below 0.6 x the table.
+
+    The float32 entity gradient takes half the float64 table's bytes, and a
+    whole-table float32 copy beside it would take the other half. Blocks of
+    4,096 scores keep each worker's fixed scratch (three score blocks and
+    one entity block, ~50 kB) small next to the 6.4 MB table.
+    """
+    monkeypatch.setattr(models, "_SCORE_BLOCK_ELEMENTS", 1 << 12)
+    z, table, targets = _score_case(np.random.default_rng(101), n_rows=64, n_cols=50_000, dim=16)
+    zp, tp = Parameter(z), Parameter(table)
+    workers(2)
+    tracemalloc.start()
+    try:
+        backward(score_bce(zp, tp, targets))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(tp.grad).all()
+    assert peak < 0.6 * table.nbytes, f"peak {peak} B against a {table.nbytes} B table"
 
 
 def _memorization_trainer(directory) -> Trainer:
@@ -1120,18 +1172,18 @@ GOLDEN_ARMS = {
     "static": {"enabled": True, "static_input": True},
 }
 GOLDEN_TRAJECTORIES = {
-    ("distmult", "off"): "7bcf19c6bdd9d9061b141e75f064db0c8b271cdc38eeb4db449063c2dfca86e1",
-    ("distmult", "beta-0.5"): "d656bf30e97f032a4e49d94be865aa85ca37b22360e1dda5f08fd846f9985036",
-    ("distmult", "static"): "44049d1ee846bb962b3aea0ef98acda5d546695513e369bc96303b401adcc031",
-    ("complex", "off"): "7c4917e0041da833fea992d1c2ff349da9f298ec0948cec3f25a628180cbe039",
-    ("complex", "beta-0.5"): "01035d4842167e3437951bda391350306ee7fa0ee085e0a286f5316dcc52d3d6",
-    ("complex", "static"): "450c12fee33a982c397326231804b70ecbff2dd956adca9cc22a6623207f70e8",
-    ("tucker", "off"): "8a48ed1c56a9084155e914a04f100d37a33cfe8a980cd0faa91a2b70e468272d",
-    ("tucker", "beta-0.5"): "f2b019a111617fb1fd005351a21235b9fd62aa6cd59920783c6de39302173ab1",
-    ("tucker", "static"): "726c9d289dc1b50ef179438e122936ab18f899a2c582926acf3e06ed0d71ca9b",
-    ("lowfer", "off"): "33db4266bbdefb8493fb5210e1ecfe85ddca6b93b30873d51f33135f1ad8d629",
-    ("lowfer", "beta-0.5"): "99729eb7b2e7eeade8679d93bcf779745414e3f9b7737f9d3a37bfc2c58b7c8d",
-    ("lowfer", "static"): "6ff77a050688da85606f7ca3f32aad5279d3cf5111aee328947a0093d5179384",
+    ("distmult", "off"): "0bcb67c0b820a5db54c74d78a3d8ac4a02d2bcf212f2d2eb0c6f2482b365e1c1",
+    ("distmult", "beta-0.5"): "cf85bc9e878292b33cce5d1d014d31071dc615076789ee8c054c78672c755e3e",
+    ("distmult", "static"): "4326749123beee20a6e1e684f7019835e71d637acc299a813192c36a2c5b610b",
+    ("complex", "off"): "05ea12e8b8fff5d0d2d1acad4fb24df783af57e6bec26a16af5d54293033dc89",
+    ("complex", "beta-0.5"): "164ab85d9dcd6b7f81346043f698006ee83b5255892a67332abbd7a38ff5481e",
+    ("complex", "static"): "2527dc486c300caa697ccad5c215052f4340362a4fc05d4b4466e7d9586cce3e",
+    ("tucker", "off"): "d4fd90d1b723741b9ef404d67dbdc1fef453bbc7384a4af018f6befc17193ddd",
+    ("tucker", "beta-0.5"): "3f31a85bbd2c1b99976e2447be1d6b7220a62d5736979df2575c84b8fa51c4f6",
+    ("tucker", "static"): "0dfe6d7df0f44cc18f4804e5d3de075ff89c1e7876f709b90bd4fb33aa36044a",
+    ("lowfer", "off"): "1fc2e4e696b6ab36c78e2f727edf98fb865381c59d4f66550cf182c1893c584b",
+    ("lowfer", "beta-0.5"): "8422f6b5321fe9e3438c3ae4f62c191ee2f63025081e2c590e36bda2e4dec8ab",
+    ("lowfer", "static"): "476b382ff3ab7fb342a56fffcd97681c2631a02326459b600d777b72e72a35af",
 }
 
 
