@@ -8,7 +8,11 @@ parameters, Adam, distillation and evaluation stay float64.
 
 Ops build a computation graph while gradients are enabled; :func:`backward`
 walks the graph in reverse topological order and accumulates into the
-``grad`` array of every reachable leaf. Under :func:`no_grad` the same ops
+``grad`` array of every reachable leaf. A VJP either returns its
+contribution or adds it into its leaf parent's ``grad`` itself and returns
+``None``; the ops that do the latter (the row lookup, a single-row product
+with a leaf right operand, the score head's entity side) refuse a parent
+that is not a leaf. Under :func:`no_grad` the same ops
 return plain constants, so inference and detached teacher extraction carry
 no graph.
 
@@ -213,31 +217,15 @@ def _node(data: np.ndarray, parents, vjps) -> Tensor:
     return out
 
 
-def _with_leaf_add(vjp, add_into):
-    """Give ``vjp`` an in-place form for leaf parents.
-
-    ``add_into(g, grad)`` adds the same contribution that ``vjp(g)`` returns
-    straight into ``grad``, without building it as a full-size array.
-    """
-    vjp.add_into = add_into
-    return vjp
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    if grad.shape == shape:
-        return grad
+    """Sum a gradient over the leading axes its operand was broadcast along."""
     extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+    return grad.sum(axis=tuple(range(extra))) if extra else grad
 
 
 # ---------------------------------------------------------------------------
-# Elementwise ops (numpy broadcasting rules apply)
+# Elementwise ops: an operand may broadcast by gaining leading axes, not by
+# stretching a size-1 axis
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -292,13 +280,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
 
-    def vjp_b(g):
-        return a.data.T @ g
+    if a.shape[0] == 1 and not b._parents:
+        # With a single left row, a leaf b's gradient is the outer product of
+        # that row and g: a rank-1 update added into its grad a few rows at a time.
+        def vjp_b(g):
+            _add_outer(a.data[0], g[0], b.grad)
+    else:
+        def vjp_b(g):
+            return a.data.T @ g
 
-    if a.shape[0] == 1:
-        # With a single left row, b's gradient is the outer product of that
-        # row and g: a rank-1 update that a leaf takes a few rows at a time.
-        vjp_b = _with_leaf_add(vjp_b, lambda g, grad: _add_outer(a.data[0], g[0], grad))
     return _node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, vjp_b))
 
 
@@ -388,20 +378,18 @@ def mean(a: Tensor, axis=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]``; the gradient scatter-adds into the table."""
+    """Row lookup ``table[ids]`` in a leaf table; the gradient scatter-adds
+    into the table's ``grad``."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2:
         raise ShapeError(f"gather_rows expects a rank-2 table, got shape {table.shape}")
+    if table._parents:
+        raise ShapeError("gather_rows looks rows up in a leaf table, not in an op's output")
 
     def vjp(g):
-        out = np.zeros_like(table.data)
-        np.add.at(out, ids, g)
-        return out
+        np.add.at(table.grad, ids, g)
 
-    def add_into(g, grad):
-        np.add.at(grad, ids, g)
-
-    return _node(table.data[ids], (table,), (_with_leaf_add(vjp, add_into),))
+    return _node(table.data[ids], (table,), (vjp,))
 
 
 def halves(a: Tensor) -> tuple:
@@ -452,20 +440,16 @@ def backward(loss: Tensor) -> None:
     with ``requires_grad=True``, so its ``grad`` buffer exists already;
     backward allocates none. Gradients add onto existing ``grad`` contents,
     so a caller that wants fresh ones zeroes them between steps (the
-    trainer's Adam step zeroes each gradient after reading it). Each
-    contribution to a leaf is added into its ``grad`` as soon as it is
-    computed, and a VJP with an in-place form (the row lookup, a product
-    with a single left row, the score head's entity side) adds into it
-    directly. On zeroed gradients the result has the same bits as summing
-    the contributions first, except where a looked-up row repeats after the
-    leaf already holds a contribution: those rows are added one at a time.
+    trainer's Adam step zeroes each gradient after reading it). A VJP that
+    returns ``None`` has added into its leaf parent's ``grad`` itself; a
+    returned contribution is added into a leaf's ``grad`` at once, and
+    summed out of place for an interior node. On zeroed gradients the
+    result has the same bits as summing every contribution first, except
+    where a looked-up row repeats after the leaf already holds a
+    contribution: those rows are added one at a time.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not loss._parents:
-        if loss.requires_grad:
-            loss.grad[...] += 1.0
-        return
 
     # Iterative post-order DFS; recursion would overflow on long chains.
     topo: list[Tensor] = []
@@ -490,14 +474,12 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         for parent, vjp in zip(node._parents, node._vjps):
-            if not parent._parents:
-                add_into = getattr(vjp, "add_into", None)
-                if add_into is not None:
-                    add_into(g, parent.grad)
-                else:
-                    parent.grad[...] += vjp(g)
-                continue
             contribution = vjp(g)
+            if contribution is None:
+                continue
+            if not parent._parents:
+                parent.grad += contribution
+                continue
             # Interior sums stay out of place: a VJP may hand the same array
             # to two parents (identity VJPs such as add's do).
             key = id(parent)

@@ -312,9 +312,11 @@ class SparseTargets:
 
 
 class Batch:
-    """A block of (head, relation) queries with their training tails.
+    """A block of (head, relation) queries with their training tails, in CSR form.
 
-    Row ``i``'s tails are ``tail_ids[indptr[i]:indptr[i + 1]]``.
+    Row ``i`` is the query ``(heads[i], relations[i])`` and its tails are
+    ``tail_ids[indptr[i]:indptr[i + 1]]``. Indexing gives
+    ``(head, relation, tails)`` rows, a slice a list of them.
     ``targets()`` gives the ``len(heads)`` x ``n_entities`` multi-label 0/1
     matrix in sparse form; dense, it would take ~160 MB at 40k-entity scale.
     """
@@ -335,6 +337,16 @@ class Batch:
         batch.indptr, batch.tail_ids = indptr, tail_ids
         return batch
 
+    def __len__(self) -> int:
+        return len(self.heads)
+
+    def __getitem__(self, key):
+        rows = range(len(self))[key]
+        if isinstance(rows, range):
+            return [self[i] for i in rows]
+        tails = self.tail_ids[self.indptr[rows] : self.indptr[rows + 1]]
+        return int(self.heads[rows]), int(self.relations[rows]), tails
+
     @property
     def tails(self) -> tuple:
         """One array of tail ids per row."""
@@ -346,34 +358,8 @@ class Batch:
         return SparseTargets(rows, self.tail_ids, (len(self.heads), self.n_entities))
 
 
-@dataclass(frozen=True, eq=False)
-class TrainQueries:
-    """Distinct (head, relation) train queries with their tails, in CSR form.
-
-    Query ``i`` is ``(heads[i], relations[i])``, in order of first
-    appearance in the train split; its tails are
-    ``tails[indptr[i]:indptr[i + 1]]``, in train order. Indexing gives
-    ``(head, relation, tails)`` rows, a slice a list of them.
-    """
-
-    heads: np.ndarray
-    relations: np.ndarray
-    indptr: np.ndarray
-    tails: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.heads)
-
-    def __getitem__(self, key):
-        rows = range(len(self))[key]
-        if isinstance(rows, range):
-            return [self[i] for i in rows]
-        tails = self.tails[self.indptr[rows] : self.indptr[rows + 1]]
-        return int(self.heads[rows]), int(self.relations[rows]), tails
-
-
-def group_queries(store: TripleStore) -> TrainQueries:
-    """Group the train split by (head, relation) query.
+def group_queries(store: TripleStore) -> Batch:
+    """Group the train split by (head, relation) query into one batch.
 
     Queries come in order of first appearance in the train split, and each
     query's tails in train order, so the result is deterministic for a
@@ -386,20 +372,19 @@ def group_queries(store: TripleStore) -> TrainQueries:
     first = order[bounds[:-1]]  # the train row where each query first appears
     groups = np.argsort(first)
     counts = np.diff(bounds)[groups]
-    return TrainQueries(
-        heads=train[first[groups], 0],
-        relations=train[first[groups], 1],
-        indptr=np.r_[0, np.cumsum(counts)],
-        tails=_take_runs(train[order, 2], bounds[:-1][groups], counts),
+    return Batch.from_csr(
+        train[first[groups], 0],
+        train[first[groups], 1],
+        np.r_[0, np.cumsum(counts)],
+        _take_runs(train[order, 2], bounds[:-1][groups], counts),
+        store.n_entities,
     )
 
 
-def make_batches(
-    store: TripleStore, batch_size: int, rng: np.random.Generator, queries: TrainQueries
-) -> list[Batch]:
+def make_batches(queries: Batch, batch_size: int, rng: np.random.Generator) -> list[Batch]:
     """Shuffle the distinct train queries and group them into full batches.
 
-    ``queries`` is :func:`group_queries` of ``store``, which
+    ``queries`` is :func:`group_queries` of the train split, which
     :class:`~kgedistill.training.Trainer` builds once and passes every epoch.
     The final partial batch is dropped: the distillation block's expanding
     projection has a fixed row count, so every batch must have exactly
@@ -416,7 +401,7 @@ def make_batches(
     order = rng.permutation(len(queries))[:n_rows]
     heads, relations = queries.heads[order], queries.relations[order]
     counts = np.diff(queries.indptr)[order]
-    tails = _take_runs(queries.tails, queries.indptr[order], counts)
+    tails = _take_runs(queries.tail_ids, queries.indptr[order], counts)
     indptr = np.r_[0, np.cumsum(counts)]
     return [
         Batch.from_csr(
@@ -424,7 +409,7 @@ def make_batches(
             relations[s : s + batch_size],
             indptr[s : s + batch_size + 1] - indptr[s],
             tails[indptr[s] : indptr[s + batch_size]],
-            store.n_entities,
+            queries.n_entities,
         )
         for s in range(0, n_rows, batch_size)
     ]

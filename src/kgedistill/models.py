@@ -20,7 +20,6 @@ from .autodiff import (
     Tensor,
     _one_blas_thread,
     _run_blocks,
-    _with_leaf_add,
     bmm,
     custom_node,
     gather_rows,
@@ -177,9 +176,9 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     rows of an entities-shaped float32 gradient buffer. So neither the
     logits nor the residual exist beyond one block, no float32 copy of the
     table is made, and backward only scales both gradients by g / size, in
-    place. Where ``entities`` is a leaf, backward scales its buffer and adds
-    it into the leaf's ``grad`` in one pass over row slices of about
-    ``_SLICE_ELEMENTS``, shared out over the worker pool; each element is
+    place. ``entities`` must be a leaf: backward scales its buffer and adds
+    it into the leaf's ``grad`` itself, in one pass over row slices of about
+    ``_SLICE_ELEMENTS`` shared out over the worker pool; each element is
     scaled and added on its own, so the bits are those of scaling first and
     adding after.
 
@@ -198,6 +197,8 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     """
     if z.ndim != 2 or entities.ndim != 2 or z.shape[1] != entities.shape[1]:
         raise ShapeError(f"score_bce: incompatible shapes {z.shape} x {entities.shape}")
+    if entities._parents:
+        raise ShapeError("score_bce takes a leaf entity table, not an op's output")
     n_rows, n_cols, dim = z.shape[0], entities.shape[0], z.shape[1]
     _check_targets("score_bce", targets, (n_rows, n_cols))
     # Python floats, so the float32 kernels stay in float32.
@@ -270,16 +271,13 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
             raise RuntimeError("score_bce gradient was already taken; rebuild the loss")
         return pending.pop(name)
 
-    def scaled(name: str):
-        def vjp(g):
-            out = take(name)
-            out *= float(g) / size
-            return out.astype(np.float64, copy=False)
+    def vjp_z(g):
+        d = take("z")
+        d *= float(g) / size
+        return d
 
-        return vjp
-
-    def add_entities(g, grad: np.ndarray) -> None:
-        d, scale = take("entities"), float(g) / size
+    def add_entities(g) -> None:
+        d, scale, grad = take("entities"), float(g) / size, entities.grad
         step = max(1, _SLICE_ELEMENTS // max(dim, 1))
 
         def rows(first: int, stop: int) -> None:
@@ -290,8 +288,7 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
 
         _run_blocks(-(-n_cols // step), rows)
 
-    vjp_entities = _with_leaf_add(scaled("entities"), add_entities)
-    return custom_node(np.float64(value), (z, entities), (scaled("z"), vjp_entities))
+    return custom_node(np.float64(value), (z, entities), (vjp_z, add_entities))
 
 
 def _bce_block(u, out, e, scratch, off: float) -> tuple:

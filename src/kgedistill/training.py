@@ -130,9 +130,9 @@ class Trainer:
     gradient zeroed for the next step's ``backward``.
     Random streams are ``stream(seed, label)`` for "shuffle", "dropout",
     "model-init" and "block-init"; checkpoints keep the first two's states.
-    ``queries`` holds the distinct train queries as the CSR arrays of
-    :func:`~kgedistill.data.group_queries`, grouped once here and shuffled
-    into batches every epoch. ``state`` maps ``model.<name>`` and
+    ``queries`` holds the distinct train queries as one
+    :class:`~kgedistill.data.Batch` (:func:`~kgedistill.data.group_queries`),
+    grouped once here and shuffled into batches every epoch. ``state`` maps ``model.<name>`` and
     ``block.<name>`` to the tensors of the model's and the block's
     ``state()``. It is built once and its arrays are updated in place;
     Adam and checkpoints read it.
@@ -187,7 +187,7 @@ class Trainer:
         # a distillation-disabled run.
         use_isd = dcfg.enabled and beta > 0.0
 
-        batches = make_batches(self.store, cfg.batch_size, self.rng_shuffle, self.queries)
+        batches = make_batches(self.queries, cfg.batch_size, self.rng_shuffle)
         first_batch = batches[0]
         bce_sum = kl_sum = loss_sum = 0.0
         with _one_blas_thread():

@@ -144,21 +144,21 @@ class TestMakeBatches:
 
     def test_partial_batch_dropped(self, tmp_path):
         store = make_store(tmp_path, [(f"h{i}", "r", f"t{i}") for i in range(5)])
-        batches = make_batches(store, 2, stream(0, "shuffle"), group_queries(store))
+        batches = make_batches(group_queries(store), 2, stream(0, "shuffle"))
         assert len(batches) == 2
         assert all(len(b.heads) == 2 for b in batches)
 
     def test_same_seed_same_order(self, tmp_path):
         store = self._store(tmp_path)
-        a = make_batches(store, 4, stream(3, "shuffle"), group_queries(store))
-        b = make_batches(store, 4, stream(3, "shuffle"), group_queries(store))
+        a = make_batches(group_queries(store), 4, stream(3, "shuffle"))
+        b = make_batches(group_queries(store), 4, stream(3, "shuffle"))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.heads, y.heads)
             np.testing.assert_array_equal(x.relations, y.relations)
 
     def test_target_row_marks_training_tails(self, tmp_path):
         store = make_store(tmp_path, [("a", "r", "b"), ("a", "r", "c"), ("d", "r", "b")])
-        batches = make_batches(store, 2, stream(1, "shuffle"), group_queries(store))
+        batches = make_batches(group_queries(store), 2, stream(1, "shuffle"))
         batch = batches[0]
         y = dense(batch.targets())
         for i in range(len(batch.heads)):
@@ -171,16 +171,16 @@ class TestMakeBatches:
     def test_oversized_batch_rejected(self, tmp_path):
         store = make_store(tmp_path, [("a", "r", "b")])
         with pytest.raises(ConfigError):
-            make_batches(store, 2, stream(0, "shuffle"), group_queries(store))
+            make_batches(group_queries(store), 2, stream(0, "shuffle"))
 
     def test_zero_batch_size_rejected(self, tmp_path):
         store = self._store(tmp_path)
         with pytest.raises(ConfigError, match="batch_size must be >= 1"):
-            make_batches(store, 0, stream(0, "shuffle"), group_queries(store))
+            make_batches(group_queries(store), 0, stream(0, "shuffle"))
 
     def test_all_rows_have_a_positive(self, tmp_path):
         store = self._store(tmp_path)
-        for batch in make_batches(store, 4, stream(5, "shuffle"), group_queries(store)):
+        for batch in make_batches(group_queries(store), 4, stream(5, "shuffle")):
             assert (dense(batch.targets()).sum(axis=1) >= 1).all()
 
 
@@ -251,13 +251,13 @@ def test_group_queries_matches_a_dict_loop(tmp_path):
     assert queries.heads.tolist() == [h for h, _, _ in expected]
     assert queries.relations.tolist() == [r for _, r, _ in expected]
     assert queries.indptr.tolist() == np.cumsum([0] + [len(t) for _, _, t in expected]).tolist()
-    assert queries.tails.tolist() == [t for _, _, tails in expected for t in tails]
+    assert queries.tail_ids.tolist() == [t for _, _, tails in expected for t in tails]
     assert [(h, r, tails.tolist()) for h, r, tails in queries] == expected
     assert [(h, r, t.tolist()) for h, r, t in queries[-2:]] == expected[-2:]
 
     empty = group_queries(make_store(tmp_path / "empty", [], [("a", "r", "b")]))
     assert len(empty) == 0 and empty[:5] == []
-    assert empty.indptr.tolist() == [0] and empty.tails.size == 0
+    assert empty.indptr.tolist() == [0] and empty.tail_ids.size == 0
 
 
 def test_group_queries_is_deterministic(tmp_path):
@@ -265,7 +265,7 @@ def test_group_queries_is_deterministic(tmp_path):
     store = augment_reciprocal(make_store(tmp_path, train, valid, test))
     a = group_queries(store)
     b = group_queries(store)
-    for name in ("heads", "relations", "indptr", "tails"):
+    for name in ("heads", "relations", "indptr", "tail_ids"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -274,7 +274,7 @@ def test_csr_batches_match_a_dict_loop_grouping(tmp_path):
     store = augment_reciprocal(make_store(tmp_path, train, valid, test))
     expected = dict_loop_queries(store)
     batch_size = 7
-    batches = make_batches(store, batch_size, stream(4, "shuffle"), group_queries(store))
+    batches = make_batches(group_queries(store), batch_size, stream(4, "shuffle"))
     order = stream(4, "shuffle").permutation(len(expected))
     assert len(batches) == len(expected) // batch_size
     for b, batch in enumerate(batches):

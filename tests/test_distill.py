@@ -25,7 +25,7 @@ def _toy_setup(tmp_path, bs=2, d=4, k_b=3, seed=5):
     store = augment_reciprocal(load_dataset(tmp_path / "kg"))
     entities = Parameter(stream(seed, "e").normal(0, 0.5, (store.n_entities, d)))
     block = SemanticBlock(d, store.n_entities, bs, k_b, stream(seed, "b"))
-    batch = make_batches(store, bs, stream(seed, "s"), group_queries(store))[0]
+    batch = make_batches(group_queries(store), bs, stream(seed, "s"))[0]
     return store, entities, block, batch
 
 

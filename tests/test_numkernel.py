@@ -194,6 +194,10 @@ class TestPrimitiveGradients:
             return tensor_sum(rows * rows)
 
         assert_gradients_match(loss, [table])
+        # The gradient is scatter-added into the table's grad, so the table
+        # must be a leaf.
+        with pytest.raises(ShapeError):
+            gather_rows(table * 1.0, ids)
 
     def test_shared_node_used_twice(self):
         x = Parameter([2.0])

@@ -357,17 +357,16 @@ def _score_case(rng, n_rows=12, n_cols=301, dim=5, epsilon=0.1):
     return z, table, label_smooth(batch.targets(), epsilon)
 
 
-def _fused_run(z, table, targets, upstream=0.75, interior=False):
-    """``interior`` passes the table through a product, so it is no leaf."""
+def _fused_run(z, table, targets, upstream=0.75):
     zp, tp = Parameter(z.copy()), Parameter(table.copy())
-    loss = score_bce(zp, tp * 1.0 if interior else tp, targets)
+    loss = score_bce(zp, tp, targets)
     backward(loss * upstream)
     return float(loss.data), zp.grad, tp.grad
 
 
-def _chain_run(z, table, targets, upstream=0.75, interior=False):
+def _chain_run(z, table, targets, upstream=0.75):
     zp, tp = Parameter(z.copy()), Parameter(table.copy())
-    loss = bce_loss(matmul(zp, transpose(tp * 1.0 if interior else tp)), targets)
+    loss = bce_loss(matmul(zp, transpose(tp)), targets)
     backward(loss * upstream)
     return float(loss.data), zp.grad, tp.grad
 
@@ -385,16 +384,18 @@ class TestScoreBce:
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     @pytest.mark.parametrize("block", [40, 1 << 17])
     def test_matches_the_unfused_chain(self, monkeypatch, epsilon, block):
-        # 40-element blocks of 3 columns: 101 blocks in 8 groups of 13. A leaf
-        # table adds the VJP's buffer into its grad, an interior one passes it on.
+        # 40-element blocks of 3 columns: 101 blocks in 8 groups of 13. The
+        # head adds into the table's grad itself, so it refuses a table that
+        # is an op's output.
         monkeypatch.setattr(models, "_SCORE_BLOCK_ELEMENTS", block)
         z, table, targets = _score_case(np.random.default_rng(43), epsilon=epsilon)
-        for interior in (False, True):
-            value, dz, dtable = _fused_run(z, table, targets, interior=interior)
-            want_value, want_dz, want_dtable = _chain_run(z, table, targets, interior=interior)
-            assert rel_err(value, want_value) <= VALUE_TOL
-            assert rel_err(dz, want_dz) <= GRAD_TOL
-            assert rel_err(dtable, want_dtable) <= GRAD_TOL
+        value, dz, dtable = _fused_run(z, table, targets)
+        want_value, want_dz, want_dtable = _chain_run(z, table, targets)
+        assert rel_err(value, want_value) <= VALUE_TOL
+        assert rel_err(dz, want_dz) <= GRAD_TOL
+        assert rel_err(dtable, want_dtable) <= GRAD_TOL
+        with pytest.raises(ShapeError):
+            score_bce(Parameter(z), Parameter(table) * 1.0, targets)
 
     def test_matches_the_unfused_chain_over_wide_blocks(self, monkeypatch):
         """64 x 20,000 x 32 with logits of sd ~13: 313 blocks of 64 columns in
@@ -698,7 +699,11 @@ def test_training_steps_run_on_one_blas_thread(monkeypatch, memorization_dataset
 
 def backward_sum_then_add(loss: Tensor) -> None:
     """Reference backward pass: same traversal as ``backward``, but every
-    contribution to a node is summed first and then added to the leaf."""
+    contribution to a node is summed first and then added to the leaf.
+
+    A VJP that adds into its leaf parent's ``grad`` itself gets a zeroed
+    stand-in for that ``grad`` while it runs; what it added there is its
+    contribution."""
     topo, visited, stack = [], set(), [(loss, False)]
     while stack:
         node, processed = stack.pop()
@@ -719,7 +724,16 @@ def backward_sum_then_add(loss: Tensor) -> None:
             node.grad += g
             continue
         for parent, vjp in zip(node._parents, node._vjps):
-            c = vjp(g)
+            if parent._parents:
+                c = vjp(g)
+            else:
+                held, parent.grad = parent.grad, np.zeros_like(parent.grad)
+                try:
+                    c = vjp(g)
+                    if c is None:
+                        c = parent.grad
+                finally:
+                    parent.grad = held
             grads[id(parent)] = grads[id(parent)] + c if id(parent) in grads else c
 
 
@@ -1185,6 +1199,30 @@ GOLDEN_TRAJECTORIES = {
     ("lowfer", "beta-0.5"): "8422f6b5321fe9e3438c3ae4f62c191ee2f63025081e2c590e36bda2e4dec8ab",
     ("lowfer", "static"): "476b382ff3ab7fb342a56fffcd97681c2631a02326459b600d777b72e72a35af",
 }
+
+
+@pytest.mark.parametrize("kind", ["distmult", "complex", "tucker", "lowfer"])
+def test_distillation_at_beta_zero_is_bit_identical_to_distillation_off(tmp_path, kind):
+    """``train_epoch`` skips the whole distillation path when beta is 0, so
+    the model and the history are those of a run without distillation, and
+    Adam, fed zero gradients, leaves the block as it was built."""
+    store = _store(tmp_path)
+    trainers = {}
+    for arm, isd in (("off", {}), ("zero", {"enabled": True, "beta_init": 0.0})):
+        doc = {"model": {"kind": kind, "d_e": 8}, "train": {"batch_size": 16, "epochs": 3, "seed": 2},
+               "isd": isd}
+        trainers[arm] = Trainer(store, RunConfig.from_dict(doc))
+    block_init = {n: t.data.tobytes() for n, t in trainers["zero"].state.items() if n.startswith("block.")}
+    for trainer in trainers.values():
+        for _ in range(3):
+            trainer.train_epoch()
+
+    def tensors(trainer, prefix):
+        return {n: t.data.tobytes() for n, t in trainer.state.items() if n.startswith(prefix)}
+
+    assert tensors(trainers["zero"], "model.") == tensors(trainers["off"], "model.")
+    assert trainers["zero"].metrics_history == trainers["off"].metrics_history
+    assert block_init and tensors(trainers["zero"], "block.") == block_init
 
 
 def test_fixed_seed_trajectories_are_unchanged(tmp_path):
