@@ -1206,19 +1206,19 @@ def test_distillation_at_beta_zero_is_bit_identical_to_distillation_off(tmp_path
     """``train_epoch`` skips the whole distillation path when beta is 0, so
     the model and the history are those of a run without distillation, and
     Adam, fed zero gradients, leaves the block as it was built."""
+    def tensors(trainer, prefix):
+        return {n: t.data.tobytes() for n, t in trainer.state.items() if n.startswith(prefix)}
+
     store = _store(tmp_path)
     trainers = {}
     for arm, isd in (("off", {}), ("zero", {"enabled": True, "beta_init": 0.0})):
         doc = {"model": {"kind": kind, "d_e": 8}, "train": {"batch_size": 16, "epochs": 3, "seed": 2},
                "isd": isd}
         trainers[arm] = Trainer(store, RunConfig.from_dict(doc))
-    block_init = {n: t.data.tobytes() for n, t in trainers["zero"].state.items() if n.startswith("block.")}
+    block_init = tensors(trainers["zero"], "block.")
     for trainer in trainers.values():
         for _ in range(3):
             trainer.train_epoch()
-
-    def tensors(trainer, prefix):
-        return {n: t.data.tobytes() for n, t in trainer.state.items() if n.startswith(prefix)}
 
     assert tensors(trainers["zero"], "model.") == tensors(trainers["off"], "model.")
     assert trainers["zero"].metrics_history == trainers["off"].metrics_history
