@@ -8,13 +8,16 @@ parameters, Adam, distillation and evaluation stay float64.
 
 Ops build a computation graph while gradients are enabled; :func:`backward`
 walks the graph in reverse topological order and accumulates into the
-``grad`` array of every reachable leaf. A VJP either returns its
-contribution or adds it into its leaf parent's ``grad`` itself and returns
-``None``; the ops that do the latter (the row lookup, a single-row product
-with a leaf right operand, the score head's entity side) refuse a parent
-that is not a leaf. Under :func:`no_grad` the same ops
-return plain constants, so inference and detached teacher extraction carry
-no graph.
+``grad`` of every reachable leaf. A VJP either returns its contribution or
+adds it into its leaf parent's gradient itself and returns ``None``; the
+ops that do the latter (the row lookup, a single-row product with a leaf
+right operand, the score head's entity side) refuse a parent that is not a
+leaf. The single-row product records its rank-1 contribution as a pending
+pair of vectors on the leaf (:class:`Tensor`); reading ``grad`` adds the
+pairs in, and an optimizer can take them as they are (:func:`take_grad`),
+so such a gradient need never be written out at full size. Under
+:func:`no_grad` the same ops return plain constants, so inference and
+detached teacher extraction carry no graph.
 
 Which results depend on the BLAS thread count:
 
@@ -31,10 +34,10 @@ Which results depend on the BLAS thread count:
   thread count. Where that library's thread calls are not found, both run
   unpinned and depend on the thread count like a direct product.
 - What runs on the worker pool (:func:`_run_blocks`) gives the same bits
-  for any worker count: Adam, the rank-1 gradient update of a product with
-  a single left row, and the score head's blocks and its add into the
-  entity table's gradient. The elementwise kernels (the BCE kernel, Adam)
-  call no BLAS, so the thread count does not enter them either.
+  for any worker count: Adam, adding a pending pair into a gradient, and
+  the score head's blocks and its add into the entity table's gradient.
+  The elementwise kernels (the BCE kernel, Adam) call no BLAS, so the
+  thread count does not enter them either.
 
 The row lookup's gradient scatter-adds with ``np.add.at`` (sequential, in
 index order) straight into the table's ``grad``, so the rows of a
@@ -159,16 +162,40 @@ class Tensor:
     :class:`Parameter`) gets its zeroed ``grad`` buffer here, at
     construction, and :func:`backward` accumulates into it; interior nodes
     only carry transient gradients.
+
+    A leaf's gradient is held in two parts: the dense buffer and the
+    pending pairs, rank-1 terms ``outer(x, y)`` that a single-row product
+    records instead of writing them out (:func:`matmul`). Reading ``grad``
+    first adds the pending pairs into the buffer, in the order they
+    arrived, so every reader sees the dense sum with the bits of adding
+    each term at once. Assigning ``grad`` replaces both parts. An
+    optimizer takes the two parts with :func:`take_grad` instead, and the
+    buffer is then written only if something read or assigned ``grad``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "_grad", "_pairs", "_dense", "requires_grad", "_parents", "_vjps")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = zeros(self.data.shape) if requires_grad else None
+        self._grad = zeros(self.data.shape) if requires_grad else None
+        self._pairs: tuple = ()
+        self._dense = False  # whether grad was read or assigned since take_grad
         self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._vjps: tuple = ()
+
+    @property
+    def grad(self):
+        """The dense gradient, with the pending pairs added in first."""
+        for x, y in self._pairs:
+            _add_outer(x, y, self._grad)
+        self._pairs = ()
+        self._dense = True
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad, self._pairs, self._dense = value, (), True
 
     @property
     def shape(self) -> tuple:
@@ -193,7 +220,9 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor. ``grad`` is always allocated and zeroed."""
+    """A trainable leaf tensor. Its ``grad`` buffer is allocated zeroed at
+    construction; its pages take memory once written, and a gradient made
+    only of pending pairs never writes them."""
 
     __slots__ = ()
 
@@ -203,6 +232,44 @@ class Parameter(Tensor):
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def take_grad(t: Tensor) -> tuple:
+    """Hand a leaf's gradient over to one reader as ``(dense, pairs)``.
+
+    ``dense`` is the ``grad`` buffer, or ``None`` when nothing read or
+    assigned ``grad`` since the last hand-over (the buffer then holds
+    zeros); ``pairs`` are the pending pairs, which ``t`` no longer holds.
+    The reader takes the gradient's rows with :func:`grad_rows` and leaves
+    a dense buffer zeroed for the next :func:`backward`.
+    """
+    dense = t._grad if t._dense else None
+    pairs, t._pairs, t._dense = t._pairs, (), False
+    return dense, pairs
+
+
+def grad_rows(dense, pairs: tuple, lo: int, hi: int, out: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
+    """Rows ``lo:hi`` of a gradient handed over by :func:`take_grad`.
+
+    ``dense`` is the buffer viewed as rows (or ``None``), and ``out`` and
+    ``scratch`` are buffers shaped like the rows. With a dense part the
+    result is its rows, with each pair's product added in place in order:
+    the bits of reading ``grad``. Without one, ``out`` gets the first
+    pair's product and the others added, or zeros when there are no pairs;
+    that differs from adding onto zeros only in the sign of a zero.
+    """
+    if dense is not None:
+        g, rest = dense[lo:hi], pairs
+    elif pairs:
+        (x, y), rest = pairs[0], pairs[1:]
+        g = np.multiply.outer(x[lo:hi], y, out=out)
+    else:
+        out.fill(0.0)
+        return out
+    for x, y in rest:
+        g += np.multiply.outer(x[lo:hi], y, out=scratch)
+    return g
 
 
 def _node(data: np.ndarray, parents, vjps) -> Tensor:
@@ -276,15 +343,20 @@ def sqrt(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
+    """Matrix product of two rank-2 tensors.
+
+    When ``a`` has one row and ``b`` is a leaf, ``b``'s gradient
+    contribution ``outer(a[0], g[0])`` is recorded as a pending pair on
+    ``b`` rather than added into its ``grad`` buffer (:class:`Tensor`).
+    """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
 
     if a.shape[0] == 1 and not b._parents:
-        # With a single left row, a leaf b's gradient is the outer product of
-        # that row and g: a rank-1 update added into its grad a few rows at a time.
+        # Both vectors are copied: an optimizer step may update a before it
+        # reads b's rows.
         def vjp_b(g):
-            _add_outer(a.data[0], g[0], b.grad)
+            b._pairs += ((a.data[0].copy(), g[0].copy()),)
     else:
         def vjp_b(g):
             return a.data.T @ g
@@ -441,12 +513,14 @@ def backward(loss: Tensor) -> None:
     backward allocates none. Gradients add onto existing ``grad`` contents,
     so a caller that wants fresh ones zeroes them between steps (the
     trainer's Adam step zeroes each gradient after reading it). A VJP that
-    returns ``None`` has added into its leaf parent's ``grad`` itself; a
-    returned contribution is added into a leaf's ``grad`` at once, and
-    summed out of place for an interior node. On zeroed gradients the
-    result has the same bits as summing every contribution first, except
-    where a looked-up row repeats after the leaf already holds a
-    contribution: those rows are added one at a time.
+    returns ``None`` has added into its leaf parent's gradient itself; a
+    single-row product's pending pair is added in at the next read of
+    ``grad``, so before any later contribution. A returned contribution is
+    added into a leaf's ``grad`` at once, and summed out of place for an
+    interior node. On zeroed gradients the result has the same bits as
+    summing every contribution first, except where a looked-up row repeats
+    after the leaf already holds a contribution: those rows are added one
+    at a time.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")

@@ -349,7 +349,9 @@ class Batch:
 
     @property
     def tails(self) -> tuple:
-        """One array of tail ids per row."""
+        """One array of tail ids per row; ``()`` for a batch with no rows."""
+        if len(self) == 0:
+            return ()
         return tuple(np.split(self.tail_ids, self.indptr[1:-1]))
 
     def targets(self) -> SparseTargets:

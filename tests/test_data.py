@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgedistill.data import (
+    Batch,
     SparseTargets,
     TripleStore,
     Vocabulary,
@@ -258,6 +259,7 @@ def test_group_queries_matches_a_dict_loop(tmp_path):
     empty = group_queries(make_store(tmp_path / "empty", [], [("a", "r", "b")]))
     assert len(empty) == 0 and empty[:5] == []
     assert empty.indptr.tolist() == [0] and empty.tail_ids.size == 0
+    assert empty.tails == () == Batch(empty.heads, empty.relations, (), empty.n_entities).tails
 
 
 def test_group_queries_is_deterministic(tmp_path):

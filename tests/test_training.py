@@ -188,23 +188,47 @@ def adam_one_shot(p, g, m, v, lr, step):
 
 
 def test_blocked_adam_matches_one_shot_formula():
+    """Dense gradients, pending pairs, both and neither, against the formula
+    on the gradient they add up to."""
     block = training._SLICE_ELEMENTS
-    shapes = [(7,), (2 * block + 3,), (130, 257), (block // 64, 64), (3, 1)]
     rng = np.random.default_rng(9)
-    params = [(f"p{i}", Parameter(rng.normal(size=s))) for i, s in enumerate(shapes)]
+
+    def dense(p):
+        p.grad[...] = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)
+        return p.grad.copy()
+
+    def pair(p):
+        x = rng.normal(size=(1, p.shape[0]))
+        y = rng.normal(size=(1, p.shape[1])) * 10.0 ** rng.integers(-6, 2)
+        backward(tensor_sum(mul(matmul(Tensor(x), p), Tensor(y))))
+        return np.multiply.outer(x[0], y[0])
+
+    # Each parameter's shape and what each step adds to its gradient, in order.
+    cases = [
+        ((7,), [dense]), ((2 * block + 3,), [dense]), ((130, 257), [dense]),
+        ((block // 64, 64), [dense]), ((3, 1), [dense]),
+        ((block // 64 + 5, 64), [pair]),  # several rows per slice
+        ((3, 2 * block + 5), [pair, pair]),  # one row per slice
+        ((130, 257), [dense, pair]),
+        ((5, 9), []),
+    ]
+    params = [(f"p{i}", Parameter(rng.normal(size=shape))) for i, (shape, _) in enumerate(cases)]
     ref = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for _, p in params]
     adam = Adam(params)
     for step in range(1, 5):
         lr = 0.01 * 0.9**step
-        for (_, p), (w, m, v) in zip(params, ref):
-            p.grad[...] = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)
-            adam_one_shot(w, p.grad, m, v, lr, step)
+        for (_, p), (_, feeds), (w, m, v) in zip(params, cases, ref):
+            g = np.zeros(p.shape)
+            for feed in feeds:
+                g += feed(p)
+            adam_one_shot(w, g, m, v, lr, step)
         adam.step(lr)
         for (name, p), (w, m, v) in zip(params, ref):
             assert p.data.tobytes() == w.tobytes(), name
             assert adam.moment1[name].tobytes() == m.tobytes(), name
             assert adam.moment2[name].tobytes() == v.tobytes(), name
-            assert p.grad.tobytes() == bytes(p.grad.nbytes), name  # +0.0 everywhere
+    for name, p in params:
+        assert p.grad.tobytes() == bytes(p.grad.nbytes), name  # +0.0 everywhere
 
 
 def test_adam_rejects_non_contiguous_parameter():
@@ -215,20 +239,46 @@ def test_adam_rejects_non_contiguous_parameter():
         Adam([("p", p)]).step(0.1)
 
 
+def resident_bytes() -> int:
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 def test_zeroed_buffers_are_allocated_not_written():
     # A gradient and two Adam moments of 64 MB each: allocated zeroed pages
     # stay out of the resident set until the first step writes them.
-    def resident_bytes() -> int:
-        with open("/proc/self/statm", encoding="ascii") as fh:
-            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-
     before = resident_bytes()
     p = Parameter(np.zeros((4096, 2048)))
     adam = Adam([("p", p)])
     grown = resident_bytes() - before
     assert p.grad.shape == adam.moment1["p"].shape == adam.moment2["p"].shape == p.shape
     assert grown < 16 << 20, f"resident set grew by {grown / 2**20:.0f} MB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_distillation_epoch_never_writes_the_expanding_projections_gradient(tmp_path):
+    # The 64 MB expanding projection's gradient is a rank-1 pending pair on
+    # every step, which Adam reads without writing the gradient buffer, so
+    # an epoch writes the two moments and leaves the buffer's pages unused.
+    n_entities, batch_size = 1 << 15, 256
+    rng = np.random.default_rng(89)
+    ids = [f"e{i}" for i in range(n_entities)]
+    heads, tails = rng.integers(0, 1000, 800), rng.integers(1000, 2000, 800)
+    train = [(ids[h], "r0", ids[t]) for h, t in zip(heads, tails)]
+    # The test split names every entity; training never reads it.
+    test = [(ids[i], "r1", ids[(i + 1) % n_entities]) for i in range(0, n_entities, 2)]
+    store = augment_reciprocal(load_dataset(write_dataset(tmp_path / "wide", train, [], test)))
+    doc = {"model": {"d_e": 8}, "train": {"batch_size": batch_size, "epochs": 2},
+           "isd": {"enabled": True}}
+    trainer = Trainer(store, RunConfig.from_dict(doc))
+    w_expand = trainer.block.w_expand.data.nbytes
+    assert w_expand >= 64 << 20
+    before = resident_bytes()
+    record = trainer.train_epoch()
+    grown = resident_bytes() - before
+    assert record["loss_kl"] > 0.0  # the block's gradient reached Adam
+    assert grown < 2 * w_expand + w_expand // 2, f"resident set grew by {grown / 2**20:.0f} MB"
 
 
 _REUSED_BLOCK_SCRIPT = """
@@ -738,16 +788,21 @@ def backward_sum_then_add(loss: Tensor) -> None:
 
 
 def test_leaf_direct_accumulation_is_bit_identical():
-    """One table feeds a gather, a transposed product and a square."""
+    """One table feeds a gather, a transposed product, a one-row product
+    and a square. Backward adds the square's two terms, then the one-row
+    product's pending pair arrives, and the transposed product's add reads
+    the gradient, which adds the pair in before it."""
     rng = np.random.default_rng(11)
     table_init, other_init = rng.normal(size=(6, 5)), rng.normal(size=(4, 5))
+    row, weights = rng.normal(size=(1, 6)), rng.normal(size=(1, 5))
 
     def build():
         table, other = Parameter(table_init.copy()), Parameter(other_init.copy())
         rows = gather_rows(table, np.array([0, 3, 3, 1]))
         scores = matmul(mul(rows, other), transpose(table))
         loss = bce_loss(scores, SparseTargets([0, 2], [4, 1], scores.shape))
-        return table, other, loss + tensor_sum(mul(table, table)) * 0.01
+        one_row = tensor_sum(mul(matmul(Tensor(row), table), Tensor(weights)))
+        return table, other, loss + one_row + tensor_sum(mul(table, table)) * 0.01
 
     t1, o1, loss1 = build()
     backward(loss1)
