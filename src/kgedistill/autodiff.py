@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Tensors, their gradients and every op here are 64-bit, so finite-difference
-gradient checks guard them tightly. The one single-precision computation is
-the fused score head (:func:`kgedistill.models.score_bce`), which runs its
-products and its BCE kernel in float32 and hands float64 gradients on;
-parameters, Adam, distillation and evaluation stay float64.
+gradient checks guard them tightly. The one single-precision computation
+that feeds a result is the fused score head
+(:func:`kgedistill.models.score_bce`), which runs its products and its BCE
+kernel in float32 and hands float64 gradients on; parameters, Adam and
+distillation stay float64. Ranking (:func:`kgedistill.evaluation.rank_split`)
+scores in float32 only to filter: every rank rests on a float64 comparison.
 
 Ops build a computation graph while gradients are enabled; :func:`backward`
 walks the graph in reverse topological order and accumulates into the
@@ -38,6 +40,11 @@ Which results depend on the BLAS thread count:
   the score head's blocks and its add into the entity table's gradient.
   The elementwise kernels (the BCE kernel, Adam) call no BLAS, so the
   thread count does not enter them either.
+- Filtered ranks (:func:`kgedistill.evaluation.rank_split`) do not depend
+  on the thread count. The query vectors are formed with numpy's OpenBLAS
+  held to one thread, the float32 scores, which run at the process's
+  count, only decide what is certain within their error bound, and the
+  float64 scores that decide the rest call no BLAS.
 
 The row lookup's gradient scatter-adds with ``np.add.at`` (sequential, in
 index order) straight into the table's ``grad``, so the rows of a
@@ -147,12 +154,14 @@ def _one_blas_thread():
         put(previous)
 
 
-def zeros(shape) -> np.ndarray:
-    """Zeroed float64 array on a mapping of its own, whose pages take memory
-    only once written (``np.zeros`` clears, so touches, a reused heap block)."""
+def zeros(shape, dtype=np.float64) -> np.ndarray:
+    """Zeroed array on a mapping of its own, whose pages take memory only
+    once written (``np.zeros`` clears, so touches, a reused heap block) and
+    go back to the system when the last view of the array is dropped."""
+    dtype = np.dtype(dtype)
     count = int(np.prod(shape))
-    buffer = mmap.mmap(-1, max(8 * count, 1), mmap.MAP_PRIVATE)
-    return np.frombuffer(buffer, np.float64, count).reshape(shape)
+    buffer = mmap.mmap(-1, max(dtype.itemsize * count, 1), mmap.MAP_PRIVATE)
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
 class Tensor:

@@ -3,12 +3,15 @@
 All four models share one pipeline: look up embeddings, regularize the head
 embedding (batchnorm, input dropout), form a model-specific interaction
 vector, regularize it (hidden dropout, batchnorm, output dropout), and
-contract with the full entity table to produce one logit per entity. In
-training the contraction is fused with the 1-N BCE loss (:func:`score_bce`),
-so the logits are never built whole, and runs in float32: its loss agrees
-with the float64 chain to about 1e-6 relative and its gradients to about
-1e-5 of their largest entry. Inference logits and :func:`bce_loss` are
-float64.
+contract with the full entity table to produce one logit per entity.
+:meth:`EmbeddingModel.query_vectors` stops before the contraction, and
+:meth:`EmbeddingModel.forward` adds it. In training the contraction is
+fused with the 1-N BCE loss (:func:`score_bce`), so the logits are never
+built whole, and runs in float32: its loss agrees with the float64 chain to
+about 1e-6 relative and its gradients to about 1e-5 of their largest entry.
+Inference logits and :func:`bce_loss` are float64. Ranking contracts the
+query vectors itself (:func:`kgedistill.evaluation.rank_split`): its
+float32 scores only filter, and every rank rests on a float64 comparison.
 """
 
 from __future__ import annotations
@@ -386,6 +389,27 @@ class EmbeddingModel:
             return tucker_interaction(h_emb, r_emb, self.core)
         return lowfer_interaction(h_emb, r_emb, self.u_factor, self.v_factor, self.config.k_l)
 
+    def query_vectors(
+        self,
+        heads: np.ndarray,
+        relations: np.ndarray,
+        training: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> Tensor:
+        """The regularized interaction vector z of each (head, relation)
+        query row; its logits are z contracted with the entity table."""
+        cfg = self.config
+        h = gather_rows(self.entity_embeddings, heads)
+        r = gather_rows(self.relation_embeddings, relations)
+        if self.bn_input is not None:
+            h = self.bn_input(h, training)
+        h = dropout(h, cfg.dropout1, rng, training)
+        z = self.interaction(h, r)
+        z = dropout(z, cfg.dropout2, rng, training)
+        if self.bn_output is not None:
+            z = self.bn_output(z, training)
+        return dropout(z, cfg.dropout3, rng, training)
+
     def forward(
         self,
         heads: np.ndarray,
@@ -400,17 +424,7 @@ class EmbeddingModel:
         same rows and entities), returns instead their mean BCE, taken by
         :func:`score_bce` without building the logits.
         """
-        cfg = self.config
-        h = gather_rows(self.entity_embeddings, heads)
-        r = gather_rows(self.relation_embeddings, relations)
-        if self.bn_input is not None:
-            h = self.bn_input(h, training)
-        h = dropout(h, cfg.dropout1, rng, training)
-        z = self.interaction(h, r)
-        z = dropout(z, cfg.dropout2, rng, training)
-        if self.bn_output is not None:
-            z = self.bn_output(z, training)
-        z = dropout(z, cfg.dropout3, rng, training)
+        z = self.query_vectors(heads, relations, training, rng)
         if targets is None:
             return matmul(z, transpose(self.entity_embeddings))
         return score_bce(z, self.entity_embeddings, targets)

@@ -23,6 +23,12 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
+def resident_bytes() -> int:
+    """This process's resident set, from ``/proc/self/statm``."""
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
 def numeric_gradient(fn, param: Parameter, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of the scalar ``fn()`` w.r.t. ``param``.
 

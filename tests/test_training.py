@@ -11,7 +11,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from conftest import assert_gradients_match, dense, synthetic_triples, write_dataset
+from conftest import assert_gradients_match, dense, resident_bytes, synthetic_triples, write_dataset
 from scipy.special import expit
 
 from kgedistill import autodiff, models, training
@@ -237,11 +237,6 @@ def test_adam_rejects_non_contiguous_parameter():
     p.grad = np.zeros((4, 4)).T
     with pytest.raises(ValueError):
         Adam([("p", p)]).step(0.1)
-
-
-def resident_bytes() -> int:
-    with open("/proc/self/statm", encoding="ascii") as fh:
-        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
