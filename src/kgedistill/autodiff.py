@@ -36,10 +36,11 @@ Which results depend on the BLAS thread count:
   thread count. Where that library's thread calls are not found, both run
   unpinned and depend on the thread count like a direct product.
 - What runs on the worker pool (:func:`_run_blocks`) gives the same bits
-  for any worker count: Adam, adding a pending pair into a gradient, and
-  the score head's blocks and its add into the entity table's gradient.
-  The elementwise kernels (the BCE kernel, Adam) call no BLAS, so the
-  thread count does not enter them either.
+  for any worker count: the score head's blocks, and the elementwise row
+  passes (:func:`row_slices`): adding pending pairs into a gradient, the
+  score head's add into the entity table's gradient, and Adam. The
+  elementwise kernels (the BCE kernel, Adam) call no BLAS, so the thread
+  count does not enter them either.
 - Filtered ranks (:func:`kgedistill.evaluation.rank_split`) do not depend
   on the thread count. The query vectors are formed with numpy's OpenBLAS
   held to one thread, the float32 scores, which run at the process's
@@ -57,9 +58,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -85,11 +88,12 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-# Blocked loops here, in the score head and in Adam hand each worker thread one
-# contiguous range of whole blocks; numpy releases the GIL inside its ufuncs
-# and BLAS calls, so the ranges run on separate cores. The pool starts on
-# first use, with one thread per usable core, and a loop with fewer than
-# ``min_per_worker`` blocks per worker runs inline on the calling thread.
+# Blocked loops (the score head's blocks, the row slices below) hand each
+# worker thread one contiguous range of whole blocks; numpy releases the GIL
+# inside its ufuncs and BLAS calls, so the ranges run on separate cores. The
+# pool starts on first use, with one thread per usable core, and a loop with
+# fewer than ``min_per_worker`` blocks per worker runs inline on the calling
+# thread.
 _WORKERS = len(os.sched_getaffinity(0))
 _MIN_BLOCKS_PER_WORKER = 4
 _pool: ThreadPoolExecutor | None = None
@@ -113,6 +117,33 @@ def _run_blocks(n_blocks: int, work, min_per_worker: int = _MIN_BLOCKS_PER_WORKE
     wait(futures)
     for future in futures:
         future.result()
+
+
+# Elementwise passes over an array's rows take slices of whole rows spanning
+# about this many elements: any slicing gives the same bits, and larger slices
+# mean fewer ufunc calls per pass.
+_SLICE_ELEMENTS = 1 << 16
+
+
+def row_slices(shape: tuple, work, n_scratch: int = 0) -> None:
+    """Call ``work(lo, hi, scratch)`` on the worker pool for slices
+    ``lo:hi`` of whole rows, about ``_SLICE_ELEMENTS`` elements each, that
+    cover the rows of an array shaped ``shape``.
+
+    ``scratch`` is ``n_scratch`` buffers shaped like the slice, allocated
+    once per worker rather than once per slice. Which worker runs a slice
+    depends on the worker count; the slices themselves do not.
+    """
+    n_rows, width = shape
+    per_slice = max(1, _SLICE_ELEMENTS // max(width, 1))
+
+    def run(first: int, stop: int) -> None:
+        scratch = np.empty((n_scratch, min(per_slice, n_rows), width))
+        for lo in range(first * per_slice, min(stop * per_slice, n_rows), per_slice):
+            hi = min(lo + per_slice, n_rows)
+            work(lo, hi, scratch[:, : hi - lo])
+
+    _run_blocks(-(-n_rows // per_slice), run)
 
 
 # (get, set) thread-count calls of numpy's bundled OpenBLAS, looked up on
@@ -178,7 +209,7 @@ class Tensor:
     first adds the pending pairs into the buffer, in the order they
     arrived, so every reader sees the dense sum with the bits of adding
     each term at once. Assigning ``grad`` replaces both parts. An
-    optimizer takes the two parts with :func:`take_grad` instead, and the
+    optimizer takes the gradient with :func:`take_grad` instead, and the
     buffer is then written only if something read or assigned ``grad``.
     """
 
@@ -195,11 +226,15 @@ class Tensor:
 
     @property
     def grad(self):
-        """The dense gradient, with the pending pairs added in first."""
-        for x, y in self._pairs:
-            _add_outer(x, y, self._grad)
-        self._pairs = ()
-        self._dense = True
+        """The dense gradient, with the pending pairs added in first.
+
+        A read marks the buffer as written, even one that only looks: the
+        next :func:`take_grad` reads and zero-fills all of it, where a
+        gradient of pending pairs alone would have left it untouched.
+        """
+        if self._pairs:
+            row_slices(self._grad.shape, partial(_grad_rows, self._grad, self._pairs), 1)
+        self._pairs, self._dense = (), True
         return self._grad
 
     @grad.setter
@@ -243,46 +278,67 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def take_grad(t: Tensor) -> tuple:
-    """Hand a leaf's gradient over to one reader as ``(dense, pairs)``.
+def as_rows(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` viewed as rows along its first axis; writes through the view
+    reach ``a`` itself, so ``a`` (called ``name`` in the error) must be
+    C-contiguous."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous to be viewed as rows")
+    return a.reshape(a.shape[0] if a.ndim else 1, math.prod(a.shape[1:]))
 
-    ``dense`` is the ``grad`` buffer, or ``None`` when nothing read or
-    assigned ``grad`` since the last hand-over (the buffer then holds
-    zeros); ``pairs`` are the pending pairs, which ``t`` no longer holds.
-    The reader takes the gradient's rows with :func:`grad_rows` and leaves
-    a dense buffer zeroed for the next :func:`backward`.
+
+def take_grad(t: Tensor, work, n_scratch: int) -> None:
+    """Hand a leaf's gradient to one reader, a slice of rows at a time, and
+    leave it zero for the next :func:`backward`.
+
+    For each slice of :func:`row_slices` over the gradient viewed as rows,
+    ``work(lo, hi, g, scratch)`` gets those rows ``g``, read-only, and
+    ``n_scratch`` (at least one) buffers shaped like them. When ``grad``
+    was read or assigned since the last hand-over, ``g`` is the buffer's
+    rows with the pending pairs added (:func:`_grad_rows`), and is zeroed
+    once ``work`` returns; otherwise ``g`` is scratch, and a gradient of
+    pending pairs alone is never written out at full size.
     """
-    dense = t._grad if t._dense else None
+    rows = as_rows(t._grad, "a gradient")
+    dense = rows if t._dense else None
     pairs, t._pairs, t._dense = t._pairs, (), False
-    return dense, pairs
+
+    def run(lo: int, hi: int, scratch: np.ndarray) -> None:
+        g = _grad_rows(dense, pairs, lo, hi, scratch)
+        work(lo, hi, g, scratch[:-1])
+        if dense is not None:
+            g.fill(0.0)
+
+    row_slices(rows.shape, run, n_scratch + 1)
 
 
-def grad_rows(dense, pairs: tuple, lo: int, hi: int, out: np.ndarray,
-              scratch: np.ndarray) -> np.ndarray:
-    """Rows ``lo:hi`` of a gradient handed over by :func:`take_grad`.
+def _grad_rows(dense, pairs: tuple, lo: int, hi: int, scratch: np.ndarray) -> np.ndarray:
+    """Rows ``lo:hi`` of a gradient held as rows ``dense`` (or ``None``) and
+    pending ``pairs``, using buffers ``scratch`` shaped like the rows.
 
-    ``dense`` is the buffer viewed as rows (or ``None``), and ``out`` and
-    ``scratch`` are buffers shaped like the rows. With a dense part the
-    result is its rows, with each pair's product added in place in order:
-    the bits of reading ``grad``. Without one, ``out`` gets the first
-    pair's product and the others added, or zeros when there are no pairs;
-    that differs from adding onto zeros only in the sign of a zero.
+    With ``dense``, its rows get each pair's product added in place, in
+    order: the bits of reading ``grad``. Without it, the last buffer gets
+    the first pair's product and the others added, or zeros when there are
+    no pairs, which differs only in the sign of a zero. The products are
+    formed in the first buffer.
     """
     if dense is not None:
         g, rest = dense[lo:hi], pairs
     elif pairs:
         (x, y), rest = pairs[0], pairs[1:]
-        g = np.multiply.outer(x[lo:hi], y, out=out)
+        g = np.multiply.outer(x[lo:hi], y, out=scratch[-1])
     else:
-        out.fill(0.0)
-        return out
+        scratch[-1].fill(0.0)
+        return scratch[-1]
     for x, y in rest:
-        g += np.multiply.outer(x[lo:hi], y, out=scratch)
+        g += np.multiply.outer(x[lo:hi], y, out=scratch[0])
     return g
 
 
-def _node(data: np.ndarray, parents, vjps) -> Tensor:
-    """Build an op output, recording only parents that need gradients."""
+def node(data: np.ndarray, parents, vjps) -> Tensor:
+    """Build an op's output, recording only the parents that need gradients
+    and, for each, the vector-Jacobian product that maps the output's
+    gradient to its contribution."""
     out = Tensor(data)
     if _grad_enabled:
         kept = [(p, v) for p, v in zip(parents, vjps) if p.requires_grad]
@@ -305,7 +361,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _node(
+    return node(
         a.data + b.data,
         (a, b),
         (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(g, b.data.shape)),
@@ -313,7 +369,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _node(
+    return node(
         a.data - b.data,
         (a, b),
         (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(-g, b.data.shape)),
@@ -321,7 +377,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _node(
+    return node(
         a.data * b.data,
         (a, b),
         (
@@ -332,7 +388,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return _node(
+    return node(
         a.data / b.data,
         (a, b),
         (
@@ -344,7 +400,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
-    return _node(out_data, (a,), (lambda g: g * 0.5 / out_data,))
+    return node(out_data, (a,), (lambda g: g * 0.5 / out_data,))
 
 
 # ---------------------------------------------------------------------------
@@ -370,38 +426,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def vjp_b(g):
             return a.data.T @ g
 
-    return _node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, vjp_b))
-
-
-# Row blocks of the rank-1 gradient update span about this many elements.
-_OUTER_BLOCK_ELEMENTS = 1 << 14
-
-
-def _add_outer(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """out += outer(x, y), a few rows at a time on the worker pool.
-
-    Each worker forms its blocks in one scratch buffer of a few rows; every
-    element is one product and one add, so the bits do not depend on the
-    blocking or the worker count.
-    """
-    step = max(1, _OUTER_BLOCK_ELEMENTS // max(len(y), 1))
-
-    def rows(first: int, stop: int) -> None:
-        scratch = np.empty((min(step, len(x)), len(y)))
-        for start in range(first * step, min(stop * step, len(x)), step):
-            xb = x[start : start + step]
-            block = scratch[: len(xb)]
-            np.multiply.outer(xb, y, out=block)
-            out[start : start + step] += block
-
-    _run_blocks(-(-len(x) // step), rows)
+    return node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, vjp_b))
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product over matching leading dimensions."""
     if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ShapeError(f"bmm: incompatible shapes {a.shape} x {b.shape}")
-    return _node(
+    return node(
         np.matmul(a.data, b.data),
         (a, b),
         (
@@ -414,17 +446,17 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a rank-2 tensor, got shape {a.shape}")
-    return _node(a.data.T, (a,), (lambda g: g.T,))
+    return node(a.data.T, (a,), (lambda g: g.T,))
 
 
 def permute(a: Tensor, axes: tuple) -> Tensor:
     inverse = tuple(int(i) for i in np.argsort(axes))
-    return _node(a.data.transpose(axes), (a,), (lambda g: g.transpose(inverse),))
+    return node(a.data.transpose(axes), (a,), (lambda g: g.transpose(inverse),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     original = a.data.shape
-    return _node(a.data.reshape(shape), (a,), (lambda g: g.reshape(original),))
+    return node(a.data.reshape(shape), (a,), (lambda g: g.reshape(original),))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +469,7 @@ def tensor_sum(a: Tensor, axis=None) -> Tensor:
             return np.broadcast_to(g, a.data.shape)
         return np.broadcast_to(np.expand_dims(g, axis), a.data.shape)
 
-    return _node(a.data.sum(axis=axis), (a,), (vjp,))
+    return node(a.data.sum(axis=axis), (a,), (vjp,))
 
 
 def mean(a: Tensor, axis=None) -> Tensor:
@@ -451,7 +483,7 @@ def mean(a: Tensor, axis=None) -> Tensor:
             return np.broadcast_to(g / count, a.data.shape)
         return np.broadcast_to(np.expand_dims(g, axis) / count, a.data.shape)
 
-    return _node(a.data.mean(axis=axis), (a,), (vjp,))
+    return node(a.data.mean(axis=axis), (a,), (vjp,))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +502,7 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     def vjp(g):
         np.add.at(table.grad, ids, g)
 
-    return _node(table.data[ids], (table,), (vjp,))
+    return node(table.data[ids], (table,), (vjp,))
 
 
 def halves(a: Tensor) -> tuple:
@@ -490,24 +522,19 @@ def halves(a: Tensor) -> tuple:
         out[..., h:] = g
         return out
 
-    first = _node(np.ascontiguousarray(a.data[..., :h]), (a,), (vjp_first,))
-    second = _node(np.ascontiguousarray(a.data[..., h:]), (a,), (vjp_second,))
+    first = node(np.ascontiguousarray(a.data[..., :h]), (a,), (vjp_first,))
+    second = node(np.ascontiguousarray(a.data[..., h:]), (a,), (vjp_second,))
     return first, second
 
 
 def hcat(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the last axis."""
     na = a.shape[-1]
-    return _node(
+    return node(
         np.concatenate([a.data, b.data], axis=-1),
         (a, b),
         (lambda g: g[..., :na], lambda g: g[..., na:]),
     )
-
-
-def custom_node(data: np.ndarray, parents, vjps) -> Tensor:
-    """Public hook for ops with hand-written vector-Jacobian products."""
-    return _node(data, parents, vjps)
 
 
 # ---------------------------------------------------------------------------
@@ -539,24 +566,24 @@ def backward(loss: Tensor) -> None:
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
-        node, processed = stack.pop()
+        t, processed = stack.pop()
         if processed:
-            topo.append(node)
+            topo.append(t)
             continue
-        if id(node) in visited:
+        if id(t) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
+        visited.add(id(t))
+        stack.append((t, True))
+        for parent in t._parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
+    for t in reversed(topo):
+        g = grads.pop(id(t), None)
         if g is None:
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
+        for parent, vjp in zip(t._parents, t._vjps):
             contribution = vjp(g)
             if contribution is None:
                 continue

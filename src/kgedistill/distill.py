@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, as_tensor, custom_node, gather_rows, matmul, mean, reshape
+from .autodiff import Parameter, Tensor, as_tensor, gather_rows, matmul, mean, node, reshape
 from .errors import ShapeError
 from .kernels import softmax
 
@@ -146,7 +146,7 @@ def distill_loss(student: Tensor, teacher, temperature: float) -> Tensor:
     def vjp(g):
         return g * (temperature / d) * p * (w - kl)
 
-    return custom_node(np.float64(value), (student,), (vjp,))
+    return node(np.float64(value), (student,), (vjp,))
 
 
 def _q_phi(w: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -51,7 +51,8 @@ def filtered_rank(scores: np.ndarray, true_id: int, filter_ids) -> float:
     ``filter_ids`` are the known true completions for the query, in any
     order and possibly repeated; the true entity itself always stays in the
     candidate list. The true entity and k candidates tied with it share rank
-    1 + greater + k/2.
+    1 + greater + k/2. A NaN target score equals nothing, itself included,
+    so has no rank: it raises ``ValueError``. A NaN candidate is not counted.
     """
     scores = np.asarray(scores)
     n = scores.shape[0]
@@ -61,6 +62,8 @@ def filtered_rank(scores: np.ndarray, true_id: int, filter_ids) -> float:
     if filter_ids.size and not (0 <= filter_ids[0] and filter_ids[-1] < n):
         raise IndexError(f"filter ids outside [0, {n})")
     target, removed = scores[true_id], scores[filter_ids[filter_ids != true_id]]
+    if np.isnan(target):
+        raise ValueError(f"the score of true entity {true_id} is NaN")
     greater = np.count_nonzero(scores > target) - np.count_nonzero(removed > target)
     # The target's own equality is counted and taken off again.
     ties = np.count_nonzero(scores == target) - 1 - np.count_nonzero(removed == target)
@@ -130,12 +133,14 @@ class _BlockRanker:
 
         Entity ``known_ids[k]`` is a known-true candidate of row
         ``known_rows[k]``; the pairs must be distinct, and a pair naming the
-        row's target is ignored.
+        row's target is ignored. A NaN target score raises ``ValueError``.
         """
         n_rows, dim = z.shape
         rows = np.arange(n_rows)
         scores, greater, window = self.scores[:n_rows], self.greater[:n_rows], self.window[:n_rows]
         target = _dots(z, self.entities, rows, true_ids)
+        if np.isnan(target).any():
+            raise ValueError(f"the score of true entity {true_ids[np.isnan(target)][0]} is NaN")
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(z.astype(np.float32), self.table.T, out=scores)
             z_norm = np.sqrt(np.einsum("ij,ij->i", z, z))
@@ -187,9 +192,10 @@ def rank_split(
     of ``batch_size`` queries is scored in one float32 product and ranked as
     a whole, every rank resting on a float64 comparison (:class:`_BlockRanker`);
     the block's scores are overwritten by the next block's, in scratch made
-    once per call and released on return. The query vectors are formed
-    with numpy's OpenBLAS held to one thread, and the float64 scores use no
-    BLAS, so the ranks do not depend on the BLAS thread count.
+    once per call and released on return. A NaN target score raises
+    ``ValueError``. The query vectors are formed with numpy's OpenBLAS held
+    to one thread, and the float64 scores use no BLAS, so the ranks do not
+    depend on the BLAS thread count.
     """
     if not store.augmented:
         raise ConfigError("ranking requires a reciprocal-augmented store")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, as_tensor, custom_node, mean, sqrt
+from .autodiff import Parameter, Tensor, as_tensor, mean, node, sqrt
 from .errors import ShapeError
 
 
@@ -22,7 +22,7 @@ def softmax(logits: Tensor) -> Tensor:
         inner = (g * probs).sum(axis=-1, keepdims=True)
         return probs * (g - inner)
 
-    return custom_node(probs, (logits,), (vjp,))
+    return node(probs, (logits,), (vjp,))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -38,7 +38,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
     if rng is None:
         raise ValueError("dropout in training mode needs an rng stream")
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return custom_node(x.data * keep, (x,), (lambda g: g * keep,))
+    return node(x.data * keep, (x,), (lambda g: g * keep,))
 
 
 class BatchNorm:

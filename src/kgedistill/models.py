@@ -24,15 +24,16 @@ from .autodiff import (
     _one_blas_thread,
     _run_blocks,
     bmm,
-    custom_node,
     gather_rows,
     grad_enabled,
     halves,
     hcat,
     matmul,
     mul,
+    node,
     permute,
     reshape,
+    row_slices,
     sub,
     tensor_sum,
     transpose,
@@ -102,16 +103,13 @@ def lowfer_interaction(
 
 # Row blocks of the BCE kernel span about _BLOCK_ELEMENTS elements, so their
 # scratch buffers stay in the L2 cache; they also fix the order in which its
-# partial sums are added. The score head's add into the entity table's
-# gradient and the Adam update in ``training`` run over slices of
-# _SLICE_ELEMENTS: any slicing gives the same bits, and larger slices mean
-# fewer ufunc calls per step.
+# partial sums are added. (The score head's add into the entity table's
+# gradient runs over the row slices of ``autodiff.row_slices``.)
 # The fused score head works on blocks of entity columns spanning about
 # _SCORE_BLOCK_ELEMENTS scores (256 columns at a batch of 512), big enough
 # for its three products to run at GEMM speed, and sums its query-side
 # gradient over _SCORE_GROUPS fixed groups of those blocks.
 _BLOCK_ELEMENTS = 1 << 14
-_SLICE_ELEMENTS = 1 << 16
 _SCORE_BLOCK_ELEMENTS = 1 << 17
 _SCORE_GROUPS = 8
 
@@ -151,7 +149,7 @@ def bce_loss(logits: Tensor, targets: SparseTargets) -> Tensor:
     yu_sum = targets.off * u_sum + (targets.on - targets.off) * float(u_pos.sum())
     residual[targets.rows, targets.cols] = _positive_residual(u_pos, targets.on)
     value = (softplus_sum - yu_sum) / u.size if u.size else float("nan")
-    return custom_node(np.float64(value), (logits,), (lambda g: g * residual / u.size,))
+    return node(np.float64(value), (logits,), (lambda g: g * residual / u.size,))
 
 
 def _check_targets(name: str, targets: SparseTargets, shape: tuple) -> None:
@@ -180,10 +178,10 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     logits nor the residual exist beyond one block, no float32 copy of the
     table is made, and backward only scales both gradients by g / size, in
     place. ``entities`` must be a leaf: backward scales its buffer and adds
-    it into the leaf's ``grad`` itself, in one pass over row slices of about
-    ``_SLICE_ELEMENTS`` shared out over the worker pool; each element is
-    scaled and added on its own, so the bits are those of scaling first and
-    adding after.
+    it into the leaf's ``grad`` itself, in one pass over the row slices of
+    :func:`~kgedistill.autodiff.row_slices` on the worker pool; each element
+    is scaled and added on its own, so the bits are those of scaling first
+    and adding after.
 
     The three products and the BCE kernel run in float32. What they feed
     stays float64: the sums over blocks (each block sums its own scores in
@@ -281,17 +279,15 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
 
     def add_entities(g) -> None:
         d, scale, grad = take("entities"), float(g) / size, entities.grad
-        step = max(1, _SLICE_ELEMENTS // max(dim, 1))
 
-        def rows(first: int, stop: int) -> None:
-            for start in range(first * step, min(stop * step, n_cols), step):
-                block = d[start : start + step]
-                block *= scale
-                grad[start : start + step] += block
+        def add(lo: int, hi: int, scratch: np.ndarray) -> None:
+            block = d[lo:hi]
+            block *= scale
+            grad[lo:hi] += block
 
-        _run_blocks(-(-n_cols // step), rows)
+        row_slices(grad.shape, add)
 
-    return custom_node(np.float64(value), (z, entities), (vjp_z, add_entities))
+    return node(np.float64(value), (z, entities), (vjp_z, add_entities))
 
 
 def _bce_block(u, out, e, scratch, off: float) -> tuple:

@@ -23,21 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    _one_blas_thread,
-    _run_blocks,
-    backward,
-    grad_rows,
-    no_grad,
-    take_grad,
-    zeros,
-)
+from .autodiff import Tensor, _one_blas_thread, as_rows, backward, no_grad, take_grad, zeros
 from .config import RunConfig
 from .data import TripleStore, group_queries, label_smooth, make_batches
 from .distill import SemanticBlock, TeacherCache, beta_at_epoch, distill_loss, extract, total_loss
 from .errors import CheckpointError, ConfigError, TrainingAbort
-from .models import _SLICE_ELEMENTS, EmbeddingModel, bce_loss
+from .models import EmbeddingModel, bce_loss
 from .rng import stream
 
 __all__ = [
@@ -61,24 +52,18 @@ def lr_at_epoch(epoch: int, lr_initial: float, decay: float) -> float:
 class Adam:
     """Bias-corrected Adam over named parameters (beta 0.9/0.999, eps 1e-8).
 
-    Each parameter is viewed as rows (its first axis) and updated over
-    slices of whole rows, about ``_SLICE_ELEMENTS`` elements each, that are
-    shared out over the worker pool (one thread per usable core). Slicing
+    Each parameter is viewed as rows (its first axis) and updated one slice
+    of whole rows at a time, about ``autodiff._SLICE_ELEMENTS`` elements
+    each, as :func:`~kgedistill.autodiff.take_grad` hands the gradient's
+    slices over on the worker pool (one thread per usable core). Slicing
     bounds the scratch to three slice-sized buffers per worker; it does not
     keep a slice in cache: with a 2 MB L2, a slice's parameter, gradient,
     moments and scratch of up to 512 KB each stream from the outer caches
     and memory on every pass. Every operation is elementwise and in the
     order of the textbook formula, so the result depends neither on the
-    slicing nor on the number of workers.
-
-    Each slice's gradient is taken from the parameter's two parts
-    (:func:`~kgedistill.autodiff.take_grad`): its dense buffer, when
-    something wrote it since the last step, with the pending rank-1 pairs
-    added in order; the first pair's product alone when nothing dense was
-    written; zeros when there is neither. A pair-only gradient is never
-    written out at full size. A written dense slice is zeroed right after
-    the update has read it, so a step leaves every gradient at zero, ready
-    for the next ``backward`` to add into, without a separate zeroing pass.
+    slicing nor on the number of workers. A gradient made only of pending
+    rank-1 pairs is never written out at full size, and a step leaves every
+    gradient at zero, ready for the next ``backward`` to add into.
     """
 
     beta1 = 0.9
@@ -96,51 +81,30 @@ class Adam:
         correction1 = 1.0 - self.beta1**self.step_count
         correction2 = 1.0 - self.beta2**self.step_count
         for name, p in self.named_params:
-            rows = [_rows(a, name) for a in (p.data, self.moment1[name], self.moment2[name])]
-            dense, pairs = take_grad(p)
-            if dense is not None:
-                dense = _rows(dense, name)
-            per_slice = max(1, _SLICE_ELEMENTS // max(rows[0].shape[1], 1))
-            n_slices = -(-len(rows[0]) // per_slice)
-            update = partial(self._update, rows, dense, pairs, per_slice, lr, correction1, correction2)
-            _run_blocks(n_slices, update)
+            rows = [as_rows(a, name) for a in (p.data, self.moment1[name], self.moment2[name])]
+            take_grad(p, partial(self._update, rows, lr, correction1, correction2), 2)
 
-    def _update(self, rows: list, dense, pairs: tuple, per_slice: int, lr: float,
-                correction1: float, correction2: float, first: int, stop: int) -> None:
-        """Update slices ``first`` to ``stop`` of one parameter, whose
-        parameter and moment arrays viewed as rows are ``rows`` and whose
-        gradient is ``dense`` (rows or ``None``) and ``pairs``, and zero
-        those slices of a dense gradient."""
-        n_rows, width = rows[0].shape
-        scratch = np.empty((3, min(per_slice, n_rows), width))
-        for lo in range(first * per_slice, min(stop * per_slice, n_rows), per_slice):
-            w, m, v = (a[lo : lo + per_slice] for a in rows)
-            t1, t2, t3 = (buf[: len(w)] for buf in scratch)
-            g = grad_rows(dense, pairs, lo, lo + per_slice, t3, t1)
-            # m = beta1 * m + (1 - beta1) * g
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=t1)
-            # v = beta2 * v + (1 - beta2) * g^2
-            v *= self.beta2
-            np.multiply(g, g, out=t1)
-            if dense is not None:
-                g.fill(0.0)  # read for the last time
-            v += np.multiply(1.0 - self.beta2, t1, out=t1)
-            # w -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(m, correction1, out=t1)
-            np.multiply(lr, t1, out=t1)
-            np.divide(v, correction2, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += self.eps
-            w -= np.divide(t1, t2, out=t1)
-
-
-def _rows(a: np.ndarray, name: str) -> np.ndarray:
-    """``a`` viewed as rows along its first axis; updates through the view
-    must reach the array itself."""
-    if not a.flags.c_contiguous:
-        raise ValueError(f"Adam needs C-contiguous arrays for parameter {name}")
-    return a.reshape(a.shape[0] if a.ndim else 1, math.prod(a.shape[1:]))
+    def _update(self, rows: list, lr: float, correction1: float, correction2: float,
+                lo: int, hi: int, g: np.ndarray, scratch: np.ndarray) -> None:
+        """Update rows ``lo:hi`` of one parameter, whose parameter and moment
+        arrays viewed as rows are ``rows``, from those rows ``g`` of its
+        gradient, with two scratch buffers shaped like ``g``."""
+        w, m, v = (a[lo:hi] for a in rows)
+        t1, t2 = scratch
+        # m = beta1 * m + (1 - beta1) * g
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=t1)
+        # v = beta2 * v + (1 - beta2) * g^2
+        v *= self.beta2
+        np.multiply(g, g, out=t1)
+        v += np.multiply(1.0 - self.beta2, t1, out=t1)
+        # w -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, correction1, out=t1)
+        np.multiply(lr, t1, out=t1)
+        np.divide(v, correction2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += self.eps
+        w -= np.divide(t1, t2, out=t1)
 
 
 class Trainer:

@@ -31,6 +31,7 @@ class TestFilteredRank:
             ([9.0, 5.0, 5.0, 0.0], 1, 2.5),  # one greater, one tie
             ([0.0] * 5, 2, 3.0),  # all equal: the middle of 1..5
             ([7.0], 0, 1.0),
+            ([np.nan, 5.0, np.nan, 5.0], 1, 1.5),  # NaN candidates are not counted
         ],
     )
     def test_ties_share_the_average_position(self, scores, true_id, expected):
@@ -55,6 +56,10 @@ class TestFilteredRank:
     def test_out_of_range_filter_id_raises(self, filter_id):
         with pytest.raises(IndexError):
             filtered_rank(np.zeros(4), 0, [1, filter_id])
+
+    def test_nan_target_raises(self):
+        with pytest.raises(ValueError, match="is NaN"):
+            filtered_rank(np.array([5.0, np.nan]), 1, [])
 
 
 def reference_rank(scores, true_id: int, known) -> float:
@@ -203,11 +208,21 @@ def test_rank_split_matches_filtered_rank_on_the_float64_logits(kind, data):
                 ranks.append(filtered_rank(scores, int(truth), sorted(known.get((int(q_h), int(q_r)), ()))))
         return ranks
 
+    def ranks_or_nan(rank):
+        # A NaN target score has no rank: both paths raise on the same examples.
+        try:
+            return rank()
+        except ValueError as exc:
+            assert "is NaN" in str(exc)
+            return "NaN target"
+
     n_rel = store.base_relation_count
     h, r, t = store.test[store.test[:, 1] < n_rel].T
-    head, tail = rank_split(model, store, index, "test", batch_size)
-    assert head.tolist() == reference(t, r + n_rel, h)
-    assert tail.tolist() == reference(h, r, t)
+    want = ranks_or_nan(lambda: (reference(t, r + n_rel, h), reference(h, r, t)))
+    got = ranks_or_nan(lambda: tuple(x.tolist() for x in rank_split(model, store, index, "test", batch_size)))
+    assert got == want
+    if got != "NaN target":  # NaN candidates alone leave every rank at 1 or more
+        assert min(got[0] + got[1]) >= 1.0
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name that it never uses, the package
-imports at module level only, and no top-level definition or method in the
+imports at module level only and takes no private name from a sibling
+other than ``autodiff``, and no top-level definition or method in the
 package goes unnamed by all the code."""
 
 import ast
@@ -175,3 +176,45 @@ def test_the_nested_import_scan_names_the_innermost_function():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_imports_are_at_module_level(path):
     assert nested_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """``module.name`` for each underscore name that ``source``, a module of
+    the package, imports from a sibling module other than ``autodiff``.
+
+    ``autodiff`` is the engine the other modules are built on, and its
+    underscore names (the worker pool, the BLAS thread pin, the row-slice
+    size) are shared by them on purpose; any other module's underscore
+    name is its own, and a sibling that imports one holds a copy that
+    patching the owner does not reach.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("kgedistill."):
+            module = node.module.removeprefix("kgedistill.")
+        else:
+            continue
+        if module != "autodiff":
+            found += [f"{module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def test_the_private_import_scan_spares_autodiff_and_public_names():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .autodiff import _run_blocks, zeros\n"
+        "from .models import _SLICE_ELEMENTS, EmbeddingModel\n"
+        "from kgedistill.data import _read_split\n"
+        "from kgedistill.autodiff import _one_blas_thread\n"
+    )
+    assert private_sibling_imports(source) == ["data._read_split", "models._SLICE_ELEMENTS"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_from_siblings_but_autodiff(path):
+    assert private_sibling_imports(path.read_text(encoding="utf-8")) == []

@@ -190,7 +190,7 @@ def adam_one_shot(p, g, m, v, lr, step):
 def test_blocked_adam_matches_one_shot_formula():
     """Dense gradients, pending pairs, both and neither, against the formula
     on the gradient they add up to."""
-    block = training._SLICE_ELEMENTS
+    block = autodiff._SLICE_ELEMENTS
     rng = np.random.default_rng(9)
 
     def dense(p):
@@ -344,7 +344,7 @@ def workers(monkeypatch):
 
 @pytest.mark.parametrize("size", [64 * 12, 64 * 12 + 5])
 def test_adam_is_bit_identical_for_any_worker_count(monkeypatch, workers, size):
-    monkeypatch.setattr(training, "_SLICE_ELEMENTS", 64)
+    monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", 64)
     rng = np.random.default_rng(23)
     init = [rng.normal(size=shape) for shape in ((size,), (size // 8, 8), (3, 1))]
     grads = [[rng.normal(size=w.shape) for w in init] for _ in range(3)]
@@ -538,7 +538,7 @@ def test_score_bce_is_bit_identical_for_any_worker_count(monkeypatch, workers, n
     # The table gradient is added into one that is already there, over
     # 10-element slices of 2 rows.
     monkeypatch.setattr(models, "_SCORE_BLOCK_ELEMENTS", 36)
-    monkeypatch.setattr(models, "_SLICE_ELEMENTS", 10)
+    monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", 10)
     z, table, targets = _score_case(np.random.default_rng(79), n_cols=n_cols)
     prior = np.random.default_rng(97).normal(size=table.shape)
     runs = {}
@@ -837,9 +837,9 @@ def test_gather_rows_adds_into_a_leaf_holding_a_gradient():
     assert table.grad[untouched].tobytes() == prior[untouched].tobytes()
 
 
-@pytest.mark.parametrize("outer_block", [4, autodiff._OUTER_BLOCK_ELEMENTS])
-def test_rank_one_matmul_adds_into_a_leaf_holding_a_gradient(monkeypatch, outer_block):
-    monkeypatch.setattr(autodiff, "_OUTER_BLOCK_ELEMENTS", outer_block)
+@pytest.mark.parametrize("slice_elements", [4, autodiff._SLICE_ELEMENTS])
+def test_rank_one_matmul_adds_into_a_leaf_holding_a_gradient(monkeypatch, slice_elements):
+    monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", slice_elements)
     rng = np.random.default_rng(31)
     row = Parameter(rng.normal(size=(1, 9)))
     table = Parameter(rng.normal(size=(9, 6)))
@@ -853,9 +853,9 @@ def test_rank_one_matmul_adds_into_a_leaf_holding_a_gradient(monkeypatch, outer_
 
 
 def test_rank_one_matmul_update_is_bit_identical_for_any_worker_count(monkeypatch, workers):
-    # 12-element blocks of 2 rows: 21 blocks over 41 rows, added into a
+    # 12-element slices of 2 rows: 21 slices over 41 rows, added into a
     # table that already holds a gradient.
-    monkeypatch.setattr(autodiff, "_OUTER_BLOCK_ELEMENTS", 12)
+    monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", 12)
     rng = np.random.default_rng(101)
     row_init, table_init = rng.normal(size=(1, 41)), rng.normal(size=(41, 6))
     prior, weights = rng.normal(size=(41, 6)), rng.normal(size=(1, 6))
@@ -1275,19 +1275,25 @@ def test_distillation_at_beta_zero_is_bit_identical_to_distillation_off(tmp_path
     assert block_init and tensors(trainers["zero"], "block.") == block_init
 
 
-def test_fixed_seed_trajectories_are_unchanged(tmp_path):
+def test_fixed_seed_trajectories_are_unchanged(tmp_path, monkeypatch, workers):
+    """The same literals at the default row slices and at 7-element ones,
+    which cut every gradient pass, Adam and the score head's entity add
+    into slices of one row shared out over two workers."""
     store = _store(tmp_path)
-    got = {}
-    for kind, arm in GOLDEN_TRAJECTORIES:
-        doc = {"model": {"kind": kind, "d_e": 8}, "train": {"batch_size": 16, "epochs": 3, "seed": 2},
-               "isd": GOLDEN_ARMS[arm]}
-        trainer = Trainer(store, RunConfig.from_dict(doc))
-        for _ in range(3):
-            trainer.train_epoch()
-        digest = hashlib.sha256()
-        for name, arr in sorted(trainer._named_tensors().items()):
-            digest.update(name.encode())
-            digest.update(arr.tobytes())
-        digest.update(json.dumps(trainer.metrics_history).encode())
-        got[kind, arm] = digest.hexdigest()
-    assert got == GOLDEN_TRAJECTORIES
+    workers(2)
+    for slice_elements in (autodiff._SLICE_ELEMENTS, 7):
+        monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", slice_elements)
+        got = {}
+        for kind, arm in GOLDEN_TRAJECTORIES:
+            doc = {"model": {"kind": kind, "d_e": 8}, "train": {"batch_size": 16, "epochs": 3, "seed": 2},
+                   "isd": GOLDEN_ARMS[arm]}
+            trainer = Trainer(store, RunConfig.from_dict(doc))
+            for _ in range(3):
+                trainer.train_epoch()
+            digest = hashlib.sha256()
+            for name, arr in sorted(trainer._named_tensors().items()):
+                digest.update(name.encode())
+                digest.update(arr.tobytes())
+            digest.update(json.dumps(trainer.metrics_history).encode())
+            got[kind, arm] = digest.hexdigest()
+        assert got == GOLDEN_TRAJECTORIES, slice_elements
