@@ -36,16 +36,16 @@ Which results depend on the BLAS thread count:
   thread count. Where that library's thread calls are not found, both run
   unpinned and depend on the thread count like a direct product.
 - What runs on the worker pool (:func:`_run_blocks`) gives the same bits
-  for any worker count: the score head's blocks, and the elementwise row
-  passes (:func:`row_slices`): adding pending pairs into a gradient, the
-  score head's add into the entity table's gradient, and Adam. The
-  elementwise kernels (the BCE kernel, Adam) call no BLAS, so the thread
-  count does not enter them either.
+  for any worker count: the score head's blocks, ranking's blocks of entity
+  columns, and the elementwise row passes (:func:`row_slices`): adding
+  pending pairs into a gradient, the score head's add into the entity
+  table's gradient, and Adam. The elementwise kernels (the BCE kernel,
+  Adam) call no BLAS, so the thread count does not enter them either.
 - Filtered ranks (:func:`kgedistill.evaluation.rank_split`) do not depend
   on the thread count. The query vectors are formed with numpy's OpenBLAS
-  held to one thread, the float32 scores, which run at the process's
-  count, only decide what is certain within their error bound, and the
-  float64 scores that decide the rest call no BLAS.
+  held to one thread, the float32 scores, which run on the pool with
+  OpenBLAS held to one thread, only decide what is certain within their
+  error bound, and the float64 scores that decide the rest call no BLAS.
 
 The row lookup's gradient scatter-adds with ``np.add.at`` (sequential, in
 index order) straight into the table's ``grad``, so the rows of a
@@ -88,12 +88,12 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-# Blocked loops (the score head's blocks, the row slices below) hand each
-# worker thread one contiguous range of whole blocks; numpy releases the GIL
-# inside its ufuncs and BLAS calls, so the ranges run on separate cores. The
-# pool starts on first use, with one thread per usable core, and a loop with
-# fewer than ``min_per_worker`` blocks per worker runs inline on the calling
-# thread.
+# Blocked loops (the score head's blocks, ranking's column blocks, the row
+# slices below) hand each worker thread one contiguous range of whole
+# blocks; numpy releases the GIL inside its ufuncs and BLAS calls, so the
+# ranges run on separate cores. The pool starts on first use, with one
+# thread per usable core, and a loop with fewer than ``min_per_worker``
+# blocks per worker runs inline on the calling thread.
 _WORKERS = len(os.sched_getaffinity(0))
 _MIN_BLOCKS_PER_WORKER = 4
 _pool: ThreadPoolExecutor | None = None

@@ -7,17 +7,19 @@ direction suffices. Ties share the average of the tied positions, which
 keeps constant-score degenerate models honest. The rank is
 ``1 + greater + ties / 2``.
 
-Ranking is array-native and exact. Each block of query rows is scored in
-one float32 product against a float32 copy of the entity table; float32
-only filters. Every rank rests on a float64 comparison: the target's score
-is taken in float64, and a candidate counts as greater on its float32 score
+Ranking is array-native and exact. Each block of query rows is ranked in
+one pass over blocks of entity columns on the worker pool, each scored in
+float32 against a float32 copy of the entity table; float32 only filters.
+Every rank rests on a float64 comparison: the target's score is taken in
+float64, and a candidate counts as greater on its float32 score
 alone only when that score clears the target's by more than the rounding
 error of both precisions can span (:class:`_BlockRanker`). The candidates
-within that window, and the target itself, are rescored in float64 by one
-routine, so equal entity rows stay tied. The ranks are those of ranking the
+within that window are rescored in float64 by the routine that scores the
+target, so equal entity rows stay tied. The ranks are those of ranking the
 float64 logits of :meth:`~kgedistill.models.EmbeddingModel.forward`
 directly, up to the rounding of float64 scores that differ by a few units
-in the last place.
+in the last place, and they do not depend on how the columns are split
+or on the number of workers.
 """
 
 from __future__ import annotations
@@ -26,17 +28,19 @@ import math
 
 import numpy as np
 
-from .autodiff import _one_blas_thread, no_grad, zeros
+from .autodiff import _one_blas_thread, _run_blocks, no_grad, zeros
 from .data import FilterIndex, TripleStore
 from .errors import ConfigError
 from .models import EmbeddingModel
 
 # Elements of the float64 products rescored per pass: the pass's scratch
 # stays below glibc's default mmap threshold, so it is reused from the heap
-# instead of being mapped afresh. And mask elements searched per pass for
-# the window's candidates, which bounds the pass's index arrays.
+# instead of being mapped afresh.
 _RESCORE_ELEMENTS = 1 << 14
-_WINDOW_ELEMENTS = 1 << 20
+# Entity columns ranked per block. At 512 queries a block's float32 scores
+# and its two masks take 3 MB, which stay in cache from the product through
+# the count; of widths from 128 to 4,096 this was the fastest on 2 cores.
+_RANK_COLUMNS = 1 << 10
 # Unit roundoff of float32 and float64, and the largest error of rounding to
 # float32 in its subnormal range (half the smallest subnormal).
 _U32, _U64, _ETA32 = 2.0**-24, 2.0**-53, 2.0**-150
@@ -88,11 +92,22 @@ def _dots(z: np.ndarray, entities: np.ndarray, rows: np.ndarray, cols: np.ndarra
 class _BlockRanker:
     """Certified filtered ranks of blocks of query vectors against one table.
 
+    Each block of queries is ranked in one pass over blocks of
+    ``_RANK_COLUMNS`` entity columns, run on the worker pool
+    (:func:`~kgedistill.autodiff._run_blocks`) with numpy's OpenBLAS held to
+    one thread. For its column block a worker scores the block's entities
+    against every query in float32, marks the scores above each row's window
+    and those within it, clears the pairs that are not ranked (the row's
+    known-true candidates and its own target), counts the marks above per
+    query and rescores the ones within in float64 (:func:`_dots`), while the
+    block is still in cache.
+
     The scratch lives on mappings of its own (:func:`~kgedistill.autodiff.zeros`),
-    made once here for every block of a :func:`rank_split` call and handed
-    back to the system when the ranker is dropped: a float32 copy of the
-    table, a float32 block of ``n_rows`` by entities scores and two boolean
-    masks of that shape.
+    used for every block of a :func:`rank_split` call and handed back to the
+    system when the ranker is dropped: a float32 copy of the table, made
+    here, and one set per worker running at once, made when a worker finds
+    none free, of a column block's float32 scores against ``n_rows``
+    queries and two boolean masks of that shape.
 
     The window. A float32 score differs from the exact dot z . e by at most
     gamma(d + 2, 2^-24) sum_k |z_k||e_k| plus an underflow term
@@ -108,6 +123,12 @@ class _BlockRanker:
     one below t - w a float64 score below it. The bounds are rounded
     outwards to float32, so the masks compare float32 with float32.
 
+    The bound holds for any order of summation, so how the product is split
+    into column blocks, and which worker scores a block, decides no rank: a
+    float32 score only sorts a candidate into above, within or below the
+    window, and every candidate within it is rescored in float64 by one
+    routine whose bits depend only on the two rows. The counts are integers.
+
     A row whose window is not finite in float32 (a norm or their product
     near the float32 range, or NaN) gets the window (-inf, inf): every
     candidate is rescored in float64, as are NaN float32 scores, since the
@@ -122,9 +143,10 @@ class _BlockRanker:
             self.table[...] = entities
             # NaN if any row is NaN, so that every window then opens fully.
             self.e_max = math.sqrt(np.max(np.einsum("ij,ij->i", entities, entities)))
-        self.scores = zeros((n_rows, n_ent), np.float32)
-        self.greater = zeros((n_rows, n_ent), bool)
-        self.window = zeros((n_rows, n_ent), bool)
+        self.cols = min(_RANK_COLUMNS, n_ent)
+        self.scratch_size = self.cols * n_rows
+        # Scratch sets no worker holds; list.pop and list.append are atomic.
+        self.free: list = []
         n = dim + 2
         self.gamma = n * _U32 / (1 - n * _U32) + 2 * n * _U64 / (1 - n * _U64)
 
@@ -132,17 +154,17 @@ class _BlockRanker:
         """Filtered average-tie rank of ``true_ids[i]`` against query ``z[i]``.
 
         Entity ``known_ids[k]`` is a known-true candidate of row
-        ``known_rows[k]``; the pairs must be distinct, and a pair naming the
-        row's target is ignored. A NaN target score raises ``ValueError``.
+        ``known_rows[k]``; a pair naming the row's target is ignored. A NaN
+        target score raises ``ValueError``.
         """
         n_rows, dim = z.shape
+        n_ent = self.table.shape[0]
         rows = np.arange(n_rows)
-        scores, greater, window = self.scores[:n_rows], self.greater[:n_rows], self.window[:n_rows]
         target = _dots(z, self.entities, rows, true_ids)
         if np.isnan(target).any():
             raise ValueError(f"the score of true entity {true_ids[np.isnan(target)][0]} is NaN")
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(z.astype(np.float32), self.table.T, out=scores)
+            z32 = z.astype(np.float32)
             z_norm = np.sqrt(np.einsum("ij,ij->i", z, z))
             bound = z_norm * self.e_max
             finite = np.maximum(np.maximum(z_norm, self.e_max), bound) < _F32_SAFE
@@ -150,32 +172,56 @@ class _BlockRanker:
             width, center = np.where(finite, width, np.inf), np.where(finite, target, 0.0)
             hi = np.nextafter((center + width).astype(np.float32), np.float32(np.inf))
             lo = np.nextafter((center - width).astype(np.float32), np.float32(-np.inf))
-        np.greater(scores, hi[:, None], out=greater)
-        np.less(scores, lo[:, None], out=window)
-        # lo <= hi, so no score is both below and above: the scores in the
-        # window, NaN among them, are those where the two masks agree.
-        np.equal(window, greater, out=window)
+        # The pairs not ranked, sorted by entity: column block i clears
+        # entries bounds[i]:bounds[i + 1].
         keep = known_ids != true_ids[known_rows]
-        filtered = known_rows[keep], known_ids[keep]
-        greater[filtered] = False
-        window[filtered] = False
-        greater[rows, true_ids] = False
-        window[rows, true_ids] = True
+        skip_ids = np.concatenate([known_ids[keep], true_ids])
+        by_id = np.argsort(skip_ids)
+        skip_ids, skip_rows = skip_ids[by_id], np.concatenate([known_rows[keep], rows])[by_id]
+        cols = self.cols
+        n_blocks = -(-n_ent // cols)
+        bounds = np.searchsorted(skip_ids, np.arange(n_blocks + 1) * cols)
+        # A block's count per query is at most its width.
+        count_type = np.min_scalar_type(cols)
+        counts = []
 
-        above = np.empty(n_rows, dtype=np.int64)
-        for i in range(n_rows):
-            above[i] = np.count_nonzero(greater[i])
-        equal = np.zeros(n_rows, dtype=np.int64)
-        n_ent = scores.shape[1]
-        step = max(1, _WINDOW_ELEMENTS // n_ent)
-        for start in range(0, n_rows, step):
-            pair_rows, pair_cols = np.divmod(np.flatnonzero(window[start : start + step]), n_ent)
-            pair_rows += start
-            values, t = _dots(z, self.entities, pair_rows, pair_cols), target[pair_rows]
-            above += np.bincount(pair_rows[values > t], minlength=n_rows)
-            equal += np.bincount(pair_rows[values == t], minlength=n_rows)
-        # The target sits in its own window; its equality is taken off again.
-        return 1.0 + above + (equal - 1) / 2.0
+        def rank_blocks(first: int, stop: int) -> None:
+            above, equal = np.zeros(n_rows, np.int64), np.zeros(n_rows, np.int64)
+            try:
+                scratch = self.free.pop()
+            except IndexError:  # every set made so far is held by another worker
+                scratch = tuple(zeros(self.scratch_size, dtype) for dtype in (np.float32, bool, bool))
+            try:
+                for i in range(first, stop):
+                    c0, c1 = i * cols, min((i + 1) * cols, n_ent)
+                    scores, greater, window = (
+                        buf[: (c1 - c0) * n_rows].reshape(c1 - c0, n_rows) for buf in scratch
+                    )
+                    # numpy's error state is per thread: the caller's does not reach here.
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        np.matmul(self.table[c0:c1], z32.T, out=scores)
+                    np.greater(scores, hi, out=greater)
+                    np.less(scores, lo, out=window)
+                    # lo <= hi, so no score is both below and above: the
+                    # scores in the window, NaN among them, are those where
+                    # the two masks agree.
+                    np.equal(window, greater, out=window)
+                    skip = skip_ids[bounds[i] : bounds[i + 1]] - c0, skip_rows[bounds[i] : bounds[i + 1]]
+                    greater[skip] = False
+                    window[skip] = False
+                    above += greater.sum(axis=0, dtype=count_type)
+                    pair_cols, pair_rows = np.divmod(np.flatnonzero(window), n_rows)
+                    values, t = _dots(z, self.entities, pair_rows, pair_cols + c0), target[pair_rows]
+                    above += np.bincount(pair_rows[values > t], minlength=n_rows)
+                    equal += np.bincount(pair_rows[values == t], minlength=n_rows)
+            finally:
+                self.free.append(scratch)
+            counts.append((above, equal))
+
+        with _one_blas_thread():
+            _run_blocks(n_blocks, rank_blocks, min_per_worker=1)
+        above, equal = (sum(part) for part in zip(*counts))
+        return 1.0 + above + equal / 2.0
 
 
 def rank_split(
@@ -189,13 +235,15 @@ def rank_split(
 
     Returns ``(head_ranks, tail_ranks)`` aligned with the split's
     original-direction triples (reciprocal copies are skipped). Each block
-    of ``batch_size`` queries is scored in one float32 product and ranked as
-    a whole, every rank resting on a float64 comparison (:class:`_BlockRanker`);
-    the block's scores are overwritten by the next block's, in scratch made
-    once per call and released on return. A NaN target score raises
+    of ``batch_size`` queries is ranked in one pass over blocks of entity
+    columns on the worker pool, each worker in scratch of its own made once
+    per call and released on return, and every rank rests on a float64
+    comparison (:class:`_BlockRanker`). A NaN target score raises
     ``ValueError``. The query vectors are formed with numpy's OpenBLAS held
-    to one thread, and the float64 scores use no BLAS, so the ranks do not
-    depend on the BLAS thread count.
+    to one thread, the float32 scores only filter, within an error bound
+    that holds however the product is split, and the float64 scores use no
+    BLAS, so the ranks depend neither on the BLAS thread count nor on the
+    worker count.
     """
     if not store.augmented:
         raise ConfigError("ranking requires a reciprocal-augmented store")

@@ -1,13 +1,16 @@
-"""Shared test helpers: finite-difference oracle and synthetic KG fixtures."""
+"""Shared test helpers: finite-difference oracle, the worker-pool fixture and
+synthetic KG fixtures."""
 
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kgedistill import autodiff
 from kgedistill.autodiff import Parameter, backward
 
 PAPER_SCALE_VAR = "KGE_PAPER_SCALE"
@@ -21,6 +24,34 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "paper_scale" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the pool's worker count; a pool started for the test is shut down.
+
+    The interpreter switches threads every microsecond meanwhile, so workers
+    interleave as finely as they can.
+    """
+    started = []
+
+    def use(count: int) -> None:
+        if autodiff._pool is not None:
+            started.append(autodiff._pool)
+        monkeypatch.setattr(autodiff, "_WORKERS", count)
+        monkeypatch.setattr(autodiff, "_pool", None)
+
+    monkeypatch.setattr(autodiff, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield use
+    finally:
+        sys.setswitchinterval(interval)
+        if autodiff._pool is not None:
+            started.append(autodiff._pool)
+        for pool in started:
+            pool.shutdown()
 
 
 def resident_bytes() -> int:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import resident_bytes
-from kgedistill import evaluation
+from kgedistill import autodiff, evaluation
 from kgedistill.autodiff import _one_blas_thread, no_grad, zeros
 from kgedistill.config import ModelConfig
 from kgedistill.data import TripleStore, Vocabulary, augment_reciprocal, build_filter_index
@@ -283,12 +283,36 @@ def _random_store(n_ent: int, n_rel: int, n_train: int, n_test: int, augment: bo
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_rank_split_holds_one_block_of_scores_at_a_time(kind, monkeypatch):
-    """Three blocks per direction at d_e 4, so the scores dominate every
-    other allocation; holding the previous block while the next is scored
-    would double the peak. The scratch lives on mappings, which tracemalloc
+def test_ranks_do_not_depend_on_the_split(kind, monkeypatch, workers):
+    """1, 2 or 3 workers, and column blocks of the default width, of 7
+    entities (a ragged last block) or of the whole table, give the same
+    bytes. Every entity row is copied onto another, so every candidate ties
+    with one other, and the filter covers the test split, so each target is
+    among its row's known-true pairs."""
+    store = _random_store(3_000, 4, 2_000, 300)
+    index = build_filter_index(store)
+    model = EmbeddingModel(ModelConfig(kind=kind, d_e=8, k_l=2), store.n_entities, store.n_relations, stream(0))
+    entities = model.entity_embeddings.data
+    entities[1_500:] = entities[:1_500]
+    runs = set()
+    for count in (1, 2, 3):
+        for cols in (evaluation._RANK_COLUMNS, 7, store.n_entities):
+            workers(count)
+            monkeypatch.setattr(evaluation, "_RANK_COLUMNS", cols)
+            head, tail = rank_split(model, store, index, "test", 128)
+            runs.add(head.tobytes() + tail.tobytes())
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rank_split_holds_one_column_block_per_worker(kind, monkeypatch, workers):
+    """Three blocks of queries per direction at d_e 4, on two workers. A
+    worker's scratch is one column block's float32 scores and two boolean
+    masks against a block of queries; beyond that and the float32 table,
+    little else may stay. The scratch lives on mappings, which tracemalloc
     does not see, so every mapping made during the call is added to its
     peak."""
+    workers(2)
     n_ent, batch_size = 8_000, 256
     store = _random_store(n_ent, 4, 2_000, 3 * batch_size)
     index = build_filter_index(store)
@@ -307,8 +331,9 @@ def test_rank_split_holds_one_block_of_scores_at_a_time(kind, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One block is a float32 score and two boolean mask entries per element.
-    assert peak + sum(mapped) <= 1.5 * batch_size * n_ent * 6, (peak, mapped)
+    table = model.entity_embeddings.data.size * 4
+    scratch = min(evaluation._RANK_COLUMNS, n_ent) * batch_size * (4 + 1 + 1)
+    assert peak + sum(mapped) <= 1.5 * (table + autodiff._WORKERS * scratch), (peak, mapped)
 
 
 @pytest.mark.skipif(

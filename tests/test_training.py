@@ -314,34 +314,6 @@ def test_zeroed_buffer_leaves_reused_heap_blocks_to_written_arrays():
 # Worker pool
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def workers(monkeypatch):
-    """Set the pool's worker count; a pool started for the test is shut down.
-
-    The interpreter switches threads every microsecond meanwhile, so workers
-    interleave as finely as they can.
-    """
-    started = []
-
-    def use(count: int) -> None:
-        if autodiff._pool is not None:
-            started.append(autodiff._pool)
-        monkeypatch.setattr(autodiff, "_WORKERS", count)
-        monkeypatch.setattr(autodiff, "_pool", None)
-
-    monkeypatch.setattr(autodiff, "_pool", None)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield use
-    finally:
-        sys.setswitchinterval(interval)
-        if autodiff._pool is not None:
-            started.append(autodiff._pool)
-        for pool in started:
-            pool.shutdown()
-
-
 @pytest.mark.parametrize("size", [64 * 12, 64 * 12 + 5])
 def test_adam_is_bit_identical_for_any_worker_count(monkeypatch, workers, size):
     monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", 64)
