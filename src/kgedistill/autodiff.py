@@ -36,16 +36,18 @@ Which results depend on the BLAS thread count:
   thread count. Where that library's thread calls are not found, both run
   unpinned and depend on the thread count like a direct product.
 - What runs on the worker pool (:func:`_run_blocks`) gives the same bits
-  for any worker count: the score head's blocks, ranking's blocks of entity
-  columns, and the elementwise row passes (:func:`row_slices`): adding
+  for any worker count: the score head's blocks, ranking's query blocks
+  (each one's query vectors, filter lookup and pass over the entity
+  columns), and the elementwise row passes (:func:`row_slices`): adding
   pending pairs into a gradient, the score head's add into the entity
   table's gradient, and Adam. The elementwise kernels (the BCE kernel,
   Adam) call no BLAS, so the thread count does not enter them either.
 - Filtered ranks (:func:`kgedistill.evaluation.rank_split`) do not depend
-  on the thread count. The query vectors are formed with numpy's OpenBLAS
-  held to one thread, the float32 scores, which run on the pool with
-  OpenBLAS held to one thread, only decide what is certain within their
-  error bound, and the float64 scores that decide the rest call no BLAS.
+  on the thread count. Each query block's vectors are formed on the pool
+  with numpy's OpenBLAS held to one thread, in the same blocks whatever the
+  worker count; the float32 scores only decide what is certain within
+  their error bound, and the float64 scores that decide the rest call no
+  BLAS.
 
 The row lookup's gradient scatter-adds with ``np.add.at`` (sequential, in
 index order) straight into the table's ``grad``, so the rows of a
@@ -74,7 +76,14 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block."""
+    """Disable graph recording inside the block.
+
+    The flag is process-global, not per thread: pool work that must not
+    record (ranking's query vectors) runs inside a block entered on the
+    calling thread around the :func:`_run_blocks` call, and no worker
+    enters or leaves one, since a worker's exit would switch recording
+    back on for every thread.
+    """
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False
@@ -88,12 +97,14 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-# Blocked loops (the score head's blocks, ranking's column blocks, the row
-# slices below) hand each worker thread one contiguous range of whole
-# blocks; numpy releases the GIL inside its ufuncs and BLAS calls, so the
-# ranges run on separate cores. The pool starts on first use, with one
-# thread per usable core, and a loop with fewer than ``min_per_worker``
-# blocks per worker runs inline on the calling thread.
+# Blocked loops (the score head's blocks, ranking's query blocks, the row
+# slices below) hand each of ``_WORKERS`` workers, one per usable core, one
+# contiguous range of whole blocks; numpy releases the GIL inside its ufuncs
+# and BLAS calls, so the ranges run on separate cores. The calling thread
+# is the first worker and the pool's threads the others: the pool starts on
+# first use, with one thread fewer than there are workers. A loop with
+# fewer than ``min_per_worker`` blocks per worker runs whole on the
+# calling thread.
 _WORKERS = len(os.sched_getaffinity(0))
 _MIN_BLOCKS_PER_WORKER = 4
 _pool: ThreadPoolExecutor | None = None
@@ -102,8 +113,10 @@ _pool: ThreadPoolExecutor | None = None
 def _run_blocks(n_blocks: int, work, min_per_worker: int = _MIN_BLOCKS_PER_WORKER) -> None:
     """Call ``work(first, stop)`` on contiguous ranges covering ``range(n_blocks)``.
 
-    Each worker gets one range; the ranges depend on the worker count, so
-    ``work`` must give the same result however its blocks are grouped.
+    Each worker gets one range, the calling thread the first; the ranges
+    depend on the worker count, so ``work`` must give the same result
+    however its blocks are grouped. Once every range has ended, the first
+    error raised, in range order, is raised here.
     """
     global _pool
     workers = min(_WORKERS, n_blocks // min_per_worker)
@@ -111,10 +124,13 @@ def _run_blocks(n_blocks: int, work, min_per_worker: int = _MIN_BLOCKS_PER_WORKE
         work(0, n_blocks)
         return
     if _pool is None:
-        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="kgedistill")
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="kgedistill")
     cuts = [n_blocks * i // workers for i in range(workers + 1)]
-    futures = [_pool.submit(work, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    wait(futures)
+    futures = [_pool.submit(work, lo, hi) for lo, hi in zip(cuts[1:], cuts[2:])]
+    try:
+        work(cuts[0], cuts[1])
+    finally:
+        wait(futures)
     for future in futures:
         future.result()
 

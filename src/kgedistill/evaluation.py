@@ -7,9 +7,13 @@ direction suffices. Ties share the average of the tied positions, which
 keeps constant-score degenerate models honest. The rank is
 ``1 + greater + ties / 2``.
 
-Ranking is array-native and exact. Each block of query rows is ranked in
-one pass over blocks of entity columns on the worker pool, each scored in
-float32 against a float32 copy of the entity table; float32 only filters.
+Ranking is array-native and exact. A call cuts the queries of both
+directions into blocks and ranks them in one pass on the worker pool: each
+worker forms its blocks' query vectors, looks up their known-true
+candidates and ranks each block against every block of entity columns in
+turn, in scratch of its own held for all of its blocks. Each column block
+is scored in float32 against a float32 copy of the entity table; float32
+only filters.
 Every rank rests on a float64 comparison: the target's score is taken in
 float64, and a candidate counts as greater on its float32 score
 alone only when that score clears the target's by more than the rounding
@@ -18,8 +22,8 @@ within that window are rescored in float64 by the routine that scores the
 target, so equal entity rows stay tied. The ranks are those of ranking the
 float64 logits of :meth:`~kgedistill.models.EmbeddingModel.forward`
 directly, up to the rounding of float64 scores that differ by a few units
-in the last place, and they do not depend on how the columns are split
-or on the number of workers.
+in the last place, and they do not depend on how the columns are split,
+on which worker ranks a block or on the number of workers.
 """
 
 from __future__ import annotations
@@ -90,24 +94,25 @@ def _dots(z: np.ndarray, entities: np.ndarray, rows: np.ndarray, cols: np.ndarra
 
 
 class _BlockRanker:
-    """Certified filtered ranks of blocks of query vectors against one table.
+    """Certified filtered ranks of a model's query blocks against its table.
 
-    Each block of queries is ranked in one pass over blocks of
-    ``_RANK_COLUMNS`` entity columns, run on the worker pool
-    (:func:`~kgedistill.autodiff._run_blocks`) with numpy's OpenBLAS held to
-    one thread. For its column block a worker scores the block's entities
-    against every query in float32, marks the scores above each row's window
-    and those within it, clears the pairs that are not ranked (the row's
+    :meth:`ranks` ranks one block of queries, on the thread that calls it:
+    it forms the block's query vectors, looks up their known-true
+    candidates, and makes one pass over blocks of ``_RANK_COLUMNS`` entity
+    columns. For each column block it scores the block's entities against
+    every query in float32, marks the scores above each row's window and
+    those within it, clears the pairs that are not ranked (the row's
     known-true candidates and its own target), counts the marks above per
     query and rescores the ones within in float64 (:func:`_dots`), while the
     block is still in cache.
 
-    The scratch lives on mappings of its own (:func:`~kgedistill.autodiff.zeros`),
-    used for every block of a :func:`rank_split` call and handed back to the
-    system when the ranker is dropped: a float32 copy of the table, made
-    here, and one set per worker running at once, made when a worker finds
-    none free, of a column block's float32 scores against ``n_rows``
-    queries and two boolean masks of that shape.
+    The float32 copy of the table, made here, each thread's :meth:`scratch`,
+    held for all of the blocks it ranks, and each block's sorted skipped
+    pairs live on mappings of their own (:func:`~kgedistill.autodiff.zeros`),
+    handed back to the system when dropped. Heap memory that a pool thread
+    frees stays with that thread, so of a block's arrays only those made
+    while forming its query vectors and looking up its filter lists reach
+    a worker's heap.
 
     The window. A float32 score differs from the exact dot z . e by at most
     gamma(d + 2, 2^-24) sum_k |z_k||e_k| plus an underflow term
@@ -124,10 +129,10 @@ class _BlockRanker:
     outwards to float32, so the masks compare float32 with float32.
 
     The bound holds for any order of summation, so how the product is split
-    into column blocks, and which worker scores a block, decides no rank: a
-    float32 score only sorts a candidate into above, within or below the
-    window, and every candidate within it is rescored in float64 by one
-    routine whose bits depend only on the two rows. The counts are integers.
+    into column blocks decides no rank: a float32 score only sorts a
+    candidate into above, within or below the window, and every candidate
+    within it is rescored in float64 by one routine whose bits depend only
+    on the two rows. The counts are integers.
 
     A row whose window is not finite in float32 (a norm or their product
     near the float32 range, or NaN) gets the window (-inf, inf): every
@@ -135,8 +140,9 @@ class _BlockRanker:
     window holds every score that is neither below nor above it.
     """
 
-    def __init__(self, entities: np.ndarray, n_rows: int):
-        self.entities = entities
+    def __init__(self, model: EmbeddingModel, filter_index: FilterIndex, n_rows: int):
+        self.model, self.filter_index, self.n_rows = model, filter_index, n_rows
+        self.entities = entities = model.entity_embeddings.data
         n_ent, dim = entities.shape
         with np.errstate(over="ignore", invalid="ignore"):
             self.table = zeros(entities.shape, np.float32)
@@ -144,27 +150,45 @@ class _BlockRanker:
             # NaN if any row is NaN, so that every window then opens fully.
             self.e_max = math.sqrt(np.max(np.einsum("ij,ij->i", entities, entities)))
         self.cols = min(_RANK_COLUMNS, n_ent)
-        self.scratch_size = self.cols * n_rows
-        # Scratch sets no worker holds; list.pop and list.append are atomic.
-        self.free: list = []
         n = dim + 2
         self.gamma = n * _U32 / (1 - n * _U32) + 2 * n * _U64 / (1 - n * _U64)
 
-    def ranks(self, z, true_ids, known_rows, known_ids) -> np.ndarray:
-        """Filtered average-tie rank of ``true_ids[i]`` against query ``z[i]``.
+    def scratch(self) -> tuple:
+        """One thread's scratch: a column block's float32 scores against
+        ``n_rows`` queries, two boolean masks of that shape, and the query
+        vectors in float64 and in float32."""
+        cells, shape = self.cols * self.n_rows, (self.n_rows, self.entities.shape[1])
+        blocks = zeros(cells, np.float32), zeros(cells, bool), zeros(cells, bool)
+        return blocks, (zeros(shape), zeros(shape, np.float32))
 
-        Entity ``known_ids[k]`` is a known-true candidate of row
-        ``known_rows[k]``; a pair naming the row's target is ignored. A NaN
-        target score raises ``ValueError``.
-        """
-        n_rows, dim = z.shape
-        n_ent = self.table.shape[0]
+    def ranks(self, heads, relations, true_ids, scratch) -> np.ndarray:
+        """Filtered average-tie rank of ``true_ids[i]`` for query
+        ``(heads[i], relations[i])``. A NaN target score raises ``ValueError``."""
+        n_rows, (n_ent, dim), cols = len(true_ids), self.table.shape, self.cols
         rows = np.arange(n_rows)
+        blocks, queries = scratch
+        z, z32 = (buf[:n_rows] for buf in queries)
+        z[...] = self.model.query_vectors(heads, relations).data
+        # The pairs not ranked, as sorted positions row + n_rows * entity in
+        # the entity-major score matrix. A known pair naming the target
+        # repeats its position, which is cleared all the same.
+        known_rows, known_ids = self.filter_index.batch_tails(heads, relations)
+        n_known = len(known_ids)
+        skip = zeros(n_known + n_rows, np.int64)
+        skip[:n_known], skip[n_known:] = known_ids, true_ids
+        skip *= n_rows
+        skip[:n_known] += known_rows
+        skip[n_known:] += rows
+        skip.sort()
+        # Column block i clears entries bounds[i]:bounds[i + 1].
+        bounds = np.searchsorted(skip, np.arange(0, n_ent + cols, cols) * n_rows)
         target = _dots(z, self.entities, rows, true_ids)
         if np.isnan(target).any():
             raise ValueError(f"the score of true entity {true_ids[np.isnan(target)][0]} is NaN")
+        # numpy's error state is per thread, so it is set here for whichever
+        # thread ranks the block.
         with np.errstate(over="ignore", invalid="ignore"):
-            z32 = z.astype(np.float32)
+            z32[...] = z
             z_norm = np.sqrt(np.einsum("ij,ij->i", z, z))
             bound = z_norm * self.e_max
             finite = np.maximum(np.maximum(z_norm, self.e_max), bound) < _F32_SAFE
@@ -172,55 +196,27 @@ class _BlockRanker:
             width, center = np.where(finite, width, np.inf), np.where(finite, target, 0.0)
             hi = np.nextafter((center + width).astype(np.float32), np.float32(np.inf))
             lo = np.nextafter((center - width).astype(np.float32), np.float32(-np.inf))
-        # The pairs not ranked, sorted by entity: column block i clears
-        # entries bounds[i]:bounds[i + 1].
-        keep = known_ids != true_ids[known_rows]
-        skip_ids = np.concatenate([known_ids[keep], true_ids])
-        by_id = np.argsort(skip_ids)
-        skip_ids, skip_rows = skip_ids[by_id], np.concatenate([known_rows[keep], rows])[by_id]
-        cols = self.cols
-        n_blocks = -(-n_ent // cols)
-        bounds = np.searchsorted(skip_ids, np.arange(n_blocks + 1) * cols)
         # A block's count per query is at most its width.
         count_type = np.min_scalar_type(cols)
-        counts = []
-
-        def rank_blocks(first: int, stop: int) -> None:
-            above, equal = np.zeros(n_rows, np.int64), np.zeros(n_rows, np.int64)
-            try:
-                scratch = self.free.pop()
-            except IndexError:  # every set made so far is held by another worker
-                scratch = tuple(zeros(self.scratch_size, dtype) for dtype in (np.float32, bool, bool))
-            try:
-                for i in range(first, stop):
-                    c0, c1 = i * cols, min((i + 1) * cols, n_ent)
-                    scores, greater, window = (
-                        buf[: (c1 - c0) * n_rows].reshape(c1 - c0, n_rows) for buf in scratch
-                    )
-                    # numpy's error state is per thread: the caller's does not reach here.
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        np.matmul(self.table[c0:c1], z32.T, out=scores)
-                    np.greater(scores, hi, out=greater)
-                    np.less(scores, lo, out=window)
-                    # lo <= hi, so no score is both below and above: the
-                    # scores in the window, NaN among them, are those where
-                    # the two masks agree.
-                    np.equal(window, greater, out=window)
-                    skip = skip_ids[bounds[i] : bounds[i + 1]] - c0, skip_rows[bounds[i] : bounds[i + 1]]
-                    greater[skip] = False
-                    window[skip] = False
-                    above += greater.sum(axis=0, dtype=count_type)
-                    pair_cols, pair_rows = np.divmod(np.flatnonzero(window), n_rows)
-                    values, t = _dots(z, self.entities, pair_rows, pair_cols + c0), target[pair_rows]
-                    above += np.bincount(pair_rows[values > t], minlength=n_rows)
-                    equal += np.bincount(pair_rows[values == t], minlength=n_rows)
-            finally:
-                self.free.append(scratch)
-            counts.append((above, equal))
-
-        with _one_blas_thread():
-            _run_blocks(n_blocks, rank_blocks, min_per_worker=1)
-        above, equal = (sum(part) for part in zip(*counts))
+        above, equal = np.zeros(n_rows, np.int64), np.zeros(n_rows, np.int64)
+        for i, c0 in enumerate(range(0, n_ent, cols)):
+            c1 = min(c0 + cols, n_ent)
+            scores, greater, window = (buf[: (c1 - c0) * n_rows].reshape(c1 - c0, n_rows) for buf in blocks)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(self.table[c0:c1], z32.T, out=scores)
+            np.greater(scores, hi, out=greater)
+            np.less(scores, lo, out=window)
+            # lo <= hi, so no score is both below and above: the scores in
+            # the window, NaN among them, are those where the two masks agree.
+            np.equal(window, greater, out=window)
+            cleared = skip[bounds[i] : bounds[i + 1]] - c0 * n_rows
+            greater.reshape(-1)[cleared] = False
+            window.reshape(-1)[cleared] = False
+            above += greater.sum(axis=0, dtype=count_type)
+            pair_cols, pair_rows = np.divmod(np.flatnonzero(window), n_rows)
+            values, t = _dots(z, self.entities, pair_rows, pair_cols + c0), target[pair_rows]
+            above += np.bincount(pair_rows[values > t], minlength=n_rows)
+            equal += np.bincount(pair_rows[values == t], minlength=n_rows)
         return 1.0 + above + equal / 2.0
 
 
@@ -234,17 +230,26 @@ def rank_split(
     """Head- and tail-direction filtered ranks for every original triple.
 
     Returns ``(head_ranks, tail_ranks)`` aligned with the split's
-    original-direction triples (reciprocal copies are skipped). Each block
-    of ``batch_size`` queries is ranked in one pass over blocks of entity
-    columns on the worker pool, each worker in scratch of its own made once
-    per call and released on return, and every rank rests on a float64
-    comparison (:class:`_BlockRanker`). A NaN target score raises
-    ``ValueError``. The query vectors are formed with numpy's OpenBLAS held
-    to one thread, the float32 scores only filter, within an error bound
-    that holds however the product is split, and the float64 scores use no
-    BLAS, so the ranks depend neither on the BLAS thread count nor on the
-    worker count.
+    original-direction triples (reciprocal copies are skipped). The queries
+    of each direction are cut into blocks of ``batch_size`` in split order,
+    and the blocks of both directions, interleaved, are ranked in one pass
+    on the worker pool (:func:`~kgedistill.autodiff._run_blocks`). For each
+    block of its range a worker forms the query vectors, looks up their
+    known-true candidates and ranks the block against every column block of
+    the table (:class:`_BlockRanker`), in one set of scratch that it holds
+    for the whole range and that is handed back on return.
+
+    The pass runs under :func:`~kgedistill.autodiff.no_grad` with numpy's
+    OpenBLAS held to one thread, both entered here, on the calling thread.
+    So a block's query vectors are those of a single-threaded forward over
+    it, the float32 scores only filter, within an error bound that holds
+    however the product is split, and the float64 scores use no BLAS: the
+    ranks depend neither on the BLAS thread count nor on the worker count.
+    A NaN target score raises ``ValueError``; a ``batch_size`` below 1
+    raises ``ConfigError``.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
     if not store.augmented:
         raise ConfigError("ranking requires a reciprocal-augmented store")
     triples = store.split(split)
@@ -252,23 +257,22 @@ def rank_split(
     if len(triples) == 0:
         raise ConfigError(f"split {split!r} has no triples to rank")
 
-    n_rel = store.base_relation_count
-    ranker = _BlockRanker(model.entity_embeddings.data, min(batch_size, len(triples)))
+    heads, rels, tails = triples.T
+    # Tail queries, then head queries as tail queries of the reciprocal relation.
+    queries = ((heads, rels, tails), (tails, rels + store.base_relation_count, heads))
+    ranks = np.empty((2, len(triples)))
+    ranker = _BlockRanker(model, filter_index, min(batch_size, len(triples)))
 
-    def direction_ranks(queries_h, queries_r, true_ids):
-        ranks = np.empty(len(queries_h))
-        for start in range(0, len(queries_h), batch_size):
-            block = slice(start, start + batch_size)
-            with no_grad(), _one_blas_thread():
-                z = model.query_vectors(queries_h[block], queries_r[block]).data
-            known = filter_index.batch_tails(queries_h[block], queries_r[block])
-            ranks[block] = ranker.ranks(z, true_ids[block], *known)
-        return ranks
+    def rank_blocks(first: int, stop: int) -> None:
+        scratch = ranker.scratch()
+        for i in range(first, stop):
+            # Even blocks rank tails and odd ones heads, so that each range holds both.
+            direction, block = i % 2, slice(i // 2 * batch_size, (i // 2 + 1) * batch_size)
+            ranks[direction, block] = ranker.ranks(*(column[block] for column in queries[direction]), scratch)
 
-    heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
-    tail_ranks = direction_ranks(heads, rels, tails)
-    head_ranks = direction_ranks(tails, rels + n_rel, heads)
-    return head_ranks, tail_ranks
+    with no_grad(), _one_blas_thread():
+        _run_blocks(2 * -(-len(triples) // batch_size), rank_blocks, min_per_worker=1)
+    return ranks[1], ranks[0]
 
 
 def _direction_metrics(ranks: np.ndarray) -> dict:

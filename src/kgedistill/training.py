@@ -55,7 +55,7 @@ class Adam:
     Each parameter is viewed as rows (its first axis) and updated one slice
     of whole rows at a time, about ``autodiff._SLICE_ELEMENTS`` elements
     each, as :func:`~kgedistill.autodiff.take_grad` hands the gradient's
-    slices over on the worker pool (one thread per usable core). Slicing
+    slices over on the worker pool (one worker per usable core). Slicing
     bounds the scratch to three slice-sized buffers per worker; it does not
     keep a slice in cache: with a 2 MB L2, a slice's parameter, gradient,
     moments and scratch of up to 512 KB each stream from the outer caches

@@ -2,6 +2,9 @@
 
 import ctypes
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -284,34 +287,40 @@ def _random_store(n_ent: int, n_rel: int, n_train: int, n_test: int, augment: bo
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_ranks_do_not_depend_on_the_split(kind, monkeypatch, workers):
-    """1, 2 or 3 workers, and column blocks of the default width, of 7
-    entities (a ragged last block) or of the whole table, give the same
-    bytes. Every entity row is copied onto another, so every candidate ties
-    with one other, and the filter covers the test split, so each target is
-    among its row's known-true pairs."""
-    store = _random_store(3_000, 4, 2_000, 300)
+    """Within each batch size, 1, 2 or 3 workers and column blocks of the
+    default width, of 7 entities (a ragged last block) or of the whole table
+    give the same bytes. Batches of 1, 128 and the whole split cut each
+    direction into an odd number of blocks, so that with the two directions
+    interleaved a worker's range may start on either. Every entity row is
+    copied onto another, so every candidate ties with one other, and the
+    filter covers the test split, so each target is among its row's
+    known-true pairs. Batch sizes are not compared with each other: TuckER's
+    and LowFER's query vectors may differ with the batch."""
+    store = _random_store(1_030, 4, 2_000, 257)
     index = build_filter_index(store)
     model = EmbeddingModel(ModelConfig(kind=kind, d_e=8, k_l=2), store.n_entities, store.n_relations, stream(0))
     entities = model.entity_embeddings.data
-    entities[1_500:] = entities[:1_500]
-    runs = set()
-    for count in (1, 2, 3):
-        for cols in (evaluation._RANK_COLUMNS, 7, store.n_entities):
-            workers(count)
-            monkeypatch.setattr(evaluation, "_RANK_COLUMNS", cols)
-            head, tail = rank_split(model, store, index, "test", 128)
-            runs.add(head.tobytes() + tail.tobytes())
-    assert len(runs) == 1
+    entities[515:] = entities[:515]
+    for batch_size in (1, 128, 257):
+        runs = set()
+        for count in (1, 2, 3):
+            for cols in (evaluation._RANK_COLUMNS, 7, store.n_entities):
+                workers(count)
+                monkeypatch.setattr(evaluation, "_RANK_COLUMNS", cols)
+                head, tail = rank_split(model, store, index, "test", batch_size)
+                runs.add(head.tobytes() + tail.tobytes())
+        assert len(runs) == 1, batch_size
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rank_split_holds_one_column_block_per_worker(kind, monkeypatch, workers):
     """Three blocks of queries per direction at d_e 4, on two workers. A
     worker's scratch is one column block's float32 scores and two boolean
-    masks against a block of queries; beyond that and the float32 table,
-    little else may stay. The scratch lives on mappings, which tracemalloc
-    does not see, so every mapping made during the call is added to its
-    peak."""
+    masks against a block of queries, and the block's query vectors in
+    float64 and float32; beyond that and the float32 table, little else may
+    stay. The scratch, and each block's sorted skipped pairs, live on
+    mappings, which tracemalloc does not see, so every mapping made during
+    the call is added to its peak."""
     workers(2)
     n_ent, batch_size = 8_000, 256
     store = _random_store(n_ent, 4, 2_000, 3 * batch_size)
@@ -332,7 +341,7 @@ def test_rank_split_holds_one_column_block_per_worker(kind, monkeypatch, workers
     finally:
         tracemalloc.stop()
     table = model.entity_embeddings.data.size * 4
-    scratch = min(evaluation._RANK_COLUMNS, n_ent) * batch_size * (4 + 1 + 1)
+    scratch = (min(evaluation._RANK_COLUMNS, n_ent) * (4 + 1 + 1) + 4 * (8 + 4)) * batch_size
     assert peak + sum(mapped) <= 1.5 * (table + autodiff._WORKERS * scratch), (peak, mapped)
 
 
@@ -361,6 +370,72 @@ def test_rank_split_hands_its_scratch_back():
     assert grown < 4 << 20, f"resident set grew by {grown / 2**20:.1f} MB"
 
 
+def late_entity_case():
+    """A store of 300 entities and 40 test triples, of which only the last
+    names entity 299, as its head, and a DistMult model on it. At a batch
+    of 10 each direction has four blocks, and that triple is in the last of
+    each."""
+    n_ent, n_rel = 300, 4
+    rng = np.random.default_rng(3)
+
+    def triples(n, high):
+        return np.stack([rng.integers(0, high, n), rng.integers(0, n_rel, n), rng.integers(0, high, n)], axis=1)
+
+    vocab = Vocabulary({f"e{i}": i for i in range(n_ent)}, {f"r{i}": i for i in range(n_rel)})
+    test = np.vstack([triples(39, n_ent - 1), [[n_ent - 1, 0, 0]]])
+    store = augment_reciprocal(TripleStore(vocab, triples(600, n_ent), _triples(), test, n_rel))
+    return store, EmbeddingModel(ModelConfig(d_e=4), store.n_entities, store.n_relations, stream(0))
+
+
+def test_a_nan_target_on_a_worker_thread_raises_and_leaves_the_pool_usable(monkeypatch, workers):
+    """With two workers the calling thread ranks the first four of the eight
+    interleaved blocks and a pool thread the last four, where entity 299's
+    NaN row gives the first of them with 299 as a head a NaN query vector,
+    so a NaN target score. The error surfaces from the call, graph
+    recording is back on, and a call on the repaired model gives the bytes
+    of a fresh process's call."""
+    workers(2)
+    store, model = late_entity_case()
+    index = build_filter_index(store)
+    entities = model.entity_embeddings.data
+    row = entities[-1].copy()
+    entities[-1] = np.nan
+    threads = []
+    query_vectors = model.query_vectors
+
+    def recorded(heads, relations):
+        if len(entities) - 1 in heads:
+            threads.append(threading.current_thread().name)
+        return query_vectors(heads, relations)
+
+    monkeypatch.setattr(model, "query_vectors", recorded)
+    with pytest.raises(ValueError, match="is NaN"):
+        rank_split(model, store, index, "test", 10)
+    assert threads and all(name.startswith("kgedistill") for name in threads), threads
+    assert autodiff.grad_enabled()
+
+    entities[-1] = row
+    head, tail = rank_split(model, store, index, "test", 10)
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_evaluation import late_entity_case\n"
+        "from kgedistill.data import build_filter_index\n"
+        "from kgedistill.evaluation import rank_split\n"
+        "store, model = late_entity_case()\n"
+        "head, tail = rank_split(model, store, build_filter_index(store), 'test', 10)\n"
+        "print((head.tobytes() + tail.tobytes()).hex())\n"
+    )
+    src = os.path.dirname(os.path.dirname(evaluation.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, os.path.dirname(__file__)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (head.tobytes() + tail.tobytes()).hex()
+
+
 def test_rank_split_rejects_an_unaugmented_store_and_an_empty_split():
     store = _random_store(6, 2, 10, 4)
     model = EmbeddingModel(ModelConfig(d_e=2), store.n_entities, store.n_relations, stream(0))
@@ -369,3 +444,8 @@ def test_rank_split_rejects_an_unaugmented_store_and_an_empty_split():
         rank_split(model, _random_store(6, 2, 10, 4, augment=False), index)
     with pytest.raises(ValueError, match="no triples to rank"):
         rank_split(model, store, index, "valid")
+    for batch_size in (0, -1):
+        with pytest.raises(ConfigError, match="batch_size"):
+            rank_split(model, store, index, "test", batch_size)
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(model, store, index, "test", batch_size)

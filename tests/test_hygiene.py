@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name that it never uses, the package
 imports at module level only and takes no private name from a sibling
-other than ``autodiff``, and no top-level definition or method in the
-package goes unnamed by all the code."""
+other than ``autodiff``, only ``autodiff`` holds a thread pool, and no
+top-level definition or method in the package goes unnamed by all the
+code."""
 
 import ast
 import functools
@@ -218,3 +219,29 @@ def test_the_private_import_scan_spares_autodiff_and_public_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_names_from_siblings_but_autodiff(path):
     assert private_sibling_imports(path.read_text(encoding="utf-8")) == []
+
+
+def pool_names(source: str) -> list[str]:
+    """The names of a thread pool that ``source`` mentions as code
+    (:func:`named_in`): ``ThreadPoolExecutor``, or ``autodiff``'s ``_pool``."""
+    return sorted(named_in(ast.parse(source)) & {"ThreadPoolExecutor", "_pool"})
+
+
+def test_the_pool_scan_finds_a_second_pool_and_a_borrowed_one():
+    source = (
+        "from concurrent.futures import ThreadPoolExecutor as Executor\n"
+        "from . import autodiff\n"
+        "autodiff._pool.submit(print)\n"
+        "text = 'work on a pool of threads'\n"
+    )
+    assert pool_names(source) == ["ThreadPoolExecutor", "_pool"]
+    assert pool_names("from .autodiff import _run_blocks\n_run_blocks(4, print)\n") == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "autodiff.py"), ids=lambda p: p.name
+)
+def test_only_autodiff_holds_a_thread_pool(path):
+    """Pool work goes through ``autodiff._run_blocks``: no second pool, and no
+    work submitted to its pool from beside it."""
+    assert pool_names(path.read_text(encoding="utf-8")) == []
