@@ -12,12 +12,12 @@ Ops build a computation graph while gradients are enabled; :func:`backward`
 walks the graph in reverse topological order and accumulates into the
 ``grad`` of every reachable leaf. A VJP either returns its contribution or
 adds it into its leaf parent's gradient itself and returns ``None``; the
-ops that do the latter (the row lookup, a single-row product with a leaf
-right operand, the score head's entity side) refuse a parent that is not a
-leaf. The single-row product records its rank-1 contribution as a pending
-pair of vectors on the leaf (:class:`Tensor`); reading ``grad`` adds the
-pairs in, and an optimizer can take them as they are (:func:`take_grad`),
-so such a gradient need never be written out at full size. Under
+ops that do the latter (the row lookup, the score head's entity side, the
+semantic extraction block) refuse a parent that is not a leaf. A rank-1
+contribution can be held as a pending pair of vectors (:func:`add_outer`);
+reading ``grad`` adds the pairs in, and an optimizer can take them as they
+are (:func:`take_grad`), so such a gradient need never be written out at
+full size. Only this module touches a tensor's gradient storage. Under
 :func:`no_grad` the same ops return plain constants, so inference and
 detached teacher extraction carry no graph.
 
@@ -220,13 +220,13 @@ class Tensor:
     only carry transient gradients.
 
     A leaf's gradient is held in two parts: the dense buffer and the
-    pending pairs, rank-1 terms ``outer(x, y)`` that a single-row product
-    records instead of writing them out (:func:`matmul`). Reading ``grad``
-    first adds the pending pairs into the buffer, in the order they
-    arrived, so every reader sees the dense sum with the bits of adding
-    each term at once. Assigning ``grad`` replaces both parts. An
-    optimizer takes the gradient with :func:`take_grad` instead, and the
-    buffer is then written only if something read or assigned ``grad``.
+    pending pairs, rank-1 terms ``outer(x, y)`` recorded instead of written
+    out (:func:`add_outer`). Reading ``grad`` first adds the pending pairs
+    into the buffer, in the order they arrived, so every reader sees the
+    dense sum with the bits of adding each term at once. Assigning ``grad``
+    replaces both parts. An optimizer takes the gradient with
+    :func:`take_grad` instead, and the buffer is then written only if
+    something read or assigned ``grad``.
     """
 
     __slots__ = ("data", "_grad", "_pairs", "_dense", "requires_grad", "_parents", "_vjps")
@@ -351,6 +351,12 @@ def _grad_rows(dense, pairs: tuple, lo: int, hi: int, scratch: np.ndarray) -> np
     return g
 
 
+def add_outer(leaf: Tensor, x: np.ndarray, y: np.ndarray) -> None:
+    """Add ``outer(x, y)`` into a leaf's gradient as a pending pair (:class:`Tensor`),
+    from a VJP; ``x`` and ``y`` must not change until the gradient is read or taken."""
+    leaf._pairs += ((x, y),)
+
+
 def node(data: np.ndarray, parents, vjps) -> Tensor:
     """Build an op's output, recording only the parents that need gradients
     and, for each, the vector-Jacobian product that maps the output's
@@ -424,25 +430,10 @@ def sqrt(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors.
-
-    When ``a`` has one row and ``b`` is a leaf, ``b``'s gradient
-    contribution ``outer(a[0], g[0])`` is recorded as a pending pair on
-    ``b`` rather than added into its ``grad`` buffer (:class:`Tensor`).
-    """
+    """Matrix product of two rank-2 tensors."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-
-    if a.shape[0] == 1 and not b._parents:
-        # Both vectors are copied: an optimizer step may update a before it
-        # reads b's rows.
-        def vjp_b(g):
-            b._pairs += ((a.data[0].copy(), g[0].copy()),)
-    else:
-        def vjp_b(g):
-            return a.data.T @ g
-
-    return node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, vjp_b))
+    return node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -488,15 +479,10 @@ def tensor_sum(a: Tensor, axis=None) -> Tensor:
     return node(a.data.sum(axis=axis), (a,), (vjp,))
 
 
-def mean(a: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
+def mean(a: Tensor, axis: int) -> Tensor:
+    count = a.data.shape[axis]
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g / count, a.data.shape)
         return np.broadcast_to(np.expand_dims(g, axis) / count, a.data.shape)
 
     return node(a.data.mean(axis=axis), (a,), (vjp,))
@@ -566,8 +552,8 @@ def backward(loss: Tensor) -> None:
     so a caller that wants fresh ones zeroes them between steps (the
     trainer's Adam step zeroes each gradient after reading it). A VJP that
     returns ``None`` has added into its leaf parent's gradient itself; a
-    single-row product's pending pair is added in at the next read of
-    ``grad``, so before any later contribution. A returned contribution is
+    pending pair it recorded (:func:`add_outer`) is added in at the next
+    read of ``grad``, so before any later contribution. A returned contribution is
     added into a leaf's ``grad`` at once, and summed out of place for an
     interior node. On zeroed gradients the result has the same bits as
     summing every contribution first, except where a looked-up row repeats

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, as_tensor, gather_rows, matmul, mean, node, reshape
+from .autodiff import Parameter, Tensor, add_outer, as_tensor, node
 from .errors import ShapeError
-from .kernels import softmax
 
 __all__ = [
     "SemanticBlock",
@@ -69,28 +68,56 @@ class TeacherCache:
 # ---------------------------------------------------------------------------
 
 def extract(heads: np.ndarray, entities: Tensor, block: SemanticBlock) -> Tensor:
-    """The semantic vector of one batch, from its head entity ids.
+    """The semantic vector of one batch, from its head entity ids, as one node.
 
     With X the batch's head rows of the entity table E: the central feature
     c = mean(X) W_C, the semantic features K = X W_F, the partial
     similarities s = K c (one per row), the whole similarities
     q = softmax(s W_P) over all entities, and the semantic vector l = q E.
-
     After reciprocal augmentation the heads of consecutive batches cover
     both triple directions, so the per-iteration inputs sweep the graph.
+
+    Both passes keep the products of the op chain this node replaces, in
+    its shapes and order, and so its bits; the teacher refresh runs the same
+    forward under ``no_grad``, with no graph. Backward records the rank-1
+    gradients of W_P, W_C and E as pending pairs (``autodiff.add_outer``),
+    so W_P's bs-by-N gradient is never written out, adds W_F's into its
+    ``grad``, then scatter-adds dX's rows into E's: ``entities`` must be a leaf.
     """
     heads = np.asarray(heads, dtype=np.int64)
     bs = block.w_expand.shape[0]
     if len(heads) != bs:
         raise ShapeError(f"block is bound to batch size {bs}, got {len(heads)} rows")
-    x = gather_rows(entities, heads)
-    v = mean(x, axis=0)
-    c = matmul(reshape(v, (1, v.shape[0])), block.w_central)
-    s = matmul(matmul(x, block.w_features), reshape(c, (c.shape[1], 1)))
-    logits = matmul(reshape(s, (1, bs)), block.w_expand)
-    q = softmax(reshape(logits, (logits.shape[1],)))
-    l = matmul(reshape(q, (1, q.shape[0])), entities)
-    return reshape(l, (l.shape[1],))
+    if entities._parents:
+        raise ShapeError("extract takes a leaf entity table, not an op's output")
+    e, w_c, w_f, w_p = (t.data for t in (entities, block.w_central, block.w_features, block.w_expand))
+    x = e[heads]
+    v = x.mean(axis=0)
+    c = v.reshape(1, -1) @ w_c
+    k = x @ w_f
+    s = k @ c.reshape(-1, 1)
+    logits = (s.reshape(1, bs) @ w_p).reshape(-1)
+    q = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    q /= q.sum(axis=-1, keepdims=True)
+    out = (q.reshape(1, -1) @ e).reshape(-1)
+
+    def vjp(g) -> None:
+        dq = (g.reshape(1, -1) @ e.T).reshape(-1)
+        dlogits = (q * (dq - (dq * q).sum(axis=-1, keepdims=True))).reshape(1, -1)
+        add_outer(block.w_expand, s.reshape(-1), dlogits[0])
+        ds = (dlogits @ w_p.T).reshape(bs, 1)
+        dk = ds @ c.reshape(-1, 1).T
+        dc = (k.T @ ds).reshape(1, -1)
+        block.w_features.grad += x.T @ dk
+        add_outer(block.w_central, v, dc[0])
+        dv = (dc @ w_c.T).reshape(-1)
+        if entities.requires_grad:
+            add_outer(entities, q, g)
+            np.add.at(entities.grad, heads, dk @ w_f.T + dv / bs)
+
+    # The first VJP called adds into every leaf; the others find nothing left.
+    leaves = [t for t in (entities, block.w_expand, block.w_central, block.w_features) if t.requires_grad]
+    return node(out, leaves, [vjp] + [lambda g: None] * (len(leaves) - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Numerical kernels: softmax, dropout, batchnorm."""
+"""Numerical kernels: dropout, batchnorm."""
 
 from __future__ import annotations
 
@@ -6,23 +6,6 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor, as_tensor, mean, node, sqrt
 from .errors import ShapeError
-
-
-def softmax(logits: Tensor) -> Tensor:
-    """Softmax along the last axis; each row of the output sums to 1 within 1e-12.
-
-    Max-subtraction keeps the exponentials finite.
-    """
-    logits = as_tensor(logits)
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * probs).sum(axis=-1, keepdims=True)
-        return probs * (g - inner)
-
-    return node(probs, (logits,), (vjp,))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:

@@ -292,19 +292,21 @@ class Trainer:
 
     @classmethod
     def resume(cls, directory: str | Path, store: TripleStore) -> "Trainer":
-        """Rebuild a trainer from a checkpoint, bit-exact with the saved run."""
+        """Rebuild a trainer from a checkpoint, bit-exact with the saved run.
+        Once a run distilling at ``beta_init`` > 0 has run an epoch, its
+        teacher vector is required and checked like every other tensor."""
         ckpt = load_checkpoint(directory)
         ckpt.check_vocab(store)
         trainer = cls(store, ckpt.config)
-        _load_tensors(trainer._named_tensors(), ckpt.tensors)
         trainer.metrics_history = list(ckpt.manifest["metrics_history"])
+        if trainer.block is not None and trainer.run_config.isd.beta_init > 0.0 and trainer.epoch:
+            trainer.teacher.refresh(np.zeros(trainer.model.entity_embeddings.shape[1]))
+        _load_tensors(trainer._named_tensors(), ckpt.tensors)
         # One Adam step per batch, and every epoch runs the same full batches.
         batches = len(trainer.queries) // trainer.run_config.train.batch_size
         trainer.adam.step_count = trainer.epoch * batches
         trainer.rng_shuffle.bit_generator.state = ckpt.manifest["rng"]["shuffle"]
         trainer.rng_dropout.bit_generator.state = ckpt.manifest["rng"]["dropout"]
-        if "teacher.vector" in ckpt.tensors:
-            trainer.teacher.refresh(ckpt.tensors["teacher.vector"])
         return trainer
 
 

@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 from conftest import assert_gradients_match, synthetic_triples, write_dataset
 
-from kgedistill.autodiff import Parameter, Tensor, backward, tensor_sum
+from kgedistill.autodiff import (
+    Parameter,
+    Tensor,
+    backward,
+    gather_rows,
+    matmul,
+    mean,
+    no_grad,
+    node,
+    reshape,
+    tensor_sum,
+)
 from kgedistill.data import augment_reciprocal, group_queries, load_dataset, make_batches
 from kgedistill.distill import (
     SemanticBlock,
@@ -29,7 +40,67 @@ def _toy_setup(tmp_path, bs=2, d=4, k_b=3, seed=5):
     return store, entities, block, batch
 
 
+def softmax_node(u: Tensor) -> Tensor:
+    """Softmax of a vector as a generic op, max-shifted."""
+    shifted = u.data - u.data.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
+    probs = expd / expd.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        inner = (g * probs).sum(axis=-1, keepdims=True)
+        return probs * (g - inner)
+
+    return node(probs, (u,), (vjp,))
+
+
+def chain_extract(heads, entities, block):
+    """``extract`` as a chain of generic ops: the reference for its node."""
+    bs = len(heads)
+    x = gather_rows(entities, heads)
+    v = mean(x, axis=0)
+    c = matmul(reshape(v, (1, v.shape[0])), block.w_central)
+    s = matmul(matmul(x, block.w_features), reshape(c, (c.shape[1], 1)))
+    logits = matmul(reshape(s, (1, bs)), block.w_expand)
+    q = softmax_node(reshape(logits, (logits.shape[1],)))
+    l = matmul(reshape(q, (1, q.shape[0])), entities)
+    return reshape(l, (l.shape[1],))
+
+
 class TestExtract:
+    @pytest.mark.parametrize("bs", [1, 3, 16])
+    def test_matches_the_op_chain_bit_for_bit(self, bs):
+        """The value, the no-grad value and all four leaves' gradients, on
+        an entity table that already holds a gradient and with heads that
+        repeat. The projections are drawn at unit scale rather than 0.02, so
+        that the gradients are as large as the prior one and a change in
+        their last bits shows in the sum."""
+        n, d, k_b = 40, 16, 5
+        rng = np.random.default_rng(bs)
+        table, prior = rng.normal(0, 0.5, (n, d)), rng.normal(size=(n, d))
+        heads, weights = rng.integers(0, 8, bs), rng.normal(size=d)
+        projections = [rng.normal(size=shape) for shape in ((d, k_b), (d, k_b), (bs, n))]
+        runs = []
+        for fn in (extract, chain_extract):
+            entities = Parameter(table.copy())
+            entities.grad[...] = prior
+            block = SemanticBlock(d, n, bs, k_b, stream(bs, "block"))
+            for t, init in zip(block.state().values(), projections):
+                t.data[...] = init
+            out = fn(heads, entities, block)
+            backward(tensor_sum(out * weights))
+            with no_grad():
+                again = fn(heads, entities, block)
+            assert not again.requires_grad
+            leaves = (entities, block.w_central, block.w_features, block.w_expand)
+            runs.append([out.data.tobytes(), again.data.tobytes(), *(t.grad.tobytes() for t in leaves)])
+        assert runs[0] == runs[1]
+        assert runs[0][0] == runs[0][1]
+
+    def test_rejects_an_entity_table_that_is_not_a_leaf(self, tmp_path):
+        store, entities, block, batch = _toy_setup(tmp_path)
+        with pytest.raises(ShapeError, match="leaf"):
+            extract(batch.heads, entities * 1.0, block)
+
     def test_zero_central_projection_gives_the_mean_entity_row(self, tmp_path):
         """c = 0 makes every similarity 0, so q is uniform over the entities."""
         store, entities, block, batch = _toy_setup(tmp_path)

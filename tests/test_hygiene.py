@@ -1,8 +1,8 @@
 """Source hygiene: no module imports a name that it never uses, the package
 imports at module level only and takes no private name from a sibling
-other than ``autodiff``, only ``autodiff`` holds a thread pool, and no
-top-level definition or method in the package goes unnamed by all the
-code."""
+other than ``autodiff``, only ``autodiff`` holds a thread pool or touches
+a tensor's gradient storage, and no top-level definition or method in the
+package goes unnamed by all the code."""
 
 import ast
 import functools
@@ -245,3 +245,32 @@ def test_only_autodiff_holds_a_thread_pool(path):
     """Pool work goes through ``autodiff._run_blocks``: no second pool, and no
     work submitted to its pool from beside it."""
     assert pool_names(path.read_text(encoding="utf-8")) == []
+
+
+def gradient_storage_names(source: str) -> list[str]:
+    """The names of a tensor's gradient storage that ``source`` mentions as
+    code (:func:`named_in`): ``_grad``, ``_pairs`` and ``_dense``."""
+    return sorted(named_in(ast.parse(source)) & {"_grad", "_pairs", "_dense"})
+
+
+def test_the_gradient_storage_scan_finds_a_write_and_a_read_by_name():
+    source = (
+        "from .autodiff import add_outer\n"
+        "table._pairs += ((x, y),)\n"
+        "getattr(table, '_dense')\n"
+        "add_outer(table, x, y)\n"
+        "text = 'a _grad buffer'\n"
+    )
+    assert gradient_storage_names(source) == ["_dense", "_pairs"]
+    assert gradient_storage_names("table.grad += g\nadd_outer(table, x, y)\n") == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "autodiff.py"), ids=lambda p: p.name
+)
+def test_only_autodiff_touches_gradient_storage(path):
+    """A gradient goes in through ``grad``, a VJP's return value or
+    ``autodiff.add_outer``, and out through ``grad`` or ``autodiff.take_grad``:
+    only ``autodiff`` keeps the dense buffer, the pending pairs and the mark
+    of a dense read in step."""
+    assert gradient_storage_names(path.read_text(encoding="utf-8")) == []

@@ -1,4 +1,4 @@
-"""Tensor engine, softmax, dropout, batchnorm, and rng streams."""
+"""Tensor engine, dropout, batchnorm, and rng streams."""
 
 import json
 
@@ -23,7 +23,7 @@ from kgedistill.autodiff import (
     transpose,
 )
 from kgedistill.errors import ShapeError
-from kgedistill.kernels import BatchNorm, dropout, softmax
+from kgedistill.kernels import BatchNorm, dropout
 from kgedistill.rng import stream
 
 
@@ -54,32 +54,6 @@ class TestMatmul:
 
         first, second = run(), run()
         assert first.tobytes() == second.tobytes()
-
-
-class TestSoftmaxTemp:
-    def test_uniform_on_equal_logits(self):
-        out = softmax(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
-
-    def test_hand_value(self):
-        out = softmax(Tensor([np.log(2.0), 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.25, 0.25], atol=1e-15)
-
-    def test_sums_to_one_and_components_in_range(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            u = rng.normal(0, 5, n) * 10 ** rng.uniform(-6, 2)
-            p = softmax(Tensor(u)).data
-            assert abs(p.sum() - 1.0) <= 1e-12
-            assert np.all(p >= 0) and np.all(p <= 1)
-
-    def test_gradient(self):
-        rng = np.random.default_rng(2)
-        for scale in (0.5, 2.0, 10.0):
-            u = Parameter(rng.normal(0, scale, 6))
-            w = rng.normal(0, 1, 6)
-            assert_gradients_match(lambda u=u, w=w: tensor_sum(softmax(u) * w), [u])
 
 
 class TestBackward:
@@ -139,7 +113,7 @@ class TestPrimitiveGradients:
             lambda: tensor_sum(a * b),
             lambda: tensor_sum(a / c),
             lambda: tensor_sum(a * -2.0 + 1.0),
-            lambda: mean(a * a),
+            lambda: tensor_sum(mean(a * a, axis=0)),
             lambda: tensor_sum(mean(a, axis=0) * b),
         ]
         for fn in cases:

@@ -18,11 +18,13 @@ from kgedistill import autodiff, models, training
 from kgedistill.autodiff import (
     Parameter,
     Tensor,
+    add_outer,
     backward,
     gather_rows,
     matmul,
     mul,
     no_grad,
+    node,
     tensor_sum,
     transpose,
 )
@@ -198,10 +200,10 @@ def test_blocked_adam_matches_one_shot_formula():
         return p.grad.copy()
 
     def pair(p):
-        x = rng.normal(size=(1, p.shape[0]))
-        y = rng.normal(size=(1, p.shape[1])) * 10.0 ** rng.integers(-6, 2)
-        backward(tensor_sum(mul(matmul(Tensor(x), p), Tensor(y))))
-        return np.multiply.outer(x[0], y[0])
+        x = rng.normal(size=p.shape[0])
+        y = rng.normal(size=p.shape[1]) * 10.0 ** rng.integers(-6, 2)
+        add_outer(p, x, y)
+        return np.multiply.outer(x, y)
 
     # Each parameter's shape and what each step adds to its gradient, in order.
     cases = [
@@ -754,6 +756,15 @@ def backward_sum_then_add(loss: Tensor) -> None:
             grads[id(parent)] = grads[id(parent)] + c if id(parent) in grads else c
 
 
+def pair_product(row: Tensor, table: Parameter) -> Tensor:
+    """``row @ table`` for a one-row ``row``, whose VJP records the leaf
+    ``table``'s rank-1 gradient as a pending pair."""
+    def vjp_table(g):
+        add_outer(table, row.data[0].copy(), g[0].copy())
+
+    return node(row.data @ table.data, (row, table), (lambda g: g @ table.data.T, vjp_table))
+
+
 def test_leaf_direct_accumulation_is_bit_identical():
     """One table feeds a gather, a transposed product, a one-row product
     and a square. Backward adds the square's two terms, then the one-row
@@ -768,7 +779,7 @@ def test_leaf_direct_accumulation_is_bit_identical():
         rows = gather_rows(table, np.array([0, 3, 3, 1]))
         scores = matmul(mul(rows, other), transpose(table))
         loss = bce_loss(scores, SparseTargets([0, 2], [4, 1], scores.shape))
-        one_row = tensor_sum(mul(matmul(Tensor(row), table), Tensor(weights)))
+        one_row = tensor_sum(mul(pair_product(Tensor(row), table), Tensor(weights)))
         return table, other, loss + one_row + tensor_sum(mul(table, table)) * 0.01
 
     t1, o1, loss1 = build()
@@ -811,6 +822,8 @@ def test_gather_rows_adds_into_a_leaf_holding_a_gradient():
 
 @pytest.mark.parametrize("slice_elements", [4, autodiff._SLICE_ELEMENTS])
 def test_rank_one_matmul_adds_into_a_leaf_holding_a_gradient(monkeypatch, slice_elements):
+    """A pair recorded through ``add_outer`` (by ``pair_product``) lands on
+    top of the gradient the leaf already holds."""
     monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", slice_elements)
     rng = np.random.default_rng(31)
     row = Parameter(rng.normal(size=(1, 9)))
@@ -818,15 +831,16 @@ def test_rank_one_matmul_adds_into_a_leaf_holding_a_gradient(monkeypatch, slice_
     prior = rng.normal(size=(9, 6))
     table.grad[...] = prior
     weights = rng.normal(size=(1, 6))
-    backward(tensor_sum(mul(matmul(row * 2.0, table), Tensor(weights))))
+    backward(tensor_sum(mul(pair_product(row * 2.0, table), Tensor(weights))))
     old = prior + (2.0 * row.data).T @ weights
     np.testing.assert_allclose(table.grad, old, rtol=4 * np.finfo(float).eps, atol=0.0)
     np.testing.assert_allclose(row.grad, 2.0 * (weights @ table.data.T), rtol=1e-15)
 
 
 def test_rank_one_matmul_update_is_bit_identical_for_any_worker_count(monkeypatch, workers):
-    # 12-element slices of 2 rows: 21 slices over 41 rows, added into a
-    # table that already holds a gradient.
+    # A pair recorded through add_outer (by pair_product), added in slices of
+    # 12 elements, 2 rows: 21 slices over 41 rows, into a table that already
+    # holds a gradient.
     monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", 12)
     rng = np.random.default_rng(101)
     row_init, table_init = rng.normal(size=(1, 41)), rng.normal(size=(41, 6))
@@ -836,7 +850,7 @@ def test_rank_one_matmul_update_is_bit_identical_for_any_worker_count(monkeypatc
         workers(count)
         row, table = Parameter(row_init.copy()), Parameter(table_init.copy())
         table.grad[...] = prior
-        backward(tensor_sum(mul(matmul(row, table), Tensor(weights))))
+        backward(tensor_sum(mul(pair_product(row, table), Tensor(weights))))
         runs[count] = table.grad.tobytes()
         assert (autodiff._pool is None) == (count == 1)
     assert runs[2] == runs[1]
@@ -845,12 +859,15 @@ def test_rank_one_matmul_update_is_bit_identical_for_any_worker_count(monkeypatc
 
 
 def test_rank_one_matmul_into_an_interior_node_matches_finite_differences():
+    """A one-row product into an interior node (``matmul``), and into a leaf
+    as a pair recorded through ``add_outer`` (``pair_product``)."""
     rng = np.random.default_rng(37)
     row, table = Parameter(rng.normal(size=(1, 4))), Parameter(rng.normal(size=(4, 3)))
     weights = Tensor(rng.normal(size=(1, 3)))
     assert_gradients_match(
         lambda: tensor_sum(mul(matmul(row, table * 1.5), weights)), [row, table]
     )
+    assert_gradients_match(lambda: tensor_sum(mul(pair_product(row, table), weights)), [row, table])
 
 
 def test_distillation_backward_builds_no_full_size_gradient():
@@ -973,6 +990,39 @@ def test_resume_rejects_a_renamed_entity(tmp_path):
     assert (renamed.n_entities, renamed.n_relations) == (store.n_entities, store.n_relations)
     with pytest.raises(ConfigError, match="entities"):
         Trainer.resume(tmp_path / "ckpt", renamed)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [("short", r"teacher.vector has shape \(7,\), expected \(16,\)"),
+     ("missing", "missing tensor teacher.vector")],
+)
+def test_resume_rejects_a_damaged_teacher_vector(tmp_path, damage, message):
+    store = _store(tmp_path)
+    doc = {"model": {"d_e": 16}, "train": {"batch_size": 16, "epochs": 4}, "isd": {"enabled": True}}
+    trainer = Trainer(store, RunConfig.from_dict(doc))
+    trainer.train_epoch()
+    trainer.save(tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "teacher.vector.bin"
+    if damage == "short":
+        training._write_tensor(path, np.ones(7))
+    else:
+        path.unlink()
+    with pytest.raises(CheckpointError, match=message):
+        Trainer.resume(tmp_path / "ckpt", store)
+
+
+def test_resume_expects_no_teacher_where_no_step_distilled(tmp_path):
+    store = _store(tmp_path)
+    doc = {"model": {"d_e": 4}, "train": {"batch_size": 16, "epochs": 4},
+           "isd": {"enabled": True, "beta_init": 0.0}}
+    trainer = Trainer(store, RunConfig.from_dict(doc))
+    trainer.train_epoch()
+    trainer.save(tmp_path / "ckpt")
+    assert not (tmp_path / "ckpt" / "teacher.vector.bin").exists()
+    resumed = Trainer.resume(tmp_path / "ckpt", store)
+    assert not resumed.teacher.present
+    assert resumed.train_epoch() == trainer.train_epoch()
 
 
 def test_failed_save_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
