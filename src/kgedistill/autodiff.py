@@ -10,16 +10,19 @@ scores in float32 only to filter: every rank rests on a float64 comparison.
 
 Ops build a computation graph while gradients are enabled; :func:`backward`
 walks the graph in reverse topological order and accumulates into the
-``grad`` of every reachable leaf. A VJP either returns its contribution or
-adds it into its leaf parent's gradient itself and returns ``None``; the
+gradient of every reachable leaf. A VJP either returns its contribution or
+records it on its leaf parent as a pending term and returns ``None``; the
 ops that do the latter (the row lookup, the score head's entity side, the
-semantic extraction block) refuse a parent that is not a leaf. A rank-1
-contribution can be held as a pending pair of vectors (:func:`add_outer`);
-reading ``grad`` adds the pairs in, and an optimizer can take them as they
-are (:func:`take_grad`), so such a gradient need never be written out at
-full size. Only this module touches a tensor's gradient storage. Under
-:func:`no_grad` the same ops return plain constants, so inference and
-detached teacher extraction carry no graph.
+semantic extraction block) refuse a parent that is not a leaf. A pending
+term is one of three kinds: a rank-1 pair of vectors (:func:`add_outer`),
+a scaled float32 block (:func:`add_scaled`) or a row scatter
+(:func:`add_rows`). Reading ``grad`` adds the pending terms into the dense
+buffer, and an optimizer can take them as they are (:func:`take_grad`),
+assembled one slice of rows at a time in scratch, so a gradient made only
+of pending terms is never written out at full size. Only this module
+touches a tensor's gradient storage. Under :func:`no_grad` the same ops
+return plain constants, so inference and detached teacher extraction carry
+no graph.
 
 Which results depend on the BLAS thread count:
 
@@ -39,9 +42,9 @@ Which results depend on the BLAS thread count:
   for any worker count: the score head's blocks, ranking's query blocks
   (each one's query vectors, filter lookup and pass over the entity
   columns), and the elementwise row passes (:func:`row_slices`): adding
-  pending pairs into a gradient, the score head's add into the entity
-  table's gradient, and Adam. The elementwise kernels (the BCE kernel,
-  Adam) call no BLAS, so the thread count does not enter them either.
+  pending terms into a gradient, and Adam. The elementwise kernels (the
+  BCE kernel, Adam) call no BLAS, so the thread count does not enter them
+  either.
 - Filtered ranks (:func:`kgedistill.evaluation.rank_split`) do not depend
   on the thread count. Each query block's vectors are formed on the pool
   with numpy's OpenBLAS held to one thread, in the same blocks whatever the
@@ -49,11 +52,12 @@ Which results depend on the BLAS thread count:
   their error bound, and the float64 scores that decide the rest call no
   BLAS.
 
-The row lookup's gradient scatter-adds with ``np.add.at`` (sequential, in
-index order) straight into the table's ``grad``, so the rows of a
-repeated id are added one after the other rather than summed first. With
-the BLAS build and thread count fixed, two runs over the same inputs
-produce bit-identical outputs.
+A row scatter adds with ``np.add.at`` (sequential, in index order), so the
+rows of a repeated id are added one after the other rather than summed
+first. Every term is added elementwise, in the order the terms arrived,
+whichever slice it lands in, so a gradient has the same bits however its
+rows are sliced. With the BLAS build and thread count fixed, two runs over
+the same inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -220,21 +224,22 @@ class Tensor:
     only carry transient gradients.
 
     A leaf's gradient is held in two parts: the dense buffer and the
-    pending pairs, rank-1 terms ``outer(x, y)`` recorded instead of written
-    out (:func:`add_outer`). Reading ``grad`` first adds the pending pairs
-    into the buffer, in the order they arrived, so every reader sees the
-    dense sum with the bits of adding each term at once. Assigning ``grad``
-    replaces both parts. An optimizer takes the gradient with
+    pending terms, recorded instead of written out: rank-1 pairs
+    (:func:`add_outer`), scaled float32 blocks (:func:`add_scaled`) and row
+    scatters (:func:`add_rows`). Reading ``grad`` first adds the pending
+    terms into the buffer, in the order they arrived, so every reader sees
+    the dense sum with the bits of adding each term at once. Assigning
+    ``grad`` replaces both parts. An optimizer takes the gradient with
     :func:`take_grad` instead, and the buffer is then written only if
     something read or assigned ``grad``.
     """
 
-    __slots__ = ("data", "_grad", "_pairs", "_dense", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "_grad", "_pending", "_dense", "requires_grad", "_parents", "_vjps")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self._grad = zeros(self.data.shape) if requires_grad else None
-        self._pairs: tuple = ()
+        self._pending: tuple = ()
         self._dense = False  # whether grad was read or assigned since take_grad
         self.requires_grad = requires_grad
         self._parents: tuple = ()
@@ -242,20 +247,20 @@ class Tensor:
 
     @property
     def grad(self):
-        """The dense gradient, with the pending pairs added in first.
+        """The dense gradient, with the pending terms added in first.
 
         A read marks the buffer as written, even one that only looks: the
         next :func:`take_grad` reads and zero-fills all of it, where a
-        gradient of pending pairs alone would have left it untouched.
+        gradient of pending terms alone would have left it untouched.
         """
-        if self._pairs:
-            row_slices(self._grad.shape, partial(_grad_rows, self._grad, self._pairs), 1)
-        self._pairs, self._dense = (), True
+        if self._pending:
+            row_slices(self._grad.shape, partial(_grad_rows, self._grad, self._pending), 1)
+        self._pending, self._dense = (), True
         return self._grad
 
     @grad.setter
     def grad(self, value) -> None:
-        self._grad, self._pairs, self._dense = value, (), True
+        self._grad, self._pending, self._dense = value, (), True
 
     @property
     def shape(self) -> tuple:
@@ -282,7 +287,7 @@ class Tensor:
 class Parameter(Tensor):
     """A trainable leaf tensor. Its ``grad`` buffer is allocated zeroed at
     construction; its pages take memory once written, and a gradient made
-    only of pending pairs never writes them."""
+    only of pending terms never writes them."""
 
     __slots__ = ()
 
@@ -311,16 +316,17 @@ def take_grad(t: Tensor, work, n_scratch: int) -> None:
     ``work(lo, hi, g, scratch)`` gets those rows ``g``, read-only, and
     ``n_scratch`` (at least one) buffers shaped like them. When ``grad``
     was read or assigned since the last hand-over, ``g`` is the buffer's
-    rows with the pending pairs added (:func:`_grad_rows`), and is zeroed
-    once ``work`` returns; otherwise ``g`` is scratch, and a gradient of
-    pending pairs alone is never written out at full size.
+    rows with the pending terms added (:func:`_grad_rows`), and is zeroed
+    once ``work`` returns; otherwise ``g`` is scratch holding the pending
+    terms' sum over those rows, so the slice is assembled in cache just
+    before ``work`` consumes it and the buffer is never written.
     """
     rows = as_rows(t._grad, "a gradient")
     dense = rows if t._dense else None
-    pairs, t._pairs, t._dense = t._pairs, (), False
+    pending, t._pending, t._dense = t._pending, (), False
 
     def run(lo: int, hi: int, scratch: np.ndarray) -> None:
-        g = _grad_rows(dense, pairs, lo, hi, scratch)
+        g = _grad_rows(dense, pending, lo, hi, scratch)
         work(lo, hi, g, scratch[:-1])
         if dense is not None:
             g.fill(0.0)
@@ -328,33 +334,85 @@ def take_grad(t: Tensor, work, n_scratch: int) -> None:
     row_slices(rows.shape, run, n_scratch + 1)
 
 
-def _grad_rows(dense, pairs: tuple, lo: int, hi: int, scratch: np.ndarray) -> np.ndarray:
+def _grad_rows(dense, pending: tuple, lo: int, hi: int, scratch: np.ndarray) -> np.ndarray:
     """Rows ``lo:hi`` of a gradient held as rows ``dense`` (or ``None``) and
-    pending ``pairs``, using buffers ``scratch`` shaped like the rows.
+    ``pending`` terms, using buffers ``scratch`` shaped like the rows.
 
-    With ``dense``, its rows get each pair's product added in place, in
-    order: the bits of reading ``grad``. Without it, the last buffer gets
-    the first pair's product and the others added, or zeros when there are
-    no pairs, which differs only in the sign of a zero. The products are
-    formed in the first buffer.
+    With ``dense``, each term is added into its rows in place, in order:
+    the bits of reading ``grad``. Without it, the last buffer gets the
+    first term written in and the others added, or zeros when there are no
+    terms. That has the bits of adding onto zeros, except that a pair's
+    product written in keeps the sign of a zero where adding it onto +0.0
+    would give +0.0. A pair's product is formed in the first buffer.
     """
-    if dense is not None:
-        g, rest = dense[lo:hi], pairs
-    elif pairs:
-        (x, y), rest = pairs[0], pairs[1:]
-        g = np.multiply.outer(x[lo:hi], y, out=scratch[-1])
-    else:
-        scratch[-1].fill(0.0)
-        return scratch[-1]
-    for x, y in rest:
-        g += np.multiply.outer(x[lo:hi], y, out=scratch[0])
+    g = scratch[-1] if dense is None else dense[lo:hi]
+    for i, term in enumerate(pending):
+        term(g, lo, hi, scratch[0], dense is None and i == 0)
+    if dense is None and not pending:
+        g.fill(0.0)
     return g
 
 
+# Pending terms. Each is called as ``term(g, lo, hi, tmp, write)`` to add its
+# rows ``lo:hi`` into ``g`` (to write them in, onto nothing, when ``write``)
+# with ``tmp`` a scratch buffer shaped like ``g``, and is called once for
+# each slice of rows. Its arrays are held until the gradient is read or taken.
+
 def add_outer(leaf: Tensor, x: np.ndarray, y: np.ndarray) -> None:
-    """Add ``outer(x, y)`` into a leaf's gradient as a pending pair (:class:`Tensor`),
-    from a VJP; ``x`` and ``y`` must not change until the gradient is read or taken."""
-    leaf._pairs += ((x, y),)
+    """Add ``outer(x, y)`` into a leaf's gradient as a pending pair
+    (:class:`Tensor`), from a VJP; ``x`` and ``y`` must not change until the
+    gradient is read or taken."""
+
+    def term(g, lo, hi, tmp, write) -> None:
+        if write:
+            np.multiply.outer(x[lo:hi], y, out=g)
+        else:
+            g += np.multiply.outer(x[lo:hi], y, out=tmp)
+
+    leaf._pending += (term,)
+
+
+def add_scaled(leaf: Tensor, block: np.ndarray, scale: float) -> None:
+    """Add ``scale * block`` into a leaf's gradient as a pending term, from a
+    VJP. ``block`` is a float32 array shaped like the gradient that the
+    leaf then owns: each slice of it is scaled in place, in float32, and
+    added in float64, when the gradient is read or taken. That is the bits
+    of scaling the whole block first and adding it after."""
+    rows = as_rows(block, "a scaled block")
+
+    def term(g, lo, hi, tmp, write) -> None:
+        b = rows[lo:hi]
+        b *= scale
+        if write:  # b + 0.0 is b with -0.0 made +0.0: the bits of adding b onto zeros
+            np.add(b, 0.0, out=g)
+        else:
+            g += b
+
+    leaf._pending += (term,)
+
+
+def add_rows(leaf: Tensor, ids: np.ndarray, rows: np.ndarray) -> None:
+    """Add ``rows[i]`` into row ``ids[i]`` of a leaf's gradient for each
+    ``i`` in index order, as ``np.add.at`` does, as a pending row scatter,
+    from a VJP. ``ids`` index the leaf's rows as numpy does (a negative id
+    counts from the end); ``rows`` holds one gradient row per id.
+
+    The ids are sorted here, stably, and the rows copied in that order, so
+    each slice finds its ids by bisection and adds the rows of a repeated
+    id in their index order; the arguments may change once this returns.
+    """
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1) % len(leaf.data)
+    order = np.argsort(ids, kind="stable")
+    ids, rows = ids[order], np.reshape(rows, (len(order), -1))[order]
+
+    def term(g, lo, hi, tmp, write) -> None:
+        if write:
+            g.fill(0.0)
+        first, stop = np.searchsorted(ids, (lo, hi))
+        if first < stop:
+            np.add.at(g, ids[first:stop] - lo, rows[first:stop])
+
+    leaf._pending += (term,)
 
 
 def node(data: np.ndarray, parents, vjps) -> Tensor:
@@ -493,8 +551,8 @@ def mean(a: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]`` in a leaf table; the gradient scatter-adds
-    into the table's ``grad``."""
+    """Row lookup ``table[ids]`` in a leaf table; the gradient is recorded
+    on the table as a pending row scatter (:func:`add_rows`)."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2:
         raise ShapeError(f"gather_rows expects a rank-2 table, got shape {table.shape}")
@@ -502,7 +560,7 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError("gather_rows looks rows up in a leaf table, not in an op's output")
 
     def vjp(g):
-        np.add.at(table.grad, ids, g)
+        add_rows(table, ids, g)
 
     return node(table.data[ids], (table,), (vjp,))
 
@@ -544,21 +602,22 @@ def hcat(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
+    """Accumulate d(loss)/d(leaf) into every reachable leaf's gradient.
 
     ``loss`` must be a scalar. Every leaf that needs a gradient was built
     with ``requires_grad=True``, so its ``grad`` buffer exists already;
-    backward allocates none. Gradients add onto existing ``grad`` contents,
-    so a caller that wants fresh ones zeroes them between steps (the
-    trainer's Adam step zeroes each gradient after reading it). A VJP that
-    returns ``None`` has added into its leaf parent's gradient itself; a
-    pending pair it recorded (:func:`add_outer`) is added in at the next
-    read of ``grad``, so before any later contribution. A returned contribution is
-    added into a leaf's ``grad`` at once, and summed out of place for an
-    interior node. On zeroed gradients the result has the same bits as
-    summing every contribution first, except where a looked-up row repeats
-    after the leaf already holds a contribution: those rows are added one
-    at a time.
+    backward allocates none. Gradients add onto what the leaf already
+    holds, so a caller that wants fresh ones clears them between steps (the
+    trainer's Adam step takes each gradient with :func:`take_grad`, which
+    leaves it zero). A VJP that returns ``None`` has recorded pending terms
+    on its leaf parent (:func:`add_outer`, :func:`add_scaled`,
+    :func:`add_rows`); they are added in at the next read of ``grad``, so
+    before any later contribution, or taken as they are. A returned
+    contribution is added into a leaf's ``grad`` at once, and summed out of
+    place for an interior node. On zeroed gradients the result has the same
+    bits as summing every contribution first, except where a looked-up row
+    repeats after the leaf already holds a contribution: those rows are
+    added one at a time.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, add_outer, as_tensor, node
+from .autodiff import Parameter, Tensor, add_outer, add_rows, as_tensor, node
 from .errors import ShapeError
 
 __all__ = [
@@ -82,7 +82,9 @@ def extract(heads: np.ndarray, entities: Tensor, block: SemanticBlock) -> Tensor
     forward under ``no_grad``, with no graph. Backward records the rank-1
     gradients of W_P, W_C and E as pending pairs (``autodiff.add_outer``),
     so W_P's bs-by-N gradient is never written out, adds W_F's into its
-    ``grad``, then scatter-adds dX's rows into E's: ``entities`` must be a leaf.
+    ``grad``, then records dX's rows as a pending row scatter into E's
+    (``autodiff.add_rows``), so E's gradient is not written either:
+    ``entities`` must be a leaf.
     """
     heads = np.asarray(heads, dtype=np.int64)
     bs = block.w_expand.shape[0]
@@ -113,9 +115,9 @@ def extract(heads: np.ndarray, entities: Tensor, block: SemanticBlock) -> Tensor
         dv = (dc @ w_c.T).reshape(-1)
         if entities.requires_grad:
             add_outer(entities, q, g)
-            np.add.at(entities.grad, heads, dk @ w_f.T + dv / bs)
+            add_rows(entities, heads, dk @ w_f.T + dv / bs)
 
-    # The first VJP called adds into every leaf; the others find nothing left.
+    # The first VJP called records every leaf's gradient; the others add nothing.
     leaves = [t for t in (entities, block.w_expand, block.w_central, block.w_features) if t.requires_grad]
     return node(out, leaves, [vjp] + [lambda g: None] * (len(leaves) - 1))
 

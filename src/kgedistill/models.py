@@ -23,6 +23,7 @@ from .autodiff import (
     Tensor,
     _one_blas_thread,
     _run_blocks,
+    add_scaled,
     bmm,
     gather_rows,
     grad_enabled,
@@ -33,7 +34,6 @@ from .autodiff import (
     node,
     permute,
     reshape,
-    row_slices,
     sub,
     tensor_sum,
     transpose,
@@ -103,8 +103,7 @@ def lowfer_interaction(
 
 # Row blocks of the BCE kernel span about _BLOCK_ELEMENTS elements, so their
 # scratch buffers stay in the L2 cache; they also fix the order in which its
-# partial sums are added. (The score head's add into the entity table's
-# gradient runs over the row slices of ``autodiff.row_slices``.)
+# partial sums are added.
 # The fused score head works on blocks of entity columns spanning about
 # _SCORE_BLOCK_ELEMENTS scores (256 columns at a batch of 512), big enough
 # for its three products to run at GEMM speed, and sums its query-side
@@ -177,11 +176,12 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     rows of an entities-shaped float32 gradient buffer. So neither the
     logits nor the residual exist beyond one block, no float32 copy of the
     table is made, and backward only scales both gradients by g / size, in
-    place. ``entities`` must be a leaf: backward scales its buffer and adds
-    it into the leaf's ``grad`` itself, in one pass over the row slices of
-    :func:`~kgedistill.autodiff.row_slices` on the worker pool; each element
-    is scaled and added on its own, so the bits are those of scaling first
-    and adding after.
+    place. ``entities`` must be a leaf: backward hands its buffer to the
+    leaf as a pending scaled block (:func:`~kgedistill.autodiff.add_scaled`),
+    which is scaled and added one slice of rows at a time when the gradient
+    is read or taken, so the table's float64 gradient buffer is not written;
+    each element is scaled and added on its own, so the bits are those of
+    scaling first and adding after.
 
     The three products and the BCE kernel run in float32. What they feed
     stays float64: the sums over blocks (each block sums its own scores in
@@ -264,7 +264,7 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
             dz += dz_groups[group]
     # Each backward pass calls a VJP once; handing a gradient on drops this
     # node's reference to it, so the entities-shaped buffer lives no longer
-    # than the backward pass that consumes it.
+    # than the leaf's gradient holds it as a pending term.
     pending = {"z": dz, "entities": d_entities}
 
     def take(name: str) -> np.ndarray:
@@ -278,14 +278,7 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
         return d
 
     def add_entities(g) -> None:
-        d, scale, grad = take("entities"), float(g) / size, entities.grad
-
-        def add(lo: int, hi: int, scratch: np.ndarray) -> None:
-            block = d[lo:hi]
-            block *= scale
-            grad[lo:hi] += block
-
-        row_slices(grad.shape, add)
+        add_scaled(entities, take("entities"), float(g) / size)
 
     return node(np.float64(value), (z, entities), (vjp_z, add_entities))
 

@@ -16,6 +16,7 @@ import math
 import os
 import shutil
 import struct
+import sys
 import uuid
 from dataclasses import dataclass
 from functools import partial
@@ -34,6 +35,7 @@ from .rng import stream
 __all__ = [
     "Adam",
     "Checkpoint",
+    "TensorFile",
     "Trainer",
     "bce_loss",  # the benchmark's reference BCE check reads and traces it here
     "load_checkpoint",
@@ -56,14 +58,15 @@ class Adam:
     of whole rows at a time, about ``autodiff._SLICE_ELEMENTS`` elements
     each, as :func:`~kgedistill.autodiff.take_grad` hands the gradient's
     slices over on the worker pool (one worker per usable core). Slicing
-    bounds the scratch to three slice-sized buffers per worker; it does not
-    keep a slice in cache: with a 2 MB L2, a slice's parameter, gradient,
-    moments and scratch of up to 512 KB each stream from the outer caches
-    and memory on every pass. Every operation is elementwise and in the
-    order of the textbook formula, so the result depends neither on the
-    slicing nor on the number of workers. A gradient made only of pending
-    rank-1 pairs is never written out at full size, and a step leaves every
-    gradient at zero, ready for the next ``backward`` to add into.
+    bounds the scratch to three slice-sized buffers per worker. A gradient
+    made only of pending terms (rank-1 pairs, the score head's scaled
+    block, row scatters) is assembled slice by slice in scratch just before
+    the update reads it, so it is never written out at full size; the
+    parameter and moments of up to 512 KB a slice still stream from the
+    outer caches and memory, with a 2 MB L2. Every operation is elementwise
+    and in the order of the textbook formula, so the result depends
+    neither on the slicing nor on the number of workers. A step leaves
+    every gradient at zero, ready for the next ``backward`` to add into.
     """
 
     beta1 = 0.9
@@ -293,6 +296,7 @@ class Trainer:
     @classmethod
     def resume(cls, directory: str | Path, store: TripleStore) -> "Trainer":
         """Rebuild a trainer from a checkpoint, bit-exact with the saved run.
+        Each tensor file is read once, straight into the trainer's array.
         Once a run distilling at ``beta_init`` > 0 has run an epoch, its
         teacher vector is required and checked like every other tensor."""
         ckpt = load_checkpoint(directory)
@@ -324,7 +328,14 @@ _MANIFEST_KEYS = ("config", "metrics_history", "rng")
 
 @dataclass
 class Checkpoint:
-    """A loaded checkpoint: manifest, tensors, and vocabulary names."""
+    """A loaded checkpoint: manifest, tensor files, and vocabulary names.
+
+    :func:`load_checkpoint` has checked the manifest, read the vocabulary
+    files and checked each tensor file's header against its size; no
+    tensor's values have been read. ``tensors`` maps each tensor's name to
+    its :class:`TensorFile`, whose values are read, and checked, only when
+    they are restored into an array.
+    """
 
     manifest: dict
     tensors: dict
@@ -349,6 +360,36 @@ class Checkpoint:
                 )
 
 
+@dataclass(frozen=True)
+class TensorFile:
+    """One tensor file of a checkpoint, whose header matched its size when
+    the checkpoint was loaded."""
+
+    path: Path
+    shape: tuple
+
+    def read_into(self, target: np.ndarray) -> None:
+        """Read the body straight into ``target``, a C-contiguous float64
+        array of this shape, and check its values there.
+
+        The header is checked again, so a file changed since the load is
+        rejected, not read as another shape. A NaN or infinite value is
+        rejected as corruption: ranking would score a NaN entity table as a
+        perfect prediction. ``target`` holds what was read even when the
+        read is rejected.
+        """
+        with open(self.path, "rb") as fh:
+            if _read_header(fh, self.path) != self.shape:
+                raise CheckpointError(f"{self.path}: changed since the checkpoint was loaded")
+            if fh.readinto(target.data) != target.nbytes:
+                raise CheckpointError(f"{self.path}: file shrank while it was read")
+        if not np.dtype("<f8").isnative:
+            target.byteswap(inplace=True)
+        # min and max propagate NaN and build no full-size mask.
+        if target.size and not (np.isfinite(target.min()) and np.isfinite(target.max())):
+            raise CheckpointError(f"{self.path}: holds a NaN or infinite value")
+
+
 def _write_tensor(path: Path, arr: np.ndarray) -> None:
     """Write one tensor file; the body is written from the array's own buffer."""
     arr = np.ascontiguousarray(arr, dtype="<f8")
@@ -359,54 +400,51 @@ def _write_tensor(path: Path, arr: np.ndarray) -> None:
         fh.write(memoryview(arr))
 
 
-def _read_tensor(path: Path) -> np.ndarray:
-    """Read one tensor file; the body goes straight into the returned array.
+def _read_header(fh, path: Path) -> tuple:
+    """The shape in the header of the tensor file ``path``, open as ``fh``,
+    which is left at the start of the body; raises :class:`CheckpointError`
+    unless the header is whole and the body is as long as the shape says."""
+    header = fh.read(8)
+    if header[:4] != _TENSOR_MAGIC:
+        raise CheckpointError(f"{path}: bad magic bytes, not a tensor file")
+    if len(header) < 8:
+        raise CheckpointError(f"{path}: truncated header")
+    (rank,) = struct.unpack_from("<I", header, 4)
+    if rank > _MAX_RANK:
+        raise CheckpointError(f"{path}: implausible tensor rank {rank}")
+    raw_dims = fh.read(8 * rank)
+    if len(raw_dims) < 8 * rank:
+        raise CheckpointError(f"{path}: truncated dimension header")
+    dims = struct.unpack(f"<{rank}Q", raw_dims)
+    expected = math.prod(dims)
+    body = os.fstat(fh.fileno()).st_size - 8 - 8 * rank
+    if body != expected * 8:
+        raise CheckpointError(
+            f"{path}: expected {expected * 8} data bytes for shape {dims}, got {body}"
+        )
+    # A zero-size shape numpy cannot hold: its other dimensions' bytes overflow.
+    if 8 * math.prod(d for d in dims if d) > sys.maxsize:
+        raise CheckpointError(f"{path}: implausible shape {dims}")
+    return dims
 
-    A NaN or infinite value is rejected as corruption: ranking would score
-    a NaN entity table as a perfect prediction.
-    """
+
+def _tensor_file(path: Path) -> TensorFile:
     with open(path, "rb") as fh:
-        header = fh.read(8)
-        if header[:4] != _TENSOR_MAGIC:
-            raise CheckpointError(f"{path}: bad magic bytes, not a tensor file")
-        if len(header) < 8:
-            raise CheckpointError(f"{path}: truncated header")
-        (rank,) = struct.unpack_from("<I", header, 4)
-        if rank > _MAX_RANK:
-            raise CheckpointError(f"{path}: implausible tensor rank {rank}")
-        raw_dims = fh.read(8 * rank)
-        if len(raw_dims) < 8 * rank:
-            raise CheckpointError(f"{path}: truncated dimension header")
-        dims = struct.unpack(f"<{rank}Q", raw_dims)
-        expected = math.prod(dims)
-        body = os.fstat(fh.fileno()).st_size - 8 - 8 * rank
-        if body != expected * 8:
-            raise CheckpointError(
-                f"{path}: expected {expected * 8} data bytes for shape {dims}, got {body}"
-            )
-        try:
-            out = np.empty(dims, dtype="<f8")
-        except ValueError as exc:  # a zero-size shape with a dimension numpy cannot hold
-            raise CheckpointError(f"{path}: implausible shape {dims}") from exc
-        if fh.readinto(out.data) != body:
-            raise CheckpointError(f"{path}: file shrank while it was read")
-    # min and max propagate NaN and build no full-size mask.
-    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
-        raise CheckpointError(f"{path}: holds a NaN or infinite value")
-    return out.astype(np.float64, copy=False)
+        return TensorFile(path, _read_header(fh, path))
 
 
 def _load_tensors(targets: dict, tensors: dict) -> None:
-    """Copy each checkpoint tensor into the array of the same name in ``targets``."""
+    """Read each checkpoint tensor file of ``tensors`` into the array of the
+    same name in ``targets``; files no target names are not read."""
     for name, target in targets.items():
         if name not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor {name}")
-        value = tensors[name]
-        if target.shape != value.shape:
+        file = tensors[name]
+        if target.shape != file.shape:
             raise CheckpointError(
-                f"tensor {name} has shape {value.shape}, expected {target.shape}"
+                f"tensor {name} has shape {file.shape}, expected {target.shape}"
             )
-        target[...] = value
+        file.read_into(target)
 
 
 def _state(**components) -> dict:
@@ -417,7 +455,14 @@ def _state(**components) -> dict:
 
 
 def load_checkpoint(directory: str | Path) -> Checkpoint:
-    """Read and validate a checkpoint directory."""
+    """Read and validate a checkpoint directory, but not its tensors' values.
+
+    Checked here: the manifest (format, version, the keys read, the history
+    and both stream states), the two vocabulary files, and each tensor
+    file's header against the file's size. Each tensor's values are read
+    and checked finite when it is restored (:meth:`TensorFile.read_into`),
+    so a restore reads only the tensors it loads.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
@@ -448,7 +493,7 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
             raise CheckpointError(
                 f"{manifest_path}: rng.{key} is not a PCG64 state ({exc!r})"
             ) from exc
-    tensors = {path.name[:-4]: _read_tensor(path) for path in sorted(directory.glob("*.bin"))}
+    tensors = {path.name[:-4]: _tensor_file(path) for path in sorted(directory.glob("*.bin"))}
 
     def read_names(path: Path) -> list[str]:
         if not path.is_file():
@@ -468,7 +513,8 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> EmbeddingModel:
-    """Instantiate the model a checkpoint describes and load its tensors."""
+    """Instantiate the model a checkpoint describes and read its ``model.*``
+    tensors into it; the block's, Adam's and the teacher's are not read."""
     config = ckpt.config
     model = EmbeddingModel(
         config.model, len(ckpt.entities), len(ckpt.relations), stream(0, "unused-init")

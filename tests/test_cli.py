@@ -41,7 +41,9 @@ def test_train_then_evaluate(tmp_path, memorization_dataset_dir, capsys):
     rows = [line.split("\t") for line in exported.read_text().splitlines()]
     assert [row[0] for row in rows] == ckpt.entities
     table = np.array([[float(v) for v in row[1:]] for row in rows])
-    assert table.tobytes() == ckpt.tensors["model.entity_embeddings"].tobytes()
+    saved = ckpt.tensors["model.entity_embeddings"]
+    assert table.shape == saved.shape
+    assert table.astype("<f8").tobytes() == saved.path.read_bytes()[-table.nbytes:]
 
     # Same entity and relation counts, one entity renamed: not this checkpoint's dataset.
     renamed = tmp_path / "renamed"

@@ -249,20 +249,22 @@ def test_only_autodiff_holds_a_thread_pool(path):
 
 def gradient_storage_names(source: str) -> list[str]:
     """The names of a tensor's gradient storage that ``source`` mentions as
-    code (:func:`named_in`): ``_grad``, ``_pairs`` and ``_dense``."""
-    return sorted(named_in(ast.parse(source)) & {"_grad", "_pairs", "_dense"})
+    code (:func:`named_in`): ``_grad``, ``_pending`` and ``_dense``."""
+    return sorted(named_in(ast.parse(source)) & {"_grad", "_pending", "_dense"})
 
 
 def test_the_gradient_storage_scan_finds_a_write_and_a_read_by_name():
     source = (
         "from .autodiff import add_outer\n"
-        "table._pairs += ((x, y),)\n"
+        "table._pending += (term,)\n"
         "getattr(table, '_dense')\n"
         "add_outer(table, x, y)\n"
         "text = 'a _grad buffer'\n"
     )
-    assert gradient_storage_names(source) == ["_dense", "_pairs"]
-    assert gradient_storage_names("table.grad += g\nadd_outer(table, x, y)\n") == []
+    assert gradient_storage_names(source) == ["_dense", "_pending"]
+    assert gradient_storage_names(
+        "table.grad += g\nadd_outer(table, x, y)\nadd_scaled(table, b, 0.5)\nadd_rows(table, ids, g)\n"
+    ) == []
 
 
 @pytest.mark.parametrize(
@@ -270,7 +272,8 @@ def test_the_gradient_storage_scan_finds_a_write_and_a_read_by_name():
 )
 def test_only_autodiff_touches_gradient_storage(path):
     """A gradient goes in through ``grad``, a VJP's return value or
-    ``autodiff.add_outer``, and out through ``grad`` or ``autodiff.take_grad``:
-    only ``autodiff`` keeps the dense buffer, the pending pairs and the mark
-    of a dense read in step."""
+    ``autodiff``'s pending-term recorders (``add_outer``, ``add_scaled``,
+    ``add_rows``), and out through ``grad`` or ``autodiff.take_grad``: only
+    ``autodiff`` keeps the dense buffer, the pending terms and the mark of
+    a dense read in step."""
     assert gradient_storage_names(path.read_text(encoding="utf-8")) == []

@@ -14,11 +14,13 @@ import pytest
 from conftest import assert_gradients_match, dense, resident_bytes, synthetic_triples, write_dataset
 from scipy.special import expit
 
-from kgedistill import autodiff, models, training
+from kgedistill import autodiff, cli, models, training
 from kgedistill.autodiff import (
     Parameter,
     Tensor,
     add_outer,
+    add_rows,
+    add_scaled,
     backward,
     gather_rows,
     matmul,
@@ -253,22 +255,26 @@ def test_zeroed_buffers_are_allocated_not_written():
     assert grown < 16 << 20, f"resident set grew by {grown / 2**20:.0f} MB"
 
 
+def _wide_store(directory, n_train: int):
+    """2^15 entities, of which ``n_train`` triples between the first 2,000
+    touch few; the test split names every entity, and training never reads it."""
+    n_entities = 1 << 15
+    rng = np.random.default_rng(89)
+    ids = [f"e{i}" for i in range(n_entities)]
+    heads, tails = rng.integers(0, 1000, n_train), rng.integers(1000, 2000, n_train)
+    train = [(ids[h], "r0", ids[t]) for h, t in zip(heads, tails)]
+    test = [(ids[i], "r1", ids[(i + 1) % n_entities]) for i in range(0, n_entities, 2)]
+    return augment_reciprocal(load_dataset(write_dataset(directory, train, [], test)))
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 def test_distillation_epoch_never_writes_the_expanding_projections_gradient(tmp_path):
     # The 64 MB expanding projection's gradient is a rank-1 pending pair on
     # every step, which Adam reads without writing the gradient buffer, so
     # an epoch writes the two moments and leaves the buffer's pages unused.
-    n_entities, batch_size = 1 << 15, 256
-    rng = np.random.default_rng(89)
-    ids = [f"e{i}" for i in range(n_entities)]
-    heads, tails = rng.integers(0, 1000, 800), rng.integers(1000, 2000, 800)
-    train = [(ids[h], "r0", ids[t]) for h, t in zip(heads, tails)]
-    # The test split names every entity; training never reads it.
-    test = [(ids[i], "r1", ids[(i + 1) % n_entities]) for i in range(0, n_entities, 2)]
-    store = augment_reciprocal(load_dataset(write_dataset(tmp_path / "wide", train, [], test)))
-    doc = {"model": {"d_e": 8}, "train": {"batch_size": batch_size, "epochs": 2},
+    doc = {"model": {"d_e": 8}, "train": {"batch_size": 256, "epochs": 2},
            "isd": {"enabled": True}}
-    trainer = Trainer(store, RunConfig.from_dict(doc))
+    trainer = Trainer(_wide_store(tmp_path / "wide", 800), RunConfig.from_dict(doc))
     w_expand = trainer.block.w_expand.data.nbytes
     assert w_expand >= 64 << 20
     before = resident_bytes()
@@ -276,6 +282,27 @@ def test_distillation_epoch_never_writes_the_expanding_projections_gradient(tmp_
     grown = resident_bytes() - before
     assert record["loss_kl"] > 0.0  # the block's gradient reached Adam
     assert grown < 2 * w_expand + w_expand // 2, f"resident set grew by {grown / 2**20:.0f} MB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+@pytest.mark.parametrize("isd", [{"enabled": True, "beta_init": 0.5}, {}], ids=["distilled", "off"])
+def test_training_epoch_never_writes_the_entity_tables_gradient(tmp_path, isd):
+    # The 64 MB entity table's gradient is the score head's scaled float32
+    # block, the row lookup's scatter and, when distilling, the extraction's
+    # pair and scatter, all pending until Adam takes them a slice at a time:
+    # an epoch writes the table's two moments (and the block's) and leaves
+    # the gradient buffer's pages unused.
+    doc = {"model": {"d_e": 256}, "train": {"batch_size": 64, "epochs": 2}, "isd": isd}
+    trainer = Trainer(_wide_store(tmp_path / "wide", 200), RunConfig.from_dict(doc))
+    table = trainer.model.entity_embeddings.data.nbytes
+    assert table >= 64 << 20
+    moments = 2 * sum(p.data.nbytes for _, p in trainer.adam.named_params)
+    before = resident_bytes()
+    record = trainer.train_epoch()
+    grown = resident_bytes() - before
+    if isd:
+        assert record["loss_kl"] > 0.0  # the extraction's terms reached Adam
+    assert grown < moments + table // 2, f"resident set grew by {grown / 2**20:.0f} MB"
 
 
 _REUSED_BLOCK_SCRIPT = """
@@ -858,6 +885,83 @@ def test_rank_one_matmul_update_is_bit_identical_for_any_worker_count(monkeypatc
     assert runs[1] == (prior + np.multiply.outer(row_init[0], weights[0])).tobytes()
 
 
+def _record_pending_terms(rng, n_rows: int, width: int) -> list:
+    """Recorders of two pairs, a scaled float32 block and two row scatters,
+    and the sum they add up to, term by term in float64 onto zeros."""
+    pairs = [(rng.normal(size=n_rows), rng.normal(size=width)) for _ in range(2)]
+    block, scale = rng.normal(size=(n_rows, width)).astype(np.float32), 0.37
+    # Repeated ids, ids on the first and last rows of two-row slices, and
+    # one counted from the end.
+    scatters = [(np.array(ids), rng.normal(size=(len(ids), width)))
+                for ids in ([0, 1, 2, 40, 1, 39, 1, 3, 40, 0, -1], [7, 8, 8, 7, 20, 21, 0])]
+    recorders = [
+        lambda t: add_outer(t, *pairs[0]),
+        lambda t: add_rows(t, *scatters[0]),
+        lambda t: add_scaled(t, block.copy(), scale),
+        lambda t: add_outer(t, *pairs[1]),
+        lambda t: add_rows(t, *scatters[1]),
+    ]
+    terms = [
+        lambda g: np.add(g, np.multiply.outer(*pairs[0]), out=g),
+        lambda g: np.add.at(g, *scatters[0]),
+        lambda g: np.add(g, block * scale, out=g),  # scaled in float32
+        lambda g: np.add(g, np.multiply.outer(*pairs[1]), out=g),
+        lambda g: np.add.at(g, *scatters[1]),
+    ]
+    return list(zip(recorders, terms))
+
+
+@pytest.mark.parametrize("slice_elements", [7, autodiff._SLICE_ELEMENTS])
+@pytest.mark.parametrize("first", range(5))
+@pytest.mark.parametrize("prior", [False, True], ids=["pending", "dense"])
+def test_pending_terms_are_taken_with_the_bits_of_reading_grad(
+    monkeypatch, workers, slice_elements, first, prior
+):
+    """Every kind of pending term, each kind first in turn, recorded on a
+    gradient with or without a dense part: ``take_grad`` hands over, a slice
+    at a time on 1 to 3 workers, the bytes that reading ``grad`` gives, and
+    those are the terms added onto the prior in arrival order."""
+    monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", slice_elements)
+    n_rows, width = 41, 3  # 7-element slices hold 2 rows: 21 slices
+    rng = np.random.default_rng(67)
+    pending = _record_pending_terms(rng, n_rows, width)
+    pending = pending[first:] + pending[:first]
+    start = rng.normal(size=(n_rows, width)) if prior else np.zeros((n_rows, width))
+
+    def recorded() -> Parameter:
+        t = Parameter(np.zeros((n_rows, width)))
+        if prior:
+            t.grad[...] = start
+        for record, _ in pending:
+            record(t)
+        return t
+
+    want = start.copy()
+    for _, add in pending:
+        add(want)
+    read = recorded().grad
+    assert read.tobytes() == want.tobytes()
+    for count in (1, 2, 3):
+        workers(count)
+        t, taken = recorded(), np.full((n_rows, width), np.nan)
+
+        def work(lo, hi, g, scratch):
+            taken[lo:hi] = g
+
+        autodiff.take_grad(t, work, 1)
+        assert taken.tobytes() == read.tobytes(), count
+        assert t.grad.tobytes() == bytes(t.grad.nbytes)  # left at +0.0
+
+
+def test_a_lone_scaled_block_is_taken_as_if_added_onto_zeros():
+    block = np.array([[-0.0, 1.5], [2.0, -0.0]], np.float32)
+    t = Parameter(np.zeros((2, 2)))
+    add_scaled(t, block, 0.5)
+    taken = []
+    autodiff.take_grad(t, lambda lo, hi, g, scratch: taken.append(g.copy()), 1)
+    assert np.concatenate(taken).tobytes() == np.array([[0.0, 0.75], [1.0, 0.0]]).tobytes()
+
+
 def test_rank_one_matmul_into_an_interior_node_matches_finite_differences():
     """A one-row product into an interior node (``matmul``), and into a leaf
     as a pair recorded through ``add_outer`` (``pair_product``)."""
@@ -1010,6 +1114,79 @@ def test_resume_rejects_a_damaged_teacher_vector(tmp_path, damage, message):
         path.unlink()
     with pytest.raises(CheckpointError, match=message):
         Trainer.resume(tmp_path / "ckpt", store)
+
+
+def _distilled_checkpoint(tmp_path):
+    """The memorization graph's store and a checkpoint of one distilled epoch."""
+    store = _store(tmp_path)
+    doc = {"model": {"d_e": 8}, "train": {"batch_size": 16, "epochs": 4}, "isd": {"enabled": True}}
+    trainer = Trainer(store, RunConfig.from_dict(doc))
+    trainer.train_epoch()
+    trainer.save(tmp_path / "ckpt")
+    return store, tmp_path / "ckpt"
+
+
+def test_model_from_checkpoint_reads_only_the_models_tensors(tmp_path, monkeypatch):
+    store, ckpt_dir = _distilled_checkpoint(tmp_path)
+    ckpt = load_checkpoint(ckpt_dir)
+    assert {"block.w_expand", "adam.m.model.entity_embeddings", "teacher.vector"} <= set(ckpt.tensors)
+    read, real_read = [], training.TensorFile.read_into
+
+    def record(file, target):
+        read.append(file.path.name)
+        real_read(file, target)
+
+    monkeypatch.setattr(training.TensorFile, "read_into", record)
+    model = model_from_checkpoint(ckpt)
+    assert sorted(read) == sorted(f"model.{name}.bin" for name in model.state())
+
+
+def test_a_nan_moment_stops_resume_but_not_evaluate(tmp_path, capsys):
+    store, ckpt_dir = _distilled_checkpoint(tmp_path)
+    path = ckpt_dir / "adam.m.model.entity_embeddings.bin"
+    values = read_tensor(path)
+    values[1, 2] = np.nan
+    training._write_tensor(path, values)
+    assert cli.main(["evaluate", str(ckpt_dir), str(tmp_path / "memo")]) == 0
+    assert 0.0 < json.loads(capsys.readouterr().out)["mrr"] <= 1.0
+    with pytest.raises(CheckpointError, match=r"adam\.m\.model\.entity_embeddings\.bin: holds a NaN"):
+        Trainer.resume(ckpt_dir, store)
+
+
+@pytest.mark.parametrize("change", [-8, 8], ids=["short", "oversized"])
+def test_load_checkpoint_rejects_a_body_of_the_wrong_size(tmp_path, change):
+    _, ckpt_dir = _distilled_checkpoint(tmp_path)
+    path = ckpt_dir / "adam.v.block.w_expand.bin"
+    data = path.read_bytes()
+    path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+    body = len(data) - 8 - 2 * 8
+    with pytest.raises(CheckpointError, match=f"expected {body} data bytes .* got {body + change}"):
+        load_checkpoint(ckpt_dir)
+
+
+def test_a_tensor_file_changed_since_the_load_is_rejected(tmp_path):
+    _, ckpt_dir = _distilled_checkpoint(tmp_path)
+    ckpt = load_checkpoint(ckpt_dir)
+    path = ckpt_dir / "model.entity_embeddings.bin"
+    training._write_tensor(path, read_tensor(path).reshape(-1))  # same values, one axis
+    with pytest.raises(CheckpointError, match="changed since the checkpoint was loaded"):
+        model_from_checkpoint(ckpt)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_restoring_the_model_leaves_the_block_and_its_moments_unread(tmp_path):
+    doc = {"model": {"d_e": 8}, "train": {"batch_size": 256, "epochs": 2}, "isd": {"enabled": True}}
+    trainer = Trainer(_wide_store(tmp_path / "wide", 800), RunConfig.from_dict(doc))
+    w_expand = trainer.block.w_expand.data.nbytes
+    assert w_expand >= 64 << 20
+    trainer.save(tmp_path / "ckpt")
+    del trainer
+    before = resident_bytes()
+    ckpt = load_checkpoint(tmp_path / "ckpt")
+    model = model_from_checkpoint(ckpt)
+    grown = resident_bytes() - before  # with the loaded checkpoint still held
+    assert model.entity_embeddings.shape == (1 << 15, 8) and "block.w_expand" in ckpt.tensors
+    assert grown < 3 * w_expand // 4, f"resident set grew by {grown / 2**20:.0f} MB"
 
 
 def test_resume_expects_no_teacher_where_no_step_distilled(tmp_path):
@@ -1195,6 +1372,15 @@ def _header(rank: int, *dims: int) -> bytes:
     return training._TENSOR_MAGIC + struct.pack("<I", rank) + struct.pack(f"<{len(dims)}Q", *dims)
 
 
+def read_tensor(path) -> np.ndarray:
+    """A tensor file's values: its header checked as a load checks it, then
+    its body read into a fresh array as a restore reads it."""
+    file = training._tensor_file(path)
+    out = np.empty(file.shape)
+    file.read_into(out)
+    return out
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -1218,7 +1404,7 @@ def test_corrupt_tensor_file_rejected(tmp_path, content, message):
     path = tmp_path / "t.bin"
     path.write_bytes(content)
     with pytest.raises(CheckpointError, match=message):
-        training._read_tensor(path)
+        read_tensor(path)
 
 
 def test_tensor_file_round_trip(tmp_path):
@@ -1226,7 +1412,7 @@ def test_tensor_file_round_trip(tmp_path):
     for value in (np.arange(12.0).reshape(3, 4), np.zeros((0, 5)), extremes,
                   np.asfortranarray(np.arange(6.0).reshape(2, 3))):
         training._write_tensor(tmp_path / "t.bin", value)
-        got = training._read_tensor(tmp_path / "t.bin")
+        got = read_tensor(tmp_path / "t.bin")
         assert got.dtype == np.float64 and got.shape == value.shape and got.flags.writeable
         assert got.tobytes() == value.tobytes()
 
@@ -1299,8 +1485,8 @@ def test_distillation_at_beta_zero_is_bit_identical_to_distillation_off(tmp_path
 
 def test_fixed_seed_trajectories_are_unchanged(tmp_path, monkeypatch, workers):
     """The same literals at the default row slices and at 7-element ones,
-    which cut every gradient pass, Adam and the score head's entity add
-    into slices of one row shared out over two workers."""
+    which cut every gradient pass, Adam and the assembly of every pending
+    term into slices of one row shared out over two workers."""
     store = _store(tmp_path)
     workers(2)
     for slice_elements in (autodiff._SLICE_ELEMENTS, 7):
