@@ -10,10 +10,26 @@ Past the vocabulary, everything is held as numpy arrays: each split is
 parsed in bulk into an ``(n, 3)`` id array, and grouped train queries and
 filter indices are CSR arrays. No per-triple or per-query Python object
 outlives the call that builds it.
+
+Set-up orders triples by packing several ids into one int64 key and
+sorting that key once, unstably: equal keys are equal tuples, so no sort
+needs to be stable and none needs a second key. With ``N`` entities, ``R``
+relations and ``m`` train rows the packed keys are
+
+- the triple code ``(head * R + relation) * N + tail``, in ``N * R * N``
+  values: :func:`_read_split` (base ``R``) finds repeated lines with it, and
+  :func:`build_filter_index` (augmented ``R``) orders the filter index by it;
+- the query row key ``(head * R + relation) * m + row``, in ``N * R * m``
+  values: :func:`group_queries` groups the train rows by it.
+
+Each key's value count must not exceed :data:`_KEY_BOUND` = 2**63, so that
+every key fits an int64; :func:`_check_key_bound` checks it once, before the
+key is packed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -25,6 +41,26 @@ _SPLITS = ("train", "valid", "test")
 
 # Suffix appended to a relation name for its synthetic inverse.
 RECIPROCAL_SUFFIX = "_reciprocal"
+
+# The number of values a packed int64 sort key may take: keys run from 0 to
+# at most 2**63 - 1, the largest int64.
+_KEY_BOUND = 2**63
+
+
+def _check_key_bound(radices: tuple, what: str, error: type[ValueError]) -> None:
+    """Raise ``error`` unless a key packed from ``radices`` (each digit below
+    its radix) fits an int64: the product of the radices is its value count."""
+    count = math.prod(radices)
+    if count > _KEY_BOUND:
+        raise error(f"{what}: {' x '.join(map(str, radices))} = {count} keys overflow an int64 sort key")
+
+
+def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
+    """``sorted_keys`` without its repeats, as ``np.unique`` would give them."""
+    keep = np.empty(len(sorted_keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
+    return sorted_keys if keep.all() else sorted_keys[keep]
 
 
 @dataclass
@@ -106,6 +142,11 @@ def _read_split(path: Path, vocab: Vocabulary) -> np.ndarray:
 
     Line ends are read as universal newlines (``\\n``, ``\\r\\n`` or a lone
     ``\\r``); blank lines are skipped but still counted in ``path:lineno``.
+    Names new to ``vocab`` get the next ids in first-appearance order. A
+    repeated line is dropped and the first occurrence kept: the split's
+    triple codes ``(head * R + relation) * N + tail``, with ``R`` and ``N``
+    the vocabulary's relation and entity counts so far, are sorted once, and
+    only a split whose sorted codes hold a repeat pays for ``np.unique``.
     """
     if not path.is_file():
         raise IOError(f"dataset file not found: {path}")
@@ -139,10 +180,8 @@ def _read_split(path: Path, vocab: Vocabulary) -> np.ndarray:
     n = len(heads)
     pairs = [None] * (2 * n)
     pairs[0::2], pairs[1::2] = heads, tails
-    for name in dict.fromkeys(pairs):  # distinct names in first-appearance order
-        vocab.add_entity(name)
-    for name in dict.fromkeys(relations):
-        vocab.add_relation(name)
+    _add_names(vocab.entity_ids, pairs)
+    _add_names(vocab.relation_ids, relations)
 
     triples = np.empty((n, 3), dtype=np.int64)
     for col, names, ids in ((0, heads, vocab.entity_ids), (1, relations, vocab.relation_ids),
@@ -150,11 +189,19 @@ def _read_split(path: Path, vocab: Vocabulary) -> np.ndarray:
         triples[:, col] = np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=n)
     # Keep the first occurrence of each triple, in file order.
     n_ent, n_rel = vocab.n_entities, vocab.n_relations
-    if n_ent * n_rel * n_ent >= 2**63:
-        raise ParseError(f"{path}: {n_ent} entities and {n_rel} relations overflow a triple code")
+    _check_key_bound((n_ent, n_rel, n_ent), f"{path}: triple codes", ParseError)
     codes = (triples[:, 0] * n_rel + triples[:, 1]) * n_ent + triples[:, 2]
+    if len(_distinct(np.sort(codes))) == n:
+        return triples
     _, first = np.unique(codes, return_index=True)
-    return triples if len(first) == n else triples[np.sort(first)]
+    return triples[np.sort(first)]
+
+
+def _add_names(ids: dict, names: list) -> None:
+    """Give each name of ``names`` not yet in ``ids`` the next free id, in
+    order of first appearance."""
+    fresh = [name for name in dict.fromkeys(names) if name not in ids]
+    ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
 
 
 def load_dataset(directory: str | Path) -> TripleStore:
@@ -213,7 +260,9 @@ class FilterIndex:
     distinct codes, sorted; the tails of ``keys[i]`` are
     ``indices[indptr[i]:indptr[i + 1]]``, sorted and distinct. Only queries
     that occur get a row, so the index grows with the number of triples, not
-    with ``n_entities * n_relations``.
+    with ``n_entities * n_relations``. :func:`build_filter_index` orders the
+    index by the packed triple code ``query * n_entities + tail``, whose
+    ``n_entities * n_relations * n_entities`` values must fit an int64.
     """
 
     def __init__(self, keys: np.ndarray, indptr: np.ndarray, indices: np.ndarray, n_relations: int):
@@ -267,17 +316,19 @@ def build_filter_index(store: TripleStore) -> FilterIndex:
     """Index train, valid and test tails for filtered ranking.
 
     Call after reciprocal augmentation so head queries (inverse relations)
-    are covered too.
+    are covered too. The triples of all splits are packed into their codes
+    ``(head * R + relation) * N + tail`` (``R`` counting the augmented
+    relations), sorted once and deduplicated; ``divmod`` by ``N`` splits
+    each code back into its query and tail. Raises :class:`ConfigError`
+    when ``N * R * N`` codes overflow an int64.
     """
+    n_ent, n_rel = store.n_entities, store.n_relations
+    _check_key_bound((n_ent, n_rel, n_ent), "filter index triple codes", ConfigError)
     triples = np.concatenate([store.split(name) for name in _SPLITS])
-    codes = triples[:, 0] * store.n_relations + triples[:, 1]
-    order = np.lexsort((triples[:, 2], codes))
-    codes, tails = codes[order], triples[order, 2]
-    distinct = np.ones(len(codes), dtype=bool)
-    distinct[1:] = (codes[1:] != codes[:-1]) | (tails[1:] != tails[:-1])
-    codes, tails = codes[distinct], tails[distinct]
+    packed = (triples[:, 0] * n_rel + triples[:, 1]) * n_ent + triples[:, 2]
+    codes, tails = np.divmod(_distinct(np.sort(packed)), n_ent)
     indptr = _run_bounds(codes)
-    return FilterIndex(codes[indptr[:-1]], indptr, tails, store.n_relations)
+    return FilterIndex(codes[indptr[:-1]], indptr, tails, n_rel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +357,7 @@ class SparseTargets:
         for name, ids, bound in (("row", rows, n_rows), ("column", cols, n_cols)):
             if ids.size and (ids.min() < 0 or ids.max() >= bound):
                 raise ValueError(f"sparse targets: {name} id outside [0, {bound})")
-        flat = np.unique(rows * n_cols + cols)
+        flat = _distinct(np.sort(rows * n_cols + cols))
         object.__setattr__(self, "rows", flat // n_cols)
         object.__setattr__(self, "cols", flat % n_cols)
 
@@ -365,14 +416,23 @@ def group_queries(store: TripleStore) -> Batch:
 
     Queries come in order of first appearance in the train split, and each
     query's tails in train order, so the result is deterministic for a
-    given store.
+    given store. The rows are ordered by the packed key
+    ``(head * R + relation) * m + row`` over the ``m`` train rows, sorted
+    once: the row breaks ties, so the order is the stable one. Raises
+    :class:`ConfigError` when ``N * R * m`` keys overflow an int64.
     """
     train = store.train
+    n_rows = len(train)
+    _check_key_bound((store.n_entities, store.n_relations, n_rows), "train query row keys", ConfigError)
     codes = train[:, 0] * store.n_relations + train[:, 1]
-    order = np.argsort(codes, kind="stable")
-    bounds = _run_bounds(codes[order])
+    codes, order = np.divmod(np.sort(codes * n_rows + np.arange(n_rows)), n_rows)
+    bounds = _run_bounds(codes)
     first = order[bounds[:-1]]  # the train row where each query first appears
-    groups = np.argsort(first)
+    # The queries in order of their first rows, without a sort: each first
+    # row holds its query's number, read back in row order.
+    slot = np.full(n_rows, len(first))
+    slot[first] = np.arange(len(first))
+    groups = slot[slot < len(first)]
     counts = np.diff(bounds)[groups]
     return Batch.from_csr(
         train[first[groups], 0],

@@ -37,6 +37,7 @@ from .autodiff import (
     sub,
     tensor_sum,
     transpose,
+    zeros,
 )
 from .config import ModelConfig
 from .data import SparseTargets
@@ -327,23 +328,29 @@ class EmbeddingModel:
     ``n_relations`` counts relations after reciprocal augmentation. Tables
     start as N(0, 0.05) draws; the TuckER core and LowFER factors start
     uniform in [-0.1, 0.1], keeping initial logits O(1) at dimension 100.
+    Given no ``rng``, they start zeroed on untouched pages instead, for a
+    caller that reads every value in, such as a checkpoint restore.
     """
 
     def __init__(self, config: ModelConfig, n_entities: int, n_relations: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.config = config
         d_e, d_r = config.d_e, config.rel_dim
 
-        self.entity_embeddings = Parameter(rng.normal(0.0, 0.05, (n_entities, d_e)))
-        self.relation_embeddings = Parameter(rng.normal(0.0, 0.05, (n_relations, d_r)))
+        def init(draw: str, a: float, b: float, shape: tuple) -> Parameter:
+            """``rng.<draw>(a, b, shape)``, or unfilled without ``rng``."""
+            return Parameter(zeros(shape) if rng is None else getattr(rng, draw)(a, b, shape))
+
+        self.entity_embeddings = init("normal", 0.0, 0.05, (n_entities, d_e))
+        self.relation_embeddings = init("normal", 0.0, 0.05, (n_relations, d_r))
         self.core = None
         self.u_factor = None
         self.v_factor = None
         if config.kind == "tucker":
-            self.core = Parameter(rng.uniform(-0.1, 0.1, (d_e, d_r, d_e)))
+            self.core = init("uniform", -0.1, 0.1, (d_e, d_r, d_e))
         elif config.kind == "lowfer":
-            self.u_factor = Parameter(rng.uniform(-0.1, 0.1, (d_e, config.k_l * d_e)))
-            self.v_factor = Parameter(rng.uniform(-0.1, 0.1, (d_r, config.k_l * d_e)))
+            self.u_factor = init("uniform", -0.1, 0.1, (d_e, config.k_l * d_e))
+            self.v_factor = init("uniform", -0.1, 0.1, (d_r, config.k_l * d_e))
 
         self.bn_input = BatchNorm(d_e) if config.use_batchnorm else None
         self.bn_output = BatchNorm(d_e) if config.use_batchnorm else None

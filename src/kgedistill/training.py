@@ -514,10 +514,9 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
 
 def model_from_checkpoint(ckpt: Checkpoint) -> EmbeddingModel:
     """Instantiate the model a checkpoint describes and read its ``model.*``
-    tensors into it; the block's, Adam's and the teacher's are not read."""
-    config = ckpt.config
-    model = EmbeddingModel(
-        config.model, len(ckpt.entities), len(ckpt.relations), stream(0, "unused-init")
-    )
+    tensors into it; the block's, Adam's and the teacher's are not read.
+    The model's tables start unfilled, so no random init is drawn only to be
+    overwritten."""
+    model = EmbeddingModel(ckpt.config.model, len(ckpt.entities), len(ckpt.relations), None)
     _load_tensors({name: t.data for name, t in _state(model=model).items()}, ckpt.tensors)
     return model

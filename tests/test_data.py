@@ -9,6 +9,7 @@ from conftest import dense, synthetic_triples, write_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgedistill.data as data_module
 from kgedistill.data import (
     Batch,
     SparseTargets,
@@ -315,6 +316,119 @@ def test_grouped_queries_hold_a_few_bytes_per_train_row():
     assert retained / len(store.train) <= 40
 
 
+# ---------------------------------------------------------------------------
+# The packed-key sorts against the sorts they replaced
+# ---------------------------------------------------------------------------
+
+def run_bounds(sorted_codes: np.ndarray) -> np.ndarray:
+    """CSR ``indptr`` of the runs of equal values in ``sorted_codes``."""
+    if len(sorted_codes) == 0:
+        return np.zeros(1, dtype=np.int64)
+    return np.r_[0, np.flatnonzero(np.diff(sorted_codes)) + 1, len(sorted_codes)]
+
+
+def lexsort_filter_index(store) -> tuple:
+    """``(keys, indptr, indices)`` of the filter index built by ``np.lexsort``
+    on (code, tail): the oracle."""
+    triples = np.concatenate([store.train, store.valid, store.test])
+    codes = triples[:, 0] * store.n_relations + triples[:, 1]
+    order = np.lexsort((triples[:, 2], codes))
+    codes, tails = codes[order], triples[order, 2]
+    distinct = np.ones(len(codes), dtype=bool)
+    distinct[1:] = (codes[1:] != codes[:-1]) | (tails[1:] != tails[:-1])
+    codes, tails = codes[distinct], tails[distinct]
+    indptr = run_bounds(codes)
+    return codes[indptr[:-1]], indptr, tails
+
+
+def stable_argsort_queries(store) -> tuple:
+    """``(heads, relations, indptr, tail_ids)`` of the train queries grouped
+    by a stable ``np.argsort`` of their codes: the oracle."""
+    train = store.train
+    codes = train[:, 0] * store.n_relations + train[:, 1]
+    order = np.argsort(codes, kind="stable")
+    bounds = run_bounds(codes[order])
+    first = order[bounds[:-1]]
+    groups = np.argsort(first)
+    counts = np.diff(bounds)[groups]
+    tails = [train[order[bounds[g] : bounds[g + 1]], 2] for g in groups]
+    return (train[first[groups], 0], train[first[groups], 1], np.r_[0, np.cumsum(counts)],
+            np.concatenate(tails) if tails else np.empty(0, dtype=np.int64))
+
+
+def assert_same_arrays(actual, expected) -> None:
+    for a, e in zip(actual, expected, strict=True):
+        assert (a.dtype, a.shape) == (e.dtype, e.shape)
+        np.testing.assert_array_equal(a, e)
+
+
+def assert_packed_sorts_match_the_oracles(store) -> None:
+    """The filter index and the grouped queries of ``store`` and of its
+    reciprocal augmentation equal the oracles', dtypes included."""
+    for s in (store, augment_reciprocal(store)):
+        index = build_filter_index(s)
+        assert_same_arrays((index.keys, index.indptr, index.indices), lexsort_filter_index(s))
+        queries = group_queries(s)
+        assert_same_arrays((queries.heads, queries.relations, queries.indptr, queries.tail_ids),
+                           stable_argsort_queries(s))
+
+
+def seeded_graphs() -> dict:
+    """Name triples per split: ``(train, valid, test)``."""
+    train, valid, test = synthetic_triples(40, 3, 300, 40, 40, seed=13)
+    return {
+        # Lines repeat right after, and ~40, ~150 and ~300 lines after, their
+        # first occurrence, and across splits; 20 heads x 3 relations give
+        # 60 queries, so queries repeat within and across the splits.
+        "repeats": (train[:150] + [train[3]] + train[150:] + [train[3], train[299], valid[0]],
+                    valid + [valid[0], train[0]], test + test[:2]),
+        "empty_valid_and_test": (train, [], []),
+        "single_triple": ([("a", "r", "b")], [], []),
+    }
+
+
+@pytest.mark.parametrize("graph", list(seeded_graphs()))
+def test_packed_key_sorts_match_the_sorts_they_replace(tmp_path, graph):
+    splits = seeded_graphs()[graph]
+    store = make_store(tmp_path, *splits)
+    vocab = Vocabulary()
+    by_line = [read_split_by_line(tmp_path / "ds" / f"{name}.txt", vocab)
+               for name in ("train", "valid", "test")]
+    assert (store.vocab.entities, store.vocab.relations) == (vocab.entities, vocab.relations)
+    assert_same_arrays((store.train, store.valid, store.test), by_line)
+    assert_packed_sorts_match_the_oracles(store)
+
+
+@pytest.mark.parametrize("n_pairs", [0, 1, 1_000])
+def test_sparse_targets_match_np_unique(n_pairs):
+    rng = np.random.default_rng(n_pairs)
+    # 240 cells, so 1,000 pairs repeat.
+    rows, cols = rng.integers(0, 8, n_pairs), rng.integers(0, 30, n_pairs)
+    targets = SparseTargets(rows, cols, (8, 30))
+    flat = np.unique(rows * 30 + cols)
+    assert_same_arrays((targets.rows, targets.cols), (flat // 30, flat % 30))
+
+
+def test_packed_keys_are_checked_against_one_int64_bound(tmp_path, monkeypatch):
+    # 3 entities, 1 relation, 2 train lines: the triple codes take 3 * 1 * 3
+    # = 9 values as parsed and 3 * 2 * 3 = 18 after augmentation; the query
+    # row keys take 3 * 2 * 4 = 24 over the 4 augmented train rows.
+    write_dataset(tmp_path / "ds", [("a", "r", "b"), ("b", "r", "c")], [], [])
+    monkeypatch.setattr(data_module, "_KEY_BOUND", 8)
+    with pytest.raises(ParseError, match=r"train.txt: triple codes: 3 x 1 x 3 = 9 keys overflow"):
+        load_dataset(tmp_path / "ds")
+    monkeypatch.setattr(data_module, "_KEY_BOUND", 9)
+    store = augment_reciprocal(load_dataset(tmp_path / "ds"))
+    with pytest.raises(ConfigError, match=r"filter index triple codes: 3 x 2 x 3 = 18 keys overflow"):
+        build_filter_index(store)
+    monkeypatch.setattr(data_module, "_KEY_BOUND", 18)
+    build_filter_index(store)
+    with pytest.raises(ConfigError, match=r"train query row keys: 3 x 2 x 4 = 24 keys overflow"):
+        group_queries(store)
+    monkeypatch.setattr(data_module, "_KEY_BOUND", 24)
+    assert len(group_queries(store)) == 4
+
+
 def read_split_by_line(path: Path, vocab: Vocabulary) -> np.ndarray:
     """The line-by-line parser the bulk loader replaced: the oracle."""
     if not path.is_file():
@@ -356,18 +470,27 @@ def split_lines(draw):
 
 
 @st.composite
-def split_texts(draw):
-    """File text: lines ended by \\n, \\r\\n or \\r, some repeated, last end optional."""
-    ended = draw(st.lists(st.tuples(split_lines(), st.sampled_from(["\n", "\r\n", "\r"])), max_size=10))
-    ended += ended[: draw(st.integers(0, len(ended)))]
+def split_texts(draw, pool: list):
+    """File text of lines drawn from ``pool``, so lines repeat, next to each
+    other or far apart; each ended by \\n, \\r\\n or \\r, the last end optional."""
+    ended = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(["\n", "\r\n", "\r"])),
+                          max_size=12))
     text = "".join(line + end for line, end in ended)
     if ended and draw(st.booleans()):
         text = text[: -len(ended[-1][1])]
     return text
 
 
+@st.composite
+def split_files(draw):
+    """Train and valid texts drawn from one pool of lines, so lines repeat
+    within and across the two files."""
+    pool = draw(st.lists(split_lines(), min_size=1, max_size=8))
+    return [draw(split_texts(pool)) for _ in range(2)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(split_texts(), min_size=2, max_size=2))
+@given(split_files())
 def test_bulk_parser_matches_the_line_parser(tmp_path_factory, texts):
     directory = tmp_path_factory.mktemp("split")
     paths = [directory / "train.txt", directory / "valid.txt"]
@@ -382,4 +505,11 @@ def test_bulk_parser_matches_the_line_parser(tmp_path_factory, texts):
             return str(exc)
         return vocab.entities, vocab.relations, [(a.dtype, a.shape, a.tolist()) for a in arrays]
 
-    assert run(_read_split) == run(read_split_by_line)
+    parsed = run(_read_split)
+    assert parsed == run(read_split_by_line)
+    if isinstance(parsed, str):
+        return
+    # The same inputs, loaded with an empty test split: the filter index and
+    # grouped queries match the sorts they replaced.
+    (directory / "test.txt").write_bytes(b"")
+    assert_packed_sorts_match_the_oracles(load_dataset(directory))

@@ -1141,6 +1141,32 @@ def test_model_from_checkpoint_reads_only_the_models_tensors(tmp_path, monkeypat
     assert sorted(read) == sorted(f"model.{name}.bin" for name in model.state())
 
 
+@pytest.mark.parametrize(
+    "model",
+    [{"kind": "distmult", "d_e": 8}, {"kind": "tucker", "d_e": 6, "d_r": 4, "batchnorm": True},
+     {"kind": "lowfer", "d_e": 6, "d_r": 4, "k_l": 2}],
+    ids=["distmult", "tucker", "lowfer"],
+)
+def test_model_from_checkpoint_draws_no_init(tmp_path, monkeypatch, model):
+    store = _store(tmp_path)
+    trainer = Trainer(store, RunConfig.from_dict({"model": model, "train": {"batch_size": 16}}))
+    trainer.train_epoch()
+    trainer.save(tmp_path / "ckpt")
+    ckpt = load_checkpoint(tmp_path / "ckpt")
+
+    def no_stream(*args):
+        raise AssertionError("restoring a model drew from a random stream")
+
+    monkeypatch.setattr(training, "stream", no_stream)
+    restored = model_from_checkpoint(ckpt)
+    heads, relations = store.test[:, 0], store.test[:, 1]
+    expected = trainer.model.forward(heads, relations).data
+    logits = restored.forward(heads, relations).data
+    assert logits.dtype == expected.dtype and logits.tobytes() == expected.tobytes()
+    unfilled = EmbeddingModel(ckpt.config.model, store.n_entities, store.n_relations, None)
+    assert not any(t.data.any() for name, t in unfilled.state().items() if not name.startswith("bn_"))
+
+
 def test_a_nan_moment_stops_resume_but_not_evaluate(tmp_path, capsys):
     store, ckpt_dir = _distilled_checkpoint(tmp_path)
     path = ckpt_dir / "adam.m.model.entity_embeddings.bin"
