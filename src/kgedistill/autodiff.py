@@ -8,6 +8,10 @@ kernel in float32 and hands float64 gradients on; parameters, Adam and
 distillation stay float64. Ranking (:func:`kgedistill.evaluation.rank_split`)
 scores in float32 only to filter: every rank rests on a float64 comparison.
 
+The generic ops are ``add``, ``mul``, ``matmul``, ``transpose`` and
+``gather_rows``; every other differentiable step is one :func:`node` with
+hand-written VJPs, built in the module that uses it.
+
 Ops build a computation graph while gradients are enabled; :func:`backward`
 walks the graph in reverse topological order and accumulates into the
 gradient of every reachable leaf. A VJP either returns its contribution or
@@ -26,11 +30,11 @@ no graph.
 
 Which results depend on the BLAS thread count:
 
-- The products here (``matmul``, ``bmm``) run on BLAS with the thread count
-  in force when they are called, so their bits may depend on the BLAS build
-  and on that count. Called directly, they use the process's count, which
-  the caller pins (for instance with ``OPENBLAS_NUM_THREADS`` set before
-  numpy is imported).
+- ``matmul``, and the products inside the nodes built on :func:`node`,
+  run on BLAS with the thread count in force when they are called, so
+  their bits may depend on the BLAS build and on that count. Called
+  directly, they use the process's count, which the caller pins (for
+  instance with ``OPENBLAS_NUM_THREADS`` set before numpy is imported).
 - A training step (:meth:`kgedistill.training.Trainer.train_epoch`) runs
   every product with numpy's OpenBLAS held to one thread
   (:func:`_one_blas_thread`), and the fused score head
@@ -274,14 +278,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, as_tensor(other))
 
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
     def __mul__(self, other):
         return mul(self, as_tensor(other))
-
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
 
 
 class Parameter(Tensor):
@@ -448,14 +446,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return node(
-        a.data - b.data,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(-g, b.data.shape)),
-    )
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return node(
         a.data * b.data,
@@ -465,22 +455,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             lambda g: _unbroadcast(g * a.data, b.data.shape),
         ),
     )
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return node(
-        a.data / b.data,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g / b.data, a.data.shape),
-            lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
-    )
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-    return node(out_data, (a,), (lambda g: g * 0.5 / out_data,))
 
 
 # ---------------------------------------------------------------------------
@@ -494,60 +468,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over matching leading dimensions."""
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm: incompatible shapes {a.shape} x {b.shape}")
-    return node(
-        np.matmul(a.data, b.data),
-        (a, b),
-        (
-            lambda g: np.matmul(g, b.data.swapaxes(-1, -2)),
-            lambda g: np.matmul(a.data.swapaxes(-1, -2), g),
-        ),
-    )
-
-
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a rank-2 tensor, got shape {a.shape}")
     return node(a.data.T, (a,), (lambda g: g.T,))
 
 
-def permute(a: Tensor, axes: tuple) -> Tensor:
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    return node(a.data.transpose(axes), (a,), (lambda g: g.transpose(inverse),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    original = a.data.shape
-    return node(a.data.reshape(shape), (a,), (lambda g: g.reshape(original),))
-
-
 # ---------------------------------------------------------------------------
-# Reductions
-# ---------------------------------------------------------------------------
-
-def tensor_sum(a: Tensor, axis=None) -> Tensor:
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.data.shape)
-        return np.broadcast_to(np.expand_dims(g, axis), a.data.shape)
-
-    return node(a.data.sum(axis=axis), (a,), (vjp,))
-
-
-def mean(a: Tensor, axis: int) -> Tensor:
-    count = a.data.shape[axis]
-
-    def vjp(g):
-        return np.broadcast_to(np.expand_dims(g, axis) / count, a.data.shape)
-
-    return node(a.data.mean(axis=axis), (a,), (vjp,))
-
-
-# ---------------------------------------------------------------------------
-# Indexing and shape surgery
+# Indexing
 # ---------------------------------------------------------------------------
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -563,38 +491,6 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
         add_rows(table, ids, g)
 
     return node(table.data[ids], (table,), (vjp,))
-
-
-def halves(a: Tensor) -> tuple:
-    """Split the last axis into two equal halves."""
-    n = a.shape[-1]
-    if n % 2 != 0:
-        raise ShapeError(f"halves requires an even last axis, got shape {a.shape}")
-    h = n // 2
-
-    def vjp_first(g):
-        out = np.zeros_like(a.data)
-        out[..., :h] = g
-        return out
-
-    def vjp_second(g):
-        out = np.zeros_like(a.data)
-        out[..., h:] = g
-        return out
-
-    first = node(np.ascontiguousarray(a.data[..., :h]), (a,), (vjp_first,))
-    second = node(np.ascontiguousarray(a.data[..., h:]), (a,), (vjp_second,))
-    return first, second
-
-
-def hcat(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the last axis."""
-    na = a.shape[-1]
-    return node(
-        np.concatenate([a.data, b.data], axis=-1),
-        (a, b),
-        (lambda g: g[..., :na], lambda g: g[..., na:]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, add_outer, add_rows, as_tensor, node
+from .autodiff import Parameter, Tensor, add_outer, add_rows, as_tensor, node, zeros
 from .errors import ShapeError
 
 __all__ = [
@@ -32,13 +32,18 @@ class SemanticBlock:
     The expanding projection has exactly ``batch_size`` rows, which is why
     the trainer drops partial batches. All projections start as N(0, 0.02)
     draws and train through the student side of the distillation loss.
+    Given no ``rng``, they start zeroed on untouched pages instead, for a
+    caller that reads every value in, such as a resume.
     """
 
     def __init__(self, embed_dim: int, n_entities: int, batch_size: int, k_b: int,
-                 rng: np.random.Generator):
-        self.w_central = Parameter(rng.normal(0.0, 0.02, (embed_dim, k_b)))
-        self.w_features = Parameter(rng.normal(0.0, 0.02, (embed_dim, k_b)))
-        self.w_expand = Parameter(rng.normal(0.0, 0.02, (batch_size, n_entities)))
+                 rng: np.random.Generator | None):
+        def init(shape: tuple) -> Parameter:
+            return Parameter(zeros(shape) if rng is None else rng.normal(0.0, 0.02, shape))
+
+        self.w_central = init((embed_dim, k_b))
+        self.w_features = init((embed_dim, k_b))
+        self.w_expand = init((batch_size, n_entities))
 
     def state(self) -> dict:
         """Every tensor the block holds, by name."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, as_tensor, mean, node, sqrt
+from .autodiff import Parameter, Tensor, as_tensor, node
 from .errors import ShapeError
 
 
@@ -25,11 +25,13 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
 
 
 class BatchNorm:
-    """Per-feature batch normalization with running statistics.
+    """Per-feature batch normalization with running statistics, as one node.
 
     Training standardizes by batch mean and population variance (eps 1e-5)
     and updates running stats with momentum 0.1, in place; inference
     standardizes by the running stats. Scale starts at 1, shift at 0.
+    The VJPs add the terms of the op chain over mean, variance and square
+    root in the chain's order, so the bits are the chain's.
     """
 
     momentum = 0.1
@@ -45,19 +47,37 @@ class BatchNorm:
         x = as_tensor(x)
         if x.ndim != 2 or x.shape[1:] != self.scale.shape:
             raise ShapeError(f"batchnorm expects (batch, {self.scale.shape[0]}), got {x.shape}")
+        scale = self.scale.data
         if training:
-            mu = mean(x, axis=0)
-            centered = x - mu
-            var = mean(centered * centered, axis=0)
+            n = x.shape[0]
+            mu = x.data.mean(axis=0)
+            centered = x.data - mu
+            var = (centered * centered).mean(axis=0)
             m = self.momentum
             for stat, batch_stat in ((self.running_mean, mu), (self.running_var, var)):
                 stat.data *= 1.0 - m
-                stat.data += m * batch_stat.data
-            normalized = centered / sqrt(var + self.eps)
+                stat.data += m * batch_stat
+            sd = np.sqrt(var + self.eps)
+
+            def vjp_x(g):
+                gn = g * scale
+                d_sd = (-gn * centered / (sd * sd)).sum(axis=0)
+                c = (d_sd * 0.5 / sd)[None] / n * centered
+                d = gn / sd + c + c
+                return d + (-d).sum(axis=0)[None] / n
         else:
-            denom = np.sqrt(self.running_var.data + self.eps)
-            normalized = (x - self.running_mean) / denom
-        return normalized * self.scale + self.shift
+            centered = x.data - self.running_mean.data
+            sd = np.sqrt(self.running_var.data + self.eps)
+
+            def vjp_x(g):
+                return g * scale / sd
+
+        normalized = centered / sd
+        return node(
+            normalized * scale + self.shift.data,
+            (x, self.scale, self.shift),
+            (vjp_x, lambda g: (g * normalized).sum(axis=0), lambda g: g.sum(axis=0)),
+        )
 
     def state(self) -> dict:
         """Every tensor the layer holds, by name; the running stats take no gradient."""

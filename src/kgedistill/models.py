@@ -4,6 +4,7 @@ All four models share one pipeline: look up embeddings, regularize the head
 embedding (batchnorm, input dropout), form a model-specific interaction
 vector, regularize it (hidden dropout, batchnorm, output dropout), and
 contract with the full entity table to produce one logit per entity.
+ComplEx's, TuckER's and LowFER's interactions are one autodiff node each.
 :meth:`EmbeddingModel.query_vectors` stops before the contraction, and
 :meth:`EmbeddingModel.forward` adds it. In training the contraction is
 fused with the 1-N BCE loss (:func:`score_bce`), so the logits are never
@@ -16,6 +17,8 @@ float32 scores only filter, and every rank rests on a float64 comparison.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .autodiff import (
@@ -24,18 +27,11 @@ from .autodiff import (
     _one_blas_thread,
     _run_blocks,
     add_scaled,
-    bmm,
     gather_rows,
     grad_enabled,
-    halves,
-    hcat,
     matmul,
     mul,
     node,
-    permute,
-    reshape,
-    sub,
-    tensor_sum,
     transpose,
     zeros,
 )
@@ -65,37 +61,103 @@ def complex_interaction(h_emb: Tensor, r_emb: Tensor) -> Tensor:
     """Split-half complex product: real parts first, imaginary parts last.
 
     The returned vector z satisfies z . t = Re(sum_j h_j r_j conj(t_j)) for
-    an entity row t in the same layout.
+    an entity row t in the same layout. The VJPs form the products of the
+    op chain over the halves, so the bits are the chain's.
     """
-    h_re, h_im = halves(h_emb)
-    r_re, r_im = halves(r_emb)
-    real = sub(mul(h_re, r_re), mul(h_im, r_im))
-    imag = mul(h_re, r_im) + mul(h_im, r_re)
-    return hcat(real, imag)
+    n = h_emb.shape[-1]
+    if n % 2 != 0:
+        raise ShapeError(f"complex_interaction requires an even width, got shape {h_emb.shape}")
+    h_re, h_im = h_emb.data[:, : n // 2], h_emb.data[:, n // 2 :]
+    r_re, r_im = r_emb.data[:, : n // 2], r_emb.data[:, n // 2 :]
+    z = np.concatenate([h_re * r_re - h_im * r_im, h_re * r_im + h_im * r_re], axis=1)
+
+    def vjp(a_re, a_im, g):  # one operand's gradient, from the other's halves
+        g_re, g_im = g[:, : n // 2], g[:, n // 2 :]
+        return np.concatenate([g_re * a_re + g_im * a_im, g_im * a_re - g_re * a_im], axis=1)
+
+    return node(z, (h_emb, r_emb), (partial(vjp, r_re, r_im), partial(vjp, h_re, h_im)))
+
+
+# The TuckER node takes the core in slabs of this many head dimensions, so no
+# (batch, d_e, d_out) relation map and no copy of the core is formed.
+_TUCKER_SLAB = 8
 
 
 def tucker_interaction(h_emb: Tensor, r_emb: Tensor, core: Tensor) -> Tensor:
-    """z[i, c] = sum_{a,b} core[a, b, c] * h[i, a] * r[i, b]."""
-    d_e, d_r, d_out = core.shape
-    # (d_r, d_e * d_out) so the relation picks a head-to-entity map.
-    core_flat = reshape(permute(core, (1, 0, 2)), (d_r, d_e * d_out))
-    maps = reshape(matmul(r_emb, core_flat), (r_emb.shape[0], d_e, d_out))
-    rows = reshape(h_emb, (h_emb.shape[0], 1, d_e))
-    return reshape(bmm(rows, maps), (h_emb.shape[0], d_out))
+    """z[i, c] = sum_{a,b} core[a, b, c] * h[i, a] * r[i, b], as one node.
+
+    Per slab s of ``_TUCKER_SLAB`` head dimensions, the forward pass adds
+    h[:, s] contracted with r core[s] into z; the backward pass forms
+    g core[s]^T for the head's and the relation's gradients, and core[s]'s
+    gradient r^T (h[:, s] x g) in its own slab.
+    """
+    h, r, w = h_emb.data, r_emb.data, core.data
+    batch, (d_e, d_r, d_out) = h.shape[0], w.shape
+    slabs = [slice(lo, lo + _TUCKER_SLAB) for lo in range(0, d_e, _TUCKER_SLAB)]
+    z = np.zeros((batch, d_out))
+    for s in slabs:
+        z += np.einsum("ai,aic->ic", h[:, s].T, np.matmul(r, w[s]))
+
+    def input_grads(g):
+        dh, dr = np.empty_like(h), np.zeros_like(r)
+        for s in slabs:
+            dx = (g @ w[s].reshape(-1, d_out).T).reshape(batch, -1, d_r)
+            dh[:, s] = np.einsum("iab,ib->ia", dx, r)
+            dr += np.einsum("iab,ia->ib", dx, h[:, s])
+        return dh, dr
+
+    def vjp_core(g):
+        dw = np.empty_like(w)
+        for s in slabs:
+            outer = (h[:, s, None] * g[:, None, :]).reshape(batch, -1)
+            dw[s] = (r.T @ outer).reshape(d_r, -1, d_out).transpose(1, 0, 2)
+        return dw
+
+    grads = _shared(input_grads, h_emb.requires_grad + r_emb.requires_grad)
+    return node(z, (h_emb, r_emb, core), (lambda g: grads(g)[0], lambda g: grads(g)[1], vjp_core))
 
 
 def lowfer_interaction(
     h_emb: Tensor, r_emb: Tensor, u_factor: Tensor, v_factor: Tensor, k_l: int
 ) -> Tensor:
-    """Factorized bilinear pooling: (U^T h) . (V^T r), sum-pooled stride k_l."""
+    """Factorized bilinear pooling: (U^T h) . (V^T r), sum-pooled stride k_l.
+
+    The VJPs form the op chain's products, so the bits are the chain's: a
+    backward pass forms repeat(g, k_l) once, its products with V^T r (for
+    h and U) and U^T h (for r and V), and drops each after its last reader.
+    """
     pooled_width = u_factor.shape[1]
     if pooled_width % k_l != 0:
-        raise ShapeError(
-            f"factor width {pooled_width} is not a multiple of the rank {k_l}"
-        )
-    fused = mul(matmul(h_emb, u_factor), matmul(r_emb, v_factor))
-    grouped = reshape(fused, (h_emb.shape[0], pooled_width // k_l, k_l))
-    return tensor_sum(grouped, axis=2)
+        raise ShapeError(f"factor width {pooled_width} is not a multiple of the rank {k_l}")
+    h, r, u, v = h_emb.data, r_emb.data, u_factor.data, v_factor.data
+    hu, rv = h @ u, r @ v
+    z = (hu * rv).reshape(h.shape[0], pooled_width // k_l, k_l).sum(axis=2)
+    needs_hu = h_emb.requires_grad + u_factor.requires_grad
+    needs_rv = r_emb.requires_grad + v_factor.requires_grad
+    spread = _shared(lambda g: np.repeat(g, k_l, axis=1), bool(needs_hu) + bool(needs_rv))
+    d_hu = _shared(lambda g: spread(g) * rv, needs_hu)
+    d_rv = _shared(lambda g: spread(g) * hu, needs_rv)
+    return node(z, (h_emb, u_factor, r_emb, v_factor), (
+        lambda g: d_hu(g) @ u.T, lambda g: h.T @ d_hu(g),
+        lambda g: d_rv(g) @ v.T, lambda g: r.T @ d_rv(g),
+    ))
+
+
+def _shared(make, readers: int):
+    """``make(g)`` for the ``readers`` VJP calls that a backward pass makes
+    with one gradient ``g``: the first call makes it, the last drops it."""
+    held = []
+
+    def get(g):
+        if not held or held[0] is not g:
+            held[:] = [g, make(g), readers]
+        held[2] -= 1
+        value = held[1]
+        if not held[2]:
+            held.clear()
+        return value
+
+    return get
 
 
 # ---------------------------------------------------------------------------

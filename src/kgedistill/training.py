@@ -128,10 +128,12 @@ class Trainer:
     grouped once here and shuffled into batches every epoch. ``state`` maps ``model.<name>`` and
     ``block.<name>`` to the tensors of the model's and the block's
     ``state()``. It is built once and its arrays are updated in place;
-    Adam and checkpoints read it.
+    Adam and checkpoints read it. ``_draw_init=False`` builds the model's
+    and the block's tensors unfilled instead of drawing them, for
+    :meth:`resume`, which reads every one in.
     """
 
-    def __init__(self, store: TripleStore, run_config: RunConfig):
+    def __init__(self, store: TripleStore, run_config: RunConfig, *, _draw_init: bool = True):
         if not store.augmented:
             raise ConfigError("trainer requires a reciprocal-augmented store")
         self.store = store
@@ -142,8 +144,9 @@ class Trainer:
         self.rng_shuffle = stream(seed, "shuffle")
         self.rng_dropout = stream(seed, "dropout")
 
+        init_stream = partial(stream, seed) if _draw_init else (lambda label: None)
         self.model = EmbeddingModel(
-            run_config.model, store.n_entities, store.n_relations, stream(seed, "model-init")
+            run_config.model, store.n_entities, store.n_relations, init_stream("model-init")
         )
         self.block = None
         if run_config.isd.enabled:
@@ -153,7 +156,7 @@ class Trainer:
                 n_entities=store.n_entities,
                 batch_size=run_config.train.batch_size,
                 k_b=k_b,
-                rng=stream(seed, "block-init"),
+                rng=init_stream("block-init"),
             )
         self.teacher = TeacherCache()
         self.queries = group_queries(store)
@@ -296,12 +299,13 @@ class Trainer:
     @classmethod
     def resume(cls, directory: str | Path, store: TripleStore) -> "Trainer":
         """Rebuild a trainer from a checkpoint, bit-exact with the saved run.
-        Each tensor file is read once, straight into the trainer's array.
-        Once a run distilling at ``beta_init`` > 0 has run an epoch, its
-        teacher vector is required and checked like every other tensor."""
+        Each tensor file is read once, straight into the trainer's array,
+        which starts unfilled rather than drawn. Once a run distilling at
+        ``beta_init`` > 0 has run an epoch, its teacher vector is required
+        and checked like every other tensor."""
         ckpt = load_checkpoint(directory)
         ckpt.check_vocab(store)
-        trainer = cls(store, ckpt.config)
+        trainer = cls(store, ckpt.config, _draw_init=False)
         trainer.metrics_history = list(ckpt.manifest["metrics_history"])
         if trainer.block is not None and trainer.run_config.isd.beta_init > 0.0 and trainer.epoch:
             trainer.teacher.refresh(np.zeros(trainer.model.entity_embeddings.shape[1]))

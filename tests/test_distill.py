@@ -3,6 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
+from chains import mean, reshape, tensor_sum
 from conftest import assert_gradients_match, synthetic_triples, write_dataset
 
 from kgedistill.autodiff import (
@@ -11,11 +12,8 @@ from kgedistill.autodiff import (
     backward,
     gather_rows,
     matmul,
-    mean,
     no_grad,
     node,
-    reshape,
-    tensor_sum,
 )
 from kgedistill.data import augment_reciprocal, group_queries, load_dataset, make_batches
 from kgedistill.distill import (

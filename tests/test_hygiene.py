@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name that it never uses, the package
 imports at module level only and takes no private name from a sibling
 other than ``autodiff``, only ``autodiff`` holds a thread pool or touches
-a tensor's gradient storage, and no top-level definition or method in the
-package goes unnamed by all the code."""
+a tensor's gradient storage, no top-level definition or method in the
+package goes unnamed by all the code, and no function of ``autodiff`` goes
+unnamed by the package itself."""
 
 import ast
 import functools
@@ -150,6 +151,17 @@ def test_the_orphan_scan_covers_methods_and_properties_but_not_dunders():
 def test_no_orphaned_definitions(path):
     others = [p.read_text(encoding="utf-8") for p in CODE if p != path]
     assert orphaned_definitions(path.read_text(encoding="utf-8"), others) == []
+
+
+def test_every_autodiff_function_is_named_by_the_package():
+    """Each top-level function of ``autodiff`` is named by the package's own
+    code outside its definition; what the tests and the benchmark name does
+    not count. An op that only the tests call belongs with them (the op
+    chains the model's nodes replaced are in ``tests/chains.py``)."""
+    source = (PACKAGE / "autodiff.py").read_text(encoding="utf-8")
+    functions = {node.name for node in ast.parse(source).body if isinstance(node, FUNCTIONS)}
+    others = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py")) if p.name != "autodiff.py"]
+    assert [d for d in orphaned_definitions(source, others) if d.split()[0] in functions] == []
 
 
 def nested_imports(source: str) -> list[str]:

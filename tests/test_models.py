@@ -1,12 +1,17 @@
-"""Scoring functions: hand values, reduction identities, gradients, counts."""
+"""Scoring functions: hand values, reduction identities, gradients, the
+op chains the nodes replaced, counts."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from chains import batchnorm_chain, complex_chain, lowfer_chain, tensor_sum, tucker_chain
 from conftest import assert_gradients_match
 
-from kgedistill.autodiff import Parameter, Tensor, matmul, tensor_sum, transpose
+from kgedistill.autodiff import Parameter, Tensor, backward, matmul, mul, transpose
 from kgedistill.config import ModelConfig
 from kgedistill.errors import ConfigError, ShapeError
+from kgedistill.kernels import BatchNorm
 from kgedistill.models import (
     EmbeddingModel,
     complex_interaction,
@@ -118,6 +123,24 @@ class TestTucker:
         )
         assert out.data[0, 0] == 210.0
 
+    @pytest.mark.parametrize("build", [tucker_interaction, tucker_chain], ids=["node", "chain"])
+    def test_step_peaks_below_one_relation_map(self, build):
+        """One forward and backward at d_e = d_r = 64 and a batch of 1,024
+        against one (batch, d_e, d_out) map of the chain: the node stays
+        below it and the chain, the control, goes above."""
+        rng = np.random.default_rng(21)
+        h, r = (Parameter(rng.normal(0, 1, (1024, 64))) for _ in range(2))
+        core = Parameter(rng.uniform(-0.1, 0.1, (64, 64, 64)))
+        weights = Tensor(rng.normal(0, 1, (1024, 64)))
+        relation_map = 1024 * 64 * 64 * 8
+        tracemalloc.start()
+        try:
+            backward(tensor_sum(mul(build(h, r, core), weights)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak < relation_map) == (build is tucker_interaction), peak / relation_map
+
 
 class TestLowfer:
     def test_zero_factor_gives_zero(self):
@@ -202,6 +225,60 @@ class TestScoreGradients:
             lambda: tensor_sum(matmul(lowfer_interaction(h, r, u, v, 2), transpose(e)) * w),
             [h, r, u, v, e],
         )
+
+
+def _node_and_chain(case: str, rng):
+    """(inputs, node, chain): ``node`` and ``chain`` map parameters holding
+    ``inputs`` to their output and the arrays the call updates in place."""
+    if case == "complex":
+        inputs = [rng.normal(0, 1, (64, 16)) for _ in range(2)]
+        return inputs, lambda *p: (complex_interaction(*p), []), lambda *p: (complex_chain(*p), [])
+    if case == "tucker":
+        inputs = [rng.normal(0, 1, (512, 200)), rng.normal(0, 1, (512, 200)),
+                  rng.uniform(-0.1, 0.1, (200, 200, 200))]
+        return inputs, lambda *p: (tucker_interaction(*p), []), lambda *p: (tucker_chain(*p), [])
+    if case == "lowfer":
+        inputs = [rng.normal(0, 1, (64, 6)), rng.normal(0, 1, (64, 5)),
+                  rng.normal(0, 1, (6, 18)), rng.normal(0, 1, (5, 18))]
+        return (inputs, lambda *p: (lowfer_interaction(*p, 3), []),
+                lambda *p: (lowfer_chain(*p, 3), []))
+    training = case == "batchnorm-training"
+    stats = [rng.normal(0, 1, 7), rng.random(7) + 0.5]
+    inputs = [rng.normal(0, 2, (33, 7)), rng.random(7) + 0.5, rng.normal(0, 1, 7)]
+
+    def layer(forward):
+        def run(x, scale, shift):
+            bn = BatchNorm(7)
+            bn.scale, bn.shift = scale, shift
+            bn.running_mean.data[:], bn.running_var.data[:] = stats
+            return forward(bn, x), [bn.running_mean.data, bn.running_var.data]
+        return run
+
+    return (inputs, layer(lambda bn, x: bn(x, training)),
+            layer(lambda bn, x: batchnorm_chain(bn, x, training)))
+
+
+@pytest.mark.parametrize(
+    "case", ["complex", "tucker", "lowfer", "batchnorm-training", "batchnorm-inference"]
+)
+def test_node_matches_its_op_chain(case):
+    """Each node against the chain of generic ops it replaced, on the value,
+    every gradient and batchnorm's running stats. TuckER sums in another
+    order and agrees to 1e-12 of each array's largest entry; the others
+    give the chain's bits."""
+    inputs, build_node, build_chain = _node_and_chain(case, np.random.default_rng(17))
+    results = []
+    for build in (build_node, build_chain):
+        params = [Parameter(a.copy()) for a in inputs]
+        out, updated = build(*params)
+        weights = Tensor(np.linspace(-1.0, 2.0, out.data.size).reshape(out.shape))
+        backward(tensor_sum(mul(out, weights)))
+        results.append([out.data, *(p.grad for p in params), *updated])
+    for got, want in zip(*results):
+        if case == "tucker":
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestForwardPipeline:

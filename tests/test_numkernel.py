@@ -4,22 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from chains import tensor_sum
 from conftest import assert_gradients_match
 
 from kgedistill.autodiff import (
     Parameter,
     Tensor,
     backward,
-    bmm,
     gather_rows,
-    halves,
-    hcat,
     matmul,
-    mean,
     no_grad,
-    permute,
-    reshape,
-    tensor_sum,
     transpose,
 )
 from kgedistill.errors import ShapeError
@@ -106,54 +100,25 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(6)
         a = Parameter(rng.normal(0, 1, (4, 5)))
         b = Parameter(rng.normal(0, 1, (5,)))
-        c = Parameter(rng.random((4, 5)) + 0.5)
         cases = [
             lambda: tensor_sum(a + b),
-            lambda: tensor_sum(a - b),
             lambda: tensor_sum(a * b),
-            lambda: tensor_sum(a / c),
             lambda: tensor_sum(a * -2.0 + 1.0),
-            lambda: tensor_sum(mean(a * a, axis=0)),
-            lambda: tensor_sum(mean(a, axis=0) * b),
         ]
         for fn in cases:
-            assert_gradients_match(fn, [a, b, c])
+            assert_gradients_match(fn, [a, b])
 
-    def test_sqrt(self):
-        rng = np.random.default_rng(7)
-        x = Parameter(rng.random(6) + 0.5)
-        from kgedistill.autodiff import sqrt
-
-        assert_gradients_match(lambda: tensor_sum(sqrt(x)), [x])
-
-    def test_matmul_bmm(self):
+    def test_matmul(self):
         rng = np.random.default_rng(8)
         a = Parameter(rng.normal(0, 1, (3, 4)))
         b = Parameter(rng.normal(0, 1, (4, 2)))
         assert_gradients_match(lambda: tensor_sum(matmul(a, b)), [a, b])
-        s = Parameter(rng.normal(0, 1, (2, 3, 4)))
-        t = Parameter(rng.normal(0, 1, (2, 4, 5)))
-        w = rng.normal(0, 1, (2, 3, 5))
-        assert_gradients_match(lambda: tensor_sum(bmm(s, t) * w), [s, t])
 
-    def test_shape_ops(self):
+    def test_transpose(self):
         rng = np.random.default_rng(9)
         x = Parameter(rng.normal(0, 1, (2, 6)))
         w = rng.normal(0, 1, (2, 6))
-        assert_gradients_match(lambda: tensor_sum(reshape(x, (3, 4)) * w.reshape(3, 4)), [x])
         assert_gradients_match(lambda: tensor_sum(transpose(x) * w.T), [x])
-        y = Parameter(rng.normal(0, 1, (2, 3, 4)))
-        assert_gradients_match(
-            lambda: tensor_sum(permute(y, (2, 0, 1)) * np.ones((4, 2, 3))), [y]
-        )
-        first_w = rng.normal(0, 1, (2, 3))
-        assert_gradients_match(
-            lambda: tensor_sum(halves(x)[0] * first_w) + tensor_sum(halves(x)[1]), [x]
-        )
-        a = Parameter(rng.normal(0, 1, (2, 2)))
-        b = Parameter(rng.normal(0, 1, (2, 3)))
-        w2 = rng.normal(0, 1, (2, 5))
-        assert_gradients_match(lambda: tensor_sum(hcat(a, b) * w2), [a, b])
 
     def test_gather_rows_scatter_adds(self):
         table = Parameter(np.arange(8.0).reshape(4, 2))
@@ -262,6 +227,20 @@ class TestBatchNorm:
         w = rng.normal(0, 1, (5, 3))
         assert_gradients_match(
             lambda: tensor_sum(bn(x, training=True) * w),
+            [x, bn.scale, bn.shift],
+        )
+
+    def test_gradients_through_inference_mode(self):
+        rng = np.random.default_rng(12)
+        x = Parameter(rng.normal(0, 2, (5, 3)))
+        bn = BatchNorm(3)
+        bn.scale.data[:] = rng.random(3) + 0.5
+        bn.shift.data[:] = rng.normal(0, 1, 3)
+        bn.running_mean.data[:] = rng.normal(0, 1, 3)
+        bn.running_var.data[:] = rng.random(3) + 0.5
+        w = rng.normal(0, 1, (5, 3))
+        assert_gradients_match(
+            lambda: tensor_sum(bn(x, training=False) * w),
             [x, bn.scale, bn.shift],
         )
 
