@@ -45,10 +45,12 @@ Which results depend on the BLAS thread count:
 - What runs on the worker pool (:func:`_run_blocks`) gives the same bits
   for any worker count: the score head's blocks, ranking's query blocks
   (each one's query vectors, filter lookup and pass over the entity
-  columns), and the elementwise row passes (:func:`row_slices`): adding
-  pending terms into a gradient, and Adam. The elementwise kernels (the
-  BCE kernel, Adam) call no BLAS, so the thread count does not enter them
-  either.
+  columns), the elementwise row passes (:func:`row_slices`): adding
+  pending terms into a gradient, and Adam, and a large trainer's seeded
+  init (:class:`kgedistill.training.Trainer`): the model's and the
+  distillation block's streams at once, each drawn whole, in order, by one
+  worker. The elementwise kernels (the BCE kernel, Adam) and the draws call
+  no BLAS, so the thread count does not enter them either.
 - Filtered ranks (:func:`kgedistill.evaluation.rank_split`) do not depend
   on the thread count. Each query block's vectors are formed on the pool
   with numpy's OpenBLAS held to one thread, in the same blocks whatever the

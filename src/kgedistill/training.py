@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, _one_blas_thread, as_rows, backward, no_grad, take_grad, zeros
+from .autodiff import Tensor, _one_blas_thread, _run_blocks, as_rows, backward, no_grad, take_grad, zeros
 from .config import RunConfig
 from .data import TripleStore, group_queries, label_smooth, make_batches
 from .distill import SemanticBlock, TeacherCache, beta_at_epoch, distill_loss, extract, total_loss
@@ -110,6 +110,14 @@ class Adam:
         w -= np.divide(t1, t2, out=t1)
 
 
+# A trainer whose expanding projection has at least this many elements
+# (``n_entities * batch_size``, ~34 MB) draws the model's and the block's
+# init streams at once; a smaller one draws them one after the other and
+# starts no pool. Only the drawn tensors are allocated on the worker: memory
+# freed on a pool thread stays in that thread's malloc arena.
+_POOLED_INIT_ELEMENTS = 1 << 22
+
+
 class Trainer:
     """Owns the model, optional distillation block, optimizer, and random streams.
 
@@ -123,6 +131,12 @@ class Trainer:
     gradient zeroed for the next step's ``backward``.
     Random streams are ``stream(seed, label)`` for "shuffle", "dropout",
     "model-init" and "block-init"; checkpoints keep the first two's states.
+    Each stream is drawn whole, in order, by one thread. With distillation
+    on and an expanding projection of at least ``_POOLED_INIT_ELEMENTS``
+    elements, the "model-init" draws run on the calling thread while a pool
+    worker, where there is a second core, runs the "block-init" draws, so
+    set-up waits for the longer stream rather than both; the tensors keep
+    their bits either way.
     ``queries`` holds the distinct train queries as one
     :class:`~kgedistill.data.Batch` (:func:`~kgedistill.data.group_queries`),
     grouped once here and shuffled into batches every epoch. ``state`` maps ``model.<name>`` and
@@ -145,19 +159,28 @@ class Trainer:
         self.rng_dropout = stream(seed, "dropout")
 
         init_stream = partial(stream, seed) if _draw_init else (lambda label: None)
-        self.model = EmbeddingModel(
-            run_config.model, store.n_entities, store.n_relations, init_stream("model-init")
-        )
-        self.block = None
+        builds = [partial(EmbeddingModel, run_config.model, store.n_entities, store.n_relations,
+                          init_stream("model-init"))]
         if run_config.isd.enabled:
-            k_b = run_config.isd.k_b or run_config.model.d_e
-            self.block = SemanticBlock(
+            builds.append(partial(
+                SemanticBlock,
                 embed_dim=run_config.model.d_e,
                 n_entities=store.n_entities,
                 batch_size=run_config.train.batch_size,
-                k_b=k_b,
+                k_b=run_config.isd.k_b or run_config.model.d_e,
                 rng=init_stream("block-init"),
-            )
+            ))
+        built = [None, None]
+
+        def build(first: int, stop: int) -> None:
+            for part in range(first, stop):
+                built[part] = builds[part]()
+
+        if _draw_init and store.n_entities * run_config.train.batch_size >= _POOLED_INIT_ELEMENTS:
+            _run_blocks(len(builds), build, min_per_worker=1)
+        else:
+            build(0, len(builds))
+        self.model, self.block = built
         self.teacher = TeacherCache()
         self.queries = group_queries(store)
         self.state = _state(model=self.model, block=self.block)

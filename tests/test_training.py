@@ -367,28 +367,97 @@ def test_adam_is_bit_identical_for_any_worker_count(monkeypatch, workers, size):
     assert runs[3] == runs[1]
 
 
-def test_import_and_memorization_training_start_no_thread(memorization_dataset_dir):
+def test_import_and_memorization_training_start_no_thread(memorization_dataset_dir, tmp_path):
     script = (
-        "import threading\n"
+        "import sys, threading\n"
         "import kgedistill\n"
         "from kgedistill import autodiff, training\n"
         "from kgedistill.config import RunConfig\n"
         "from kgedistill.data import augment_reciprocal, load_dataset\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
-        "store = augment_reciprocal(load_dataset(__import__('sys').argv[1]))\n"
+        "store = augment_reciprocal(load_dataset(sys.argv[1]))\n"
         "doc = {'model': {'d_e': 8}, 'train': {'batch_size': 16, 'epochs': 3}, 'isd': {'enabled': True}}\n"
         "trainer = training.Trainer(store, RunConfig.from_dict(doc))\n"
         "for _ in range(3):\n"
         "    trainer.train_epoch()\n"
+        "trainer.save(sys.argv[2])\n"
+        "training._POOLED_INIT_ELEMENTS = 0  # a resume draws nothing, so it stays serial anyway\n"
+        "resumed = training.Trainer.resume(sys.argv[2], store)\n"
+        "assert resumed.epoch == 3\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
         "assert autodiff._pool is None\n"
     )
     src = os.path.dirname(os.path.dirname(training.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(memorization_dataset_dir)],
+        [sys.executable, "-c", script, str(memorization_dataset_dir), str(tmp_path / "ckpt")],
         env=env, capture_output=True, text=True, timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "distmult", "d_e": 8},
+    {"kind": "complex", "d_e": 8},
+    {"kind": "tucker", "d_e": 6, "d_r": 4},
+    {"kind": "lowfer", "d_e": 6, "d_r": 4},
+], ids=lambda model: model["kind"])
+def test_pooled_init_is_bit_identical_to_serial(tmp_path, monkeypatch, workers, model):
+    # The model's stream draws normals for the tables and, for TuckER and
+    # LowFER, uniforms for the core or factors; the block's stream normals.
+    store = _store(tmp_path)
+    doc = {"model": model, "train": {"batch_size": 16, "seed": 5}, "isd": {"enabled": True}}
+    runs = {}
+    for count, pooled_init in ((1, 0), (2, 0), (3, 0), (2, training._POOLED_INIT_ELEMENTS)):
+        workers(count)
+        monkeypatch.setattr(training, "_POOLED_INIT_ELEMENTS", pooled_init)
+        trainer = Trainer(store, RunConfig.from_dict(doc))
+        runs[count, pooled_init] = {name: arr.tobytes() for name, arr in trainer._named_tensors().items()}
+        assert (autodiff._pool is None) == (count == 1 or pooled_init > 0)
+    serial = runs[2, training._POOLED_INIT_ELEMENTS]
+    assert {"model.entity_embeddings", "block.w_expand"} <= serial.keys()
+    for key, state in runs.items():
+        assert state == serial, key
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_pooled_init_leaves_no_memory_behind():
+    # Memory that a pool worker frees stays in that thread's malloc arena.
+    # Grouping these 800k train rows on the worker next to the block's draws
+    # left ~50 MB more resident after the 4th trainer than after the 1st. A
+    # fresh interpreter starts the worker on a fresh arena; in this one an
+    # earlier test's worker may already have grown the arena it reuses.
+    script = (
+        "import gc, sys\n"
+        "import numpy as np\n"
+        "from conftest import resident_bytes\n"
+        "from kgedistill import autodiff, training\n"
+        "from kgedistill.config import RunConfig\n"
+        "from kgedistill.data import TripleStore, Vocabulary, augment_reciprocal\n"
+        "autodiff._WORKERS = 2\n"
+        "n_entities, n_relations = 1 << 15, 20\n"
+        "codes = np.unique(np.random.default_rng(89).integers(0, n_entities * n_relations * n_entities, 400_000))\n"
+        "train = np.stack([codes // (n_relations * n_entities), codes // n_entities % n_relations,\n"
+        "                  codes % n_entities], axis=1)\n"
+        "vocab = Vocabulary({f'e{i}': i for i in range(n_entities)}, {f'r{i}': i for i in range(n_relations)})\n"
+        "none = np.empty((0, 3), dtype=np.int64)\n"
+        "store = augment_reciprocal(TripleStore(vocab, train, none, none, n_relations))\n"
+        "doc = {'model': {'d_e': 8}, 'train': {'batch_size': 256}, 'isd': {'enabled': True}}\n"
+        "assert store.n_entities * 256 >= training._POOLED_INIT_ELEMENTS\n"
+        "resident = []\n"
+        "for _ in range(4):\n"
+        "    trainer = training.Trainer(store, RunConfig.from_dict(doc))\n"
+        "    assert autodiff._pool is not None\n"
+        "    del trainer\n"
+        "    gc.collect()\n"
+        "    resident.append(resident_bytes())\n"
+        "grown = resident[-1] - resident[0]\n"
+        "assert grown < 4 << 20, f'resident set grew by {grown / 2**20:.1f} MB'\n"
+    )
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -1524,11 +1593,15 @@ def test_distillation_at_beta_zero_is_bit_identical_to_distillation_off(tmp_path
 def test_fixed_seed_trajectories_are_unchanged(tmp_path, monkeypatch, workers):
     """The same literals at the default row slices and at 7-element ones,
     which cut every gradient pass, Adam and the assembly of every pending
-    term into slices of one row shared out over two workers."""
+    term into slices of one row shared out over two workers, and with the
+    model's and the block's init drawn at once on two workers."""
     store = _store(tmp_path)
     workers(2)
-    for slice_elements in (autodiff._SLICE_ELEMENTS, 7):
+    for slice_elements, pooled_init in ((autodiff._SLICE_ELEMENTS, training._POOLED_INIT_ELEMENTS),
+                                        (7, training._POOLED_INIT_ELEMENTS),
+                                        (autodiff._SLICE_ELEMENTS, 0)):
         monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", slice_elements)
+        monkeypatch.setattr(training, "_POOLED_INIT_ELEMENTS", pooled_init)
         got = {}
         for kind, arm in GOLDEN_TRAJECTORIES:
             doc = {"model": {"kind": kind, "d_e": 8}, "train": {"batch_size": 16, "epochs": 3, "seed": 2},
@@ -1542,4 +1615,4 @@ def test_fixed_seed_trajectories_are_unchanged(tmp_path, monkeypatch, workers):
                 digest.update(arr.tobytes())
             digest.update(json.dumps(trainer.metrics_history).encode())
             got[kind, arm] = digest.hexdigest()
-        assert got == GOLDEN_TRAJECTORIES, slice_elements
+        assert got == GOLDEN_TRAJECTORIES, (slice_elements, pooled_init)
