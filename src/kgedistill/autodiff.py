@@ -13,20 +13,20 @@ The generic ops are ``add``, ``mul``, ``matmul``, ``transpose`` and
 hand-written VJPs, built in the module that uses it.
 
 Ops build a computation graph while gradients are enabled; :func:`backward`
-walks the graph in reverse topological order and accumulates into the
-gradient of every reachable leaf. A VJP either returns its contribution or
-records it on its leaf parent as a pending term and returns ``None``; the
-ops that do the latter (the row lookup, the score head's entity side, the
-semantic extraction block) refuse a parent that is not a leaf. A pending
-term is one of three kinds: a rank-1 pair of vectors (:func:`add_outer`),
-a scaled float32 block (:func:`add_scaled`) or a row scatter
-(:func:`add_rows`). Reading ``grad`` adds the pending terms into the dense
-buffer, and an optimizer can take them as they are (:func:`take_grad`),
-assembled one slice of rows at a time in scratch, so a gradient made only
-of pending terms is never written out at full size. Only this module
-touches a tensor's gradient storage. Under :func:`no_grad` the same ops
-return plain constants, so inference and detached teacher extraction carry
-no graph.
+walks the graph in reverse topological order and adds to the gradient of
+every reachable leaf. A leaf's gradient is only its pending terms, in the
+order they arrived, each one of three kinds: a rank-1 pair of vectors
+(:func:`add_outer`), a scaled block (:func:`add_scaled`) or a row scatter
+(:func:`add_rows`). A VJP either returns its contribution, which backward
+records on a leaf parent as a block at scale 1, or records it on its leaf
+parent itself and returns ``None``; the ops that do the latter (the row
+lookup, the score head's entity side, the semantic extraction block)
+refuse a parent that is not a leaf. An optimizer takes the terms
+(:func:`take_grad`), assembled one slice of rows at a time in scratch, so
+no gradient is written out at full size; reading ``grad`` sums them into
+an array of its own. Only this module touches a tensor's gradient
+storage. Under :func:`no_grad` the same ops return plain constants, so
+inference and detached teacher extraction carry no graph.
 
 Which results depend on the BLAS thread count:
 
@@ -45,8 +45,8 @@ Which results depend on the BLAS thread count:
 - What runs on the worker pool (:func:`_run_blocks`) gives the same bits
   for any worker count: the score head's blocks, ranking's query blocks
   (each one's query vectors, filter lookup and pass over the entity
-  columns), the elementwise row passes (:func:`row_slices`): adding
-  pending terms into a gradient, and Adam, and a large trainer's seeded
+  columns), the elementwise row passes (:func:`row_slices`): summing a
+  gradient's pending terms, and Adam, and a large trainer's seeded
   init (:class:`kgedistill.training.Trainer`): the model's and the
   distillation block's streams at once, each drawn whole, in order, by one
   worker. The elementwise kernels (the BCE kernel, Adam) and the draws call
@@ -74,7 +74,6 @@ import math
 import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -224,49 +223,51 @@ def zeros(shape, dtype=np.float64) -> np.ndarray:
 class Tensor:
     """A graph node holding a row-major float64 array.
 
-    A tensor created with ``requires_grad=True`` (usually a
-    :class:`Parameter`) gets its zeroed ``grad`` buffer here, at
-    construction, and :func:`backward` accumulates into it; interior nodes
-    only carry transient gradients.
+    A leaf created with ``requires_grad=True`` (usually a
+    :class:`Parameter`) holds its gradient as pending terms, recorded
+    instead of written out: rank-1 pairs (:func:`add_outer`), scaled blocks
+    (:func:`add_scaled`) and row scatters (:func:`add_rows`). No gradient
+    array exists until something reads ``grad``; interior nodes only carry
+    transient gradients, inside :func:`backward`.
 
-    A leaf's gradient is held in two parts: the dense buffer and the
-    pending terms, recorded instead of written out: rank-1 pairs
-    (:func:`add_outer`), scaled float32 blocks (:func:`add_scaled`) and row
-    scatters (:func:`add_rows`). Reading ``grad`` first adds the pending
-    terms into the buffer, in the order they arrived, so every reader sees
-    the dense sum with the bits of adding each term at once. Assigning
-    ``grad`` replaces both parts. An optimizer takes the gradient with
-    :func:`take_grad` instead, and the buffer is then written only if
-    something read or assigned ``grad``.
+    Reading ``grad`` adds the terms, in the order they arrived, onto zeros
+    in a new array, and keeps that array as the leaf's one term, so writes
+    through it reach the gradient until the next read, assignment or
+    :func:`take_grad`. Assigning ``grad`` makes the array assigned the one
+    term. An optimizer takes the gradient with :func:`take_grad` instead,
+    which drops every term, the array of a read too.
     """
 
-    __slots__ = ("data", "_grad", "_pending", "_dense", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "_pending", "requires_grad", "_parents", "_vjps")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self._grad = zeros(self.data.shape) if requires_grad else None
         self._pending: tuple = ()
-        self._dense = False  # whether grad was read or assigned since take_grad
         self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._vjps: tuple = ()
 
     @property
-    def grad(self):
-        """The dense gradient, with the pending terms added in first.
+    def grad(self) -> np.ndarray:
+        """The pending terms summed onto zeros, in arrival order, in an
+        array that then stands for them."""
+        g = zeros(self.data.shape)
+        rows, pending = as_rows(g, "a gradient"), self._pending
 
-        A read marks the buffer as written, even one that only looks: the
-        next :func:`take_grad` reads and zero-fills all of it, where a
-        gradient of pending terms alone would have left it untouched.
-        """
-        if self._pending:
-            row_slices(self._grad.shape, partial(_grad_rows, self._grad, self._pending), 1)
-        self._pending, self._dense = (), True
-        return self._grad
+        def run(lo: int, hi: int, scratch: np.ndarray) -> None:
+            for term in pending:
+                term(rows[lo:hi], lo, hi, scratch[0], False)
+
+        if pending:
+            row_slices(rows.shape, run, 1)
+        self._pending = ()
+        add_scaled(self, g, 1.0)
+        return g
 
     @grad.setter
     def grad(self, value) -> None:
-        self._grad, self._pending, self._dense = value, (), True
+        self._pending = ()
+        add_scaled(self, value, 1.0)
 
     @property
     def shape(self) -> tuple:
@@ -285,9 +286,8 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor. Its ``grad`` buffer is allocated zeroed at
-    construction; its pages take memory once written, and a gradient made
-    only of pending terms never writes them."""
+    """A trainable leaf tensor. It holds no gradient array: its gradient is
+    the pending terms recorded on it, none until a backward pass."""
 
     __slots__ = ()
 
@@ -310,53 +310,36 @@ def as_rows(a: np.ndarray, name: str) -> np.ndarray:
 
 def take_grad(t: Tensor, work, n_scratch: int) -> None:
     """Hand a leaf's gradient to one reader, a slice of rows at a time, and
-    leave it zero for the next :func:`backward`.
+    leave it with no terms, zero, for the next :func:`backward`.
 
     For each slice of :func:`row_slices` over the gradient viewed as rows,
     ``work(lo, hi, g, scratch)`` gets those rows ``g``, read-only, and
-    ``n_scratch`` (at least one) buffers shaped like them. When ``grad``
-    was read or assigned since the last hand-over, ``g`` is the buffer's
-    rows with the pending terms added (:func:`_grad_rows`), and is zeroed
-    once ``work`` returns; otherwise ``g`` is scratch holding the pending
-    terms' sum over those rows, so the slice is assembled in cache just
-    before ``work`` consumes it and the buffer is never written.
+    ``n_scratch`` (at least one) buffers shaped like them. ``g`` is scratch
+    holding the pending terms' sum over those rows, assembled in cache just
+    before ``work`` consumes it: the first term written in and the others
+    added, or zeros when there are no terms. That has the bits of reading
+    ``grad``, except that a pair's product written in keeps the sign of a
+    zero where adding it onto +0.0 would give +0.0. A pair's product is
+    formed in the first buffer.
     """
-    rows = as_rows(t._grad, "a gradient")
-    dense = rows if t._dense else None
-    pending, t._pending, t._dense = t._pending, (), False
+    pending, t._pending = t._pending, ()
 
     def run(lo: int, hi: int, scratch: np.ndarray) -> None:
-        g = _grad_rows(dense, pending, lo, hi, scratch)
-        work(lo, hi, g, scratch[:-1])
-        if dense is not None:
+        g = scratch[-1]
+        for i, term in enumerate(pending):
+            term(g, lo, hi, scratch[0], i == 0)
+        if not pending:
             g.fill(0.0)
+        work(lo, hi, g, scratch[:-1])
 
-    row_slices(rows.shape, run, n_scratch + 1)
-
-
-def _grad_rows(dense, pending: tuple, lo: int, hi: int, scratch: np.ndarray) -> np.ndarray:
-    """Rows ``lo:hi`` of a gradient held as rows ``dense`` (or ``None``) and
-    ``pending`` terms, using buffers ``scratch`` shaped like the rows.
-
-    With ``dense``, each term is added into its rows in place, in order:
-    the bits of reading ``grad``. Without it, the last buffer gets the
-    first term written in and the others added, or zeros when there are no
-    terms. That has the bits of adding onto zeros, except that a pair's
-    product written in keeps the sign of a zero where adding it onto +0.0
-    would give +0.0. A pair's product is formed in the first buffer.
-    """
-    g = scratch[-1] if dense is None else dense[lo:hi]
-    for i, term in enumerate(pending):
-        term(g, lo, hi, scratch[0], dense is None and i == 0)
-    if dense is None and not pending:
-        g.fill(0.0)
-    return g
+    row_slices(as_rows(t.data, "a tensor").shape, run, n_scratch + 1)
 
 
 # Pending terms. Each is called as ``term(g, lo, hi, tmp, write)`` to add its
 # rows ``lo:hi`` into ``g`` (to write them in, onto nothing, when ``write``)
 # with ``tmp`` a scratch buffer shaped like ``g``, and is called once for
-# each slice of rows. Its arrays are held until the gradient is read or taken.
+# each slice of rows. Its arrays are held until the gradient is read or taken;
+# only a term of :func:`add_scaled` at a scale other than 1 writes to them.
 
 def add_outer(leaf: Tensor, x: np.ndarray, y: np.ndarray) -> None:
     """Add ``outer(x, y)`` into a leaf's gradient as a pending pair
@@ -374,15 +357,18 @@ def add_outer(leaf: Tensor, x: np.ndarray, y: np.ndarray) -> None:
 
 def add_scaled(leaf: Tensor, block: np.ndarray, scale: float) -> None:
     """Add ``scale * block`` into a leaf's gradient as a pending term, from a
-    VJP. ``block`` is a float32 array shaped like the gradient that the
-    leaf then owns: each slice of it is scaled in place, in float32, and
-    added in float64, when the gradient is read or taken. That is the bits
-    of scaling the whole block first and adding it after."""
+    VJP. ``block`` is a C-contiguous array shaped like the gradient, held
+    until the gradient is read or taken. At scale 1 it is added as it is
+    and never changed, so it may be handed to other readers too. At any
+    other scale the leaf owns it: each slice is scaled in place, in the
+    block's precision, and added in float64. That is the bits of scaling
+    the whole block first and adding it after."""
     rows = as_rows(block, "a scaled block")
 
     def term(g, lo, hi, tmp, write) -> None:
         b = rows[lo:hi]
-        b *= scale
+        if scale != 1.0:
+            b *= scale
         if write:  # b + 0.0 is b with -0.0 made +0.0: the bits of adding b onto zeros
             np.add(b, 0.0, out=g)
         else:
@@ -500,19 +486,18 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's gradient.
+    """Add d(loss)/d(leaf) to every reachable leaf's gradient.
 
-    ``loss`` must be a scalar. Every leaf that needs a gradient was built
-    with ``requires_grad=True``, so its ``grad`` buffer exists already;
-    backward allocates none. Gradients add onto what the leaf already
+    ``loss`` must be a scalar. Gradients add onto what the leaf already
     holds, so a caller that wants fresh ones clears them between steps (the
     trainer's Adam step takes each gradient with :func:`take_grad`, which
-    leaves it zero). A VJP that returns ``None`` has recorded pending terms
-    on its leaf parent (:func:`add_outer`, :func:`add_scaled`,
-    :func:`add_rows`); they are added in at the next read of ``grad``, so
-    before any later contribution, or taken as they are. A returned
-    contribution is added into a leaf's ``grad`` at once, and summed out of
-    place for an interior node. On zeroed gradients the result has the same
+    leaves it with no terms). A VJP that returns ``None`` has recorded
+    pending terms on its leaf parent (:func:`add_outer`,
+    :func:`add_scaled`, :func:`add_rows`). A returned contribution is
+    summed out of place for an interior node and recorded on a leaf as a
+    block at scale 1 (:func:`add_scaled`), copied first only if it is not
+    C-contiguous (a transpose's is not). A leaf's terms are summed in
+    arrival order, so on a gradient with no terms the result has the same
     bits as summing every contribution first, except where a looked-up row
     repeats after the leaf already holds a contribution: those rows are
     added one at a time.
@@ -546,11 +531,12 @@ def backward(loss: Tensor) -> None:
             contribution = vjp(g)
             if contribution is None:
                 continue
+            # Neither a leaf's term nor an interior sum changes the array: a
+            # VJP may hand the same one to two parents (identity VJPs such as
+            # add's do).
             if not parent._parents:
-                parent.grad += contribution
+                add_scaled(parent, np.ascontiguousarray(contribution), 1.0)
                 continue
-            # Interior sums stay out of place: a VJP may hand the same array
-            # to two parents (identity VJPs such as add's do).
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + contribution

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, add_outer, add_rows, as_tensor, node, zeros
+from .autodiff import Parameter, Tensor, add_outer, add_rows, add_scaled, as_tensor, node, zeros
 from .errors import ShapeError
 
 __all__ = [
@@ -84,12 +84,12 @@ def extract(heads: np.ndarray, entities: Tensor, block: SemanticBlock) -> Tensor
 
     Both passes keep the products of the op chain this node replaces, in
     its shapes and order, and so its bits; the teacher refresh runs the same
-    forward under ``no_grad``, with no graph. Backward records the rank-1
-    gradients of W_P, W_C and E as pending pairs (``autodiff.add_outer``),
-    so W_P's bs-by-N gradient is never written out, adds W_F's into its
-    ``grad``, then records dX's rows as a pending row scatter into E's
-    (``autodiff.add_rows``), so E's gradient is not written either:
-    ``entities`` must be a leaf.
+    forward under ``no_grad``, with no graph. Backward records each leaf's
+    gradient as pending terms: the rank-1 gradients of W_P, W_C and E as
+    pairs (``autodiff.add_outer``), so W_P's bs-by-N gradient is never
+    written out, W_F's small product as a block at scale 1
+    (``autodiff.add_scaled``), and dX's rows as a row scatter into E's
+    (``autodiff.add_rows``): ``entities`` must be a leaf.
     """
     heads = np.asarray(heads, dtype=np.int64)
     bs = block.w_expand.shape[0]
@@ -115,7 +115,7 @@ def extract(heads: np.ndarray, entities: Tensor, block: SemanticBlock) -> Tensor
         ds = (dlogits @ w_p.T).reshape(bs, 1)
         dk = ds @ c.reshape(-1, 1).T
         dc = (k.T @ ds).reshape(1, -1)
-        block.w_features.grad += x.T @ dk
+        add_scaled(block.w_features, x.T @ dk, 1.0)
         add_outer(block.w_central, v, dc[0])
         dv = (dc @ w_c.T).reshape(-1)
         if entities.requires_grad:

@@ -37,6 +37,7 @@ from .autodiff import (
 )
 from .config import ModelConfig
 from .data import SparseTargets
+from .distill import SemanticBlock
 from .errors import ShapeError
 from .kernels import BatchNorm, dropout
 
@@ -242,9 +243,9 @@ def score_bce(z: Tensor, entities: Tensor, targets: SparseTargets) -> Tensor:
     place. ``entities`` must be a leaf: backward hands its buffer to the
     leaf as a pending scaled block (:func:`~kgedistill.autodiff.add_scaled`),
     which is scaled and added one slice of rows at a time when the gradient
-    is read or taken, so the table's float64 gradient buffer is not written;
-    each element is scaled and added on its own, so the bits are those of
-    scaling first and adding after.
+    is taken, so the table's float64 gradient is never written out at full
+    size; each element is scaled and added on its own, so the bits are
+    those of scaling first and adding after.
 
     The three products and the BCE kernel run in float32. What they feed
     stays float64: the sums over blocks (each block sums its own scores in
@@ -498,19 +499,11 @@ def count_parameters(
     """Exact learnable-scalar count for a model (and optionally the
     distillation block, when both of its shape arguments are given).
 
-    Counts embedding tables, the TuckER core or LowFER factors, batchnorm
-    scale/shift, and the block's three projections: the tensors of the
-    model's and block's ``state()`` that take a gradient. Batchnorm running
-    stats take none and are excluded.
+    Counts the tensors of the model's and block's ``state()`` that take a
+    gradient, on an unfilled model and block: their tables map untouched
+    pages and draw nothing. Batchnorm running stats take none.
     """
-    d_e, d_r = config.d_e, config.rel_dim
-    total = n_entities * d_e + n_relations * d_r
-    if config.kind == "tucker":
-        total += d_e * d_r * d_e
-    elif config.kind == "lowfer":
-        total += (d_e + d_r) * (config.k_l * d_e)
-    if config.use_batchnorm:
-        total += 4 * d_e  # scale + shift for the input and output layers
+    components = [EmbeddingModel(config, n_entities, n_relations, None)]
     if isd_k_b is not None and isd_batch_size is not None:
-        total += 2 * d_e * isd_k_b + isd_batch_size * n_entities
-    return total
+        components.append(SemanticBlock(config.d_e, n_entities, isd_batch_size, isd_k_b, rng=None))
+    return sum(t.data.size for c in components for t in c.state().values() if t.requires_grad)

@@ -59,14 +59,14 @@ class Adam:
     each, as :func:`~kgedistill.autodiff.take_grad` hands the gradient's
     slices over on the worker pool (one worker per usable core). Slicing
     bounds the scratch to three slice-sized buffers per worker. A gradient
-    made only of pending terms (rank-1 pairs, the score head's scaled
-    block, row scatters) is assembled slice by slice in scratch just before
+    is only pending terms (rank-1 pairs, scaled blocks such as the score
+    head's, row scatters), assembled slice by slice in scratch just before
     the update reads it, so it is never written out at full size; the
     parameter and moments of up to 512 KB a slice still stream from the
     outer caches and memory, with a 2 MB L2. Every operation is elementwise
     and in the order of the textbook formula, so the result depends
     neither on the slicing nor on the number of workers. A step leaves
-    every gradient at zero, ready for the next ``backward`` to add into.
+    every gradient with no terms, zero, ready for the next ``backward``.
     """
 
     beta1 = 0.9

@@ -261,19 +261,19 @@ def test_only_autodiff_holds_a_thread_pool(path):
 
 def gradient_storage_names(source: str) -> list[str]:
     """The names of a tensor's gradient storage that ``source`` mentions as
-    code (:func:`named_in`): ``_grad``, ``_pending`` and ``_dense``."""
-    return sorted(named_in(ast.parse(source)) & {"_grad", "_pending", "_dense"})
+    code (:func:`named_in`): its pending terms, ``_pending``."""
+    return sorted(named_in(ast.parse(source)) & {"_pending"})
 
 
 def test_the_gradient_storage_scan_finds_a_write_and_a_read_by_name():
     source = (
         "from .autodiff import add_outer\n"
         "table._pending += (term,)\n"
-        "getattr(table, '_dense')\n"
+        "getattr(table, '_pending')\n"
         "add_outer(table, x, y)\n"
-        "text = 'a _grad buffer'\n"
+        "text = 'the _pending terms'\n"
     )
-    assert gradient_storage_names(source) == ["_dense", "_pending"]
+    assert gradient_storage_names(source) == ["_pending"]
     assert gradient_storage_names(
         "table.grad += g\nadd_outer(table, x, y)\nadd_scaled(table, b, 0.5)\nadd_rows(table, ids, g)\n"
     ) == []
@@ -286,6 +286,33 @@ def test_only_autodiff_touches_gradient_storage(path):
     """A gradient goes in through ``grad``, a VJP's return value or
     ``autodiff``'s pending-term recorders (``add_outer``, ``add_scaled``,
     ``add_rows``), and out through ``grad`` or ``autodiff.take_grad``: only
-    ``autodiff`` keeps the dense buffer, the pending terms and the mark of
-    a dense read in step."""
+    ``autodiff`` reads or writes the pending terms."""
     assert gradient_storage_names(path.read_text(encoding="utf-8")) == []
+
+
+def grad_uses(source: str) -> list[int]:
+    """The lines of ``source`` that read or write a ``grad`` attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "grad"
+    )
+
+
+def test_the_grad_scan_finds_a_read_and_a_write():
+    source = (
+        "norm = np.abs(table.grad).max()\n"
+        "table.grad = g\n"
+        "getattr(table, 'grad')\n"
+        "add_scaled(table, g, 1.0)\n"
+        "text = 'a grad read'\n"
+        "table.grad[...] += g\n"
+    )
+    assert grad_uses(source) == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_or_writes_grad(path):
+    """``grad`` sums a gradient's pending terms into an array of its own:
+    the package records terms and takes them with ``autodiff.take_grad``,
+    so no step writes a gradient out at full size."""
+    assert grad_uses(path.read_text(encoding="utf-8")) == []

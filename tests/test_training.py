@@ -192,8 +192,8 @@ def adam_one_shot(p, g, m, v, lr, step):
 
 
 def test_blocked_adam_matches_one_shot_formula():
-    """Dense gradients, pending pairs, both and neither, against the formula
-    on the gradient they add up to."""
+    """Gradients written through ``grad``, pending pairs, both and neither,
+    against the formula on the gradient they add up to."""
     block = autodiff._SLICE_ELEMENTS
     rng = np.random.default_rng(9)
 
@@ -238,21 +238,44 @@ def test_blocked_adam_matches_one_shot_formula():
 def test_adam_rejects_non_contiguous_parameter():
     p = Parameter(np.zeros((4, 4)))
     p.data = p.data.T
-    p.grad = np.zeros((4, 4)).T
+    with pytest.raises(ValueError):
+        p.grad = np.zeros((4, 4)).T
     with pytest.raises(ValueError):
         Adam([("p", p)]).step(0.1)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 def test_zeroed_buffers_are_allocated_not_written():
-    # A gradient and two Adam moments of 64 MB each: allocated zeroed pages
-    # stay out of the resident set until the first step writes them.
+    # Two Adam moments of 64 MB each: allocated zeroed pages stay out of the
+    # resident set until the first step writes them. The parameter holds no
+    # gradient array at all until a term is recorded on it.
     before = resident_bytes()
     p = Parameter(np.zeros((4096, 2048)))
     adam = Adam([("p", p)])
     grown = resident_bytes() - before
-    assert p.grad.shape == adam.moment1["p"].shape == adam.moment2["p"].shape == p.shape
+    assert adam.moment1["p"].shape == adam.moment2["p"].shape == p.shape
     assert grown < 16 << 20, f"resident set grew by {grown / 2**20:.0f} MB"
+    assert p._pending == ()
+    add_outer(p, np.ones(4096), np.ones(2048))
+    assert len(p._pending) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_reading_grad_between_steps_leaves_no_gradient_resident():
+    """A read of ``grad`` between steps, such as a gradient norm, writes the
+    gradient out once; the next step takes that array and drops it, so the
+    64 MB gradient does not stay resident."""
+    rng = np.random.default_rng(43)
+    p = Parameter(np.zeros((4096, 2048)))
+    adam = Adam([("p", p)])
+    add_outer(p, rng.normal(size=4096), rng.normal(size=2048))
+    adam.step(0.01)
+    before = resident_bytes()
+    add_outer(p, rng.normal(size=4096), rng.normal(size=2048))
+    assert np.abs(p.grad).max() > 0.0
+    adam.step(0.01)
+    grown = resident_bytes() - before
+    assert grown < 8 << 20, f"resident set grew by {grown / 2**20:.0f} MB"
 
 
 def _wide_store(directory, n_train: int):
@@ -270,8 +293,8 @@ def _wide_store(directory, n_train: int):
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 def test_distillation_epoch_never_writes_the_expanding_projections_gradient(tmp_path):
     # The 64 MB expanding projection's gradient is a rank-1 pending pair on
-    # every step, which Adam reads without writing the gradient buffer, so
-    # an epoch writes the two moments and leaves the buffer's pages unused.
+    # every step, which Adam takes a slice at a time in scratch, so an epoch
+    # writes the two moments and no gradient array.
     doc = {"model": {"d_e": 8}, "train": {"batch_size": 256, "epochs": 2},
            "isd": {"enabled": True}}
     trainer = Trainer(_wide_store(tmp_path / "wide", 800), RunConfig.from_dict(doc))
@@ -290,8 +313,8 @@ def test_training_epoch_never_writes_the_entity_tables_gradient(tmp_path, isd):
     # The 64 MB entity table's gradient is the score head's scaled float32
     # block, the row lookup's scatter and, when distilling, the extraction's
     # pair and scatter, all pending until Adam takes them a slice at a time:
-    # an epoch writes the table's two moments (and the block's) and leaves
-    # the gradient buffer's pages unused.
+    # an epoch writes the table's two moments (and the block's) and no
+    # gradient array.
     doc = {"model": {"d_e": 256}, "train": {"batch_size": 64, "epochs": 2}, "isd": isd}
     trainer = Trainer(_wide_store(tmp_path / "wide", 200), RunConfig.from_dict(doc))
     table = trainer.model.entity_embeddings.data.nbytes
@@ -864,8 +887,8 @@ def pair_product(row: Tensor, table: Parameter) -> Tensor:
 def test_leaf_direct_accumulation_is_bit_identical():
     """One table feeds a gather, a transposed product, a one-row product
     and a square. Backward adds the square's two terms, then the one-row
-    product's pending pair arrives, and the transposed product's add reads
-    the gradient, which adds the pair in before it."""
+    product's pending pair arrives, and the transposed product's
+    contribution is recorded after it."""
     rng = np.random.default_rng(11)
     table_init, other_init = rng.normal(size=(6, 5)), rng.normal(size=(4, 5))
     row, weights = rng.normal(size=(1, 6)), rng.normal(size=(1, 5))
@@ -895,6 +918,33 @@ def test_identity_vjp_feeding_two_interior_parents():
     backward(tensor_sum(d * d))
     # d = 10p, so the loss is 100 p^2
     np.testing.assert_array_equal(p.grad, 200.0 * p.data)
+
+
+def test_a_contribution_handed_to_two_parents_is_held_unchanged():
+    """add's identity VJP hands one array to the same leaf twice (``p + p``),
+    and to a leaf and an interior node (``q + 3r``). Each leaf holds the
+    array as a term until Adam takes it; none of them writes to it."""
+    rng = np.random.default_rng(47)
+    shared = rng.normal(size=(3, 4))
+    shared.flags.writeable = False
+    want = shared.copy()
+    p, q, r = (Parameter(rng.normal(size=(3, 4))) for _ in range(3))
+    both = (p + p, q + r * 3.0)
+    backward(node(np.float64(0.0), both, (lambda g: shared,) * 2))
+
+    def taken(t: Parameter) -> np.ndarray:
+        out = np.full(t.shape, np.nan)
+
+        def work(lo, hi, g, scratch):
+            out[lo:hi] = g
+
+        autodiff.take_grad(t, work, 1)
+        return out
+
+    assert taken(p).tobytes() == (2.0 * want).tobytes()
+    assert taken(q).tobytes() == want.tobytes()
+    assert taken(r).tobytes() == (want * 3.0).tobytes()
+    assert shared.tobytes() == want.tobytes()
 
 
 def test_gather_rows_adds_into_a_leaf_holding_a_gradient():
@@ -987,9 +1037,10 @@ def test_pending_terms_are_taken_with_the_bits_of_reading_grad(
     monkeypatch, workers, slice_elements, first, prior
 ):
     """Every kind of pending term, each kind first in turn, recorded on a
-    gradient with or without a dense part: ``take_grad`` hands over, a slice
-    at a time on 1 to 3 workers, the bytes that reading ``grad`` gives, and
-    those are the terms added onto the prior in arrival order."""
+    gradient with or without a prior written through ``grad``: ``take_grad``
+    hands over, a slice at a time on 1 to 3 workers, the bytes that reading
+    ``grad`` gives, and those are the terms added onto the prior in arrival
+    order."""
     monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", slice_elements)
     n_rows, width = 41, 3  # 7-element slices hold 2 rows: 21 slices
     rng = np.random.default_rng(67)
