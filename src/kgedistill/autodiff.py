@@ -21,12 +21,12 @@ order they arrived, each one of three kinds: a rank-1 pair of vectors
 records on a leaf parent as a block at scale 1, or records it on its leaf
 parent itself and returns ``None``; the ops that do the latter (the row
 lookup, the score head's entity side, the semantic extraction block)
-refuse a parent that is not a leaf. An optimizer takes the terms
-(:func:`take_grad`), assembled one slice of rows at a time in scratch, so
-no gradient is written out at full size; reading ``grad`` sums them into
-an array of its own. Only this module touches a tensor's gradient
-storage. Under :func:`no_grad` the same ops return plain constants, so
-inference and detached teacher extraction carry no graph.
+refuse a parent that is not a leaf. The one way out is :func:`take_grad`,
+which hands the terms to one reader (the optimizer), assembled one slice
+of rows at a time in scratch, so no gradient is written out at full size.
+Only this module touches a tensor's gradient storage. Under
+:func:`no_grad` the same ops return plain constants, so inference and
+detached teacher extraction carry no graph.
 
 Which results depend on the BLAS thread count:
 
@@ -227,15 +227,9 @@ class Tensor:
     :class:`Parameter`) holds its gradient as pending terms, recorded
     instead of written out: rank-1 pairs (:func:`add_outer`), scaled blocks
     (:func:`add_scaled`) and row scatters (:func:`add_rows`). No gradient
-    array exists until something reads ``grad``; interior nodes only carry
-    transient gradients, inside :func:`backward`.
-
-    Reading ``grad`` adds the terms, in the order they arrived, onto zeros
-    in a new array, and keeps that array as the leaf's one term, so writes
-    through it reach the gradient until the next read, assignment or
-    :func:`take_grad`. Assigning ``grad`` makes the array assigned the one
-    term. An optimizer takes the gradient with :func:`take_grad` instead,
-    which drops every term, the array of a read too.
+    array exists: :func:`take_grad` sums the terms a slice of rows at a
+    time and drops them. Interior nodes only carry transient gradients,
+    inside :func:`backward`.
     """
 
     __slots__ = ("data", "_pending", "requires_grad", "_parents", "_vjps")
@@ -246,28 +240,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._vjps: tuple = ()
-
-    @property
-    def grad(self) -> np.ndarray:
-        """The pending terms summed onto zeros, in arrival order, in an
-        array that then stands for them."""
-        g = zeros(self.data.shape)
-        rows, pending = as_rows(g, "a gradient"), self._pending
-
-        def run(lo: int, hi: int, scratch: np.ndarray) -> None:
-            for term in pending:
-                term(rows[lo:hi], lo, hi, scratch[0], False)
-
-        if pending:
-            row_slices(rows.shape, run, 1)
-        self._pending = ()
-        add_scaled(self, g, 1.0)
-        return g
-
-    @grad.setter
-    def grad(self, value) -> None:
-        self._pending = ()
-        add_scaled(self, value, 1.0)
 
     @property
     def shape(self) -> tuple:
@@ -286,8 +258,8 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor. It holds no gradient array: its gradient is
-    the pending terms recorded on it, none until a backward pass."""
+    """A trainable leaf tensor. Its gradient is the pending terms recorded
+    on it, none until a backward pass and none again once taken."""
 
     __slots__ = ()
 
@@ -317,10 +289,10 @@ def take_grad(t: Tensor, work, n_scratch: int) -> None:
     ``n_scratch`` (at least one) buffers shaped like them. ``g`` is scratch
     holding the pending terms' sum over those rows, assembled in cache just
     before ``work`` consumes it: the first term written in and the others
-    added, or zeros when there are no terms. That has the bits of reading
-    ``grad``, except that a pair's product written in keeps the sign of a
-    zero where adding it onto +0.0 would give +0.0. A pair's product is
-    formed in the first buffer.
+    added, or zeros when there are no terms. That has the bits of adding
+    the terms onto zeros in arrival order, except that a pair's product
+    written in first keeps the sign of a zero where adding it onto +0.0
+    would give +0.0. A pair's product is formed in the first buffer.
     """
     pending, t._pending = t._pending, ()
 
@@ -338,13 +310,13 @@ def take_grad(t: Tensor, work, n_scratch: int) -> None:
 # Pending terms. Each is called as ``term(g, lo, hi, tmp, write)`` to add its
 # rows ``lo:hi`` into ``g`` (to write them in, onto nothing, when ``write``)
 # with ``tmp`` a scratch buffer shaped like ``g``, and is called once for
-# each slice of rows. Its arrays are held until the gradient is read or taken;
-# only a term of :func:`add_scaled` at a scale other than 1 writes to them.
+# each slice of rows. Its arrays are held until the gradient is taken; only a
+# term of :func:`add_scaled` at a scale other than 1 writes to them.
 
 def add_outer(leaf: Tensor, x: np.ndarray, y: np.ndarray) -> None:
     """Add ``outer(x, y)`` into a leaf's gradient as a pending pair
     (:class:`Tensor`), from a VJP; ``x`` and ``y`` must not change until the
-    gradient is read or taken."""
+    gradient is taken."""
 
     def term(g, lo, hi, tmp, write) -> None:
         if write:
@@ -358,8 +330,8 @@ def add_outer(leaf: Tensor, x: np.ndarray, y: np.ndarray) -> None:
 def add_scaled(leaf: Tensor, block: np.ndarray, scale: float) -> None:
     """Add ``scale * block`` into a leaf's gradient as a pending term, from a
     VJP. ``block`` is a C-contiguous array shaped like the gradient, held
-    until the gradient is read or taken. At scale 1 it is added as it is
-    and never changed, so it may be handed to other readers too. At any
+    until the gradient is taken. At scale 1 it is added as it is and
+    never changed, so it may be handed to other readers too. At any
     other scale the leaf owns it: each slice is scaled in place, in the
     block's precision, and added in float64. That is the bits of scaling
     the whole block first and adding it after."""
@@ -488,19 +460,18 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Add d(loss)/d(leaf) to every reachable leaf's gradient.
 
-    ``loss`` must be a scalar. Gradients add onto what the leaf already
-    holds, so a caller that wants fresh ones clears them between steps (the
-    trainer's Adam step takes each gradient with :func:`take_grad`, which
-    leaves it with no terms). A VJP that returns ``None`` has recorded
-    pending terms on its leaf parent (:func:`add_outer`,
-    :func:`add_scaled`, :func:`add_rows`). A returned contribution is
-    summed out of place for an interior node and recorded on a leaf as a
-    block at scale 1 (:func:`add_scaled`), copied first only if it is not
-    C-contiguous (a transpose's is not). A leaf's terms are summed in
-    arrival order, so on a gradient with no terms the result has the same
-    bits as summing every contribution first, except where a looked-up row
-    repeats after the leaf already holds a contribution: those rows are
-    added one at a time.
+    ``loss`` must be a scalar. Gradients add onto the terms the leaf
+    already holds until :func:`take_grad` takes them, which the trainer's
+    Adam step does for each parameter, leaving it with no terms. A VJP
+    that returns ``None`` has recorded pending terms on its leaf parent
+    (:func:`add_outer`, :func:`add_scaled`, :func:`add_rows`). A returned
+    contribution is summed out of place for an interior node and recorded
+    on a leaf as a block at scale 1 (:func:`add_scaled`), copied first only
+    if it is not C-contiguous (a transpose's is not). A leaf's terms are
+    summed in arrival order, so on a gradient with no terms the result has
+    the same bits as summing every contribution first, except where a
+    looked-up row repeats after the leaf already holds a contribution:
+    those rows are added one at a time.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")

@@ -1,5 +1,5 @@
-"""Shared test helpers: finite-difference oracle, the worker-pool fixture and
-synthetic KG fixtures."""
+"""Shared test helpers: finite-difference oracle, the worker-pool fixture, a
+leaf's gradient read whole and synthetic KG fixtures."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from kgedistill import autodiff
-from kgedistill.autodiff import Parameter, backward
+from kgedistill.autodiff import Parameter, Tensor, add_scaled, as_rows, backward, take_grad
 
 PAPER_SCALE_VAR = "KGE_PAPER_SCALE"
 
@@ -60,6 +60,22 @@ def resident_bytes() -> int:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
+def dense_grad(t: Tensor) -> np.ndarray:
+    """``t``'s gradient, its pending terms added onto zeros in arrival order,
+    in a new array. The gradient stays pending: it is taken with
+    ``take_grad`` and a copy of the sum recorded back as its one term, so
+    writes through the array returned never reach it."""
+    out = np.zeros(t.shape)
+    rows = as_rows(out, "a gradient")
+
+    def work(lo, hi, g, scratch):
+        np.add(rows[lo:hi], g, out=rows[lo:hi])  # onto +0.0, so a -0.0 reads as +0.0
+
+    take_grad(t, work, 1)
+    add_scaled(t, out.copy(), 1.0)
+    return out
+
+
 def numeric_gradient(fn, param: Parameter, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of the scalar ``fn()`` w.r.t. ``param``.
 
@@ -88,13 +104,13 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def assert_gradients_match(fn, params, step: float = 1e-5, tol: float = 1e-5):
     """Backward pass vs. central differences for every listed parameter."""
     for p in params:
-        p.grad[...] = 0.0
+        take_grad(p, lambda lo, hi, g, scratch: None, 1)
     loss = fn()
     assert loss.data.size == 1
     backward(loss)
     for p in params:
         numeric = numeric_gradient(fn, p, step)
-        err = relative_error(p.grad, numeric)
+        err = relative_error(dense_grad(p), numeric)
         assert err <= tol, f"gradient mismatch: rel err {err:.3e} (shape {p.shape})"
 
 

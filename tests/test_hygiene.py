@@ -1,9 +1,9 @@
 """Source hygiene: no module imports a name that it never uses, the package
 imports at module level only and takes no private name from a sibling
 other than ``autodiff``, only ``autodiff`` holds a thread pool or touches
-a tensor's gradient storage, no top-level definition or method in the
-package goes unnamed by all the code, and no function of ``autodiff`` goes
-unnamed by the package itself."""
+a tensor's gradient storage, no code names a ``grad`` attribute, no
+top-level definition or method in the package goes unnamed by all the
+code, and no function of ``autodiff`` goes unnamed by the package itself."""
 
 import ast
 import functools
@@ -275,7 +275,7 @@ def test_the_gradient_storage_scan_finds_a_write_and_a_read_by_name():
     )
     assert gradient_storage_names(source) == ["_pending"]
     assert gradient_storage_names(
-        "table.grad += g\nadd_outer(table, x, y)\nadd_scaled(table, b, 0.5)\nadd_rows(table, ids, g)\n"
+        "add_outer(table, x, y)\nadd_scaled(table, b, 0.5)\nadd_rows(table, ids, g)\n"
     ) == []
 
 
@@ -283,10 +283,10 @@ def test_the_gradient_storage_scan_finds_a_write_and_a_read_by_name():
     "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "autodiff.py"), ids=lambda p: p.name
 )
 def test_only_autodiff_touches_gradient_storage(path):
-    """A gradient goes in through ``grad``, a VJP's return value or
-    ``autodiff``'s pending-term recorders (``add_outer``, ``add_scaled``,
-    ``add_rows``), and out through ``grad`` or ``autodiff.take_grad``: only
-    ``autodiff`` reads or writes the pending terms."""
+    """A gradient goes in through a VJP's return value or ``autodiff``'s
+    pending-term recorders (``add_outer``, ``add_scaled``, ``add_rows``),
+    and out only through ``autodiff.take_grad``: only ``autodiff`` reads or
+    writes the pending terms."""
     assert gradient_storage_names(path.read_text(encoding="utf-8")) == []
 
 
@@ -310,9 +310,12 @@ def test_the_grad_scan_finds_a_read_and_a_write():
     assert grad_uses(source) == [1, 2, 6]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", CODE,
+    ids=lambda p: p.name if p.parent == PACKAGE else str(p.relative_to(ROOT)),
+)
 def test_no_module_reads_or_writes_grad(path):
-    """``grad`` sums a gradient's pending terms into an array of its own:
-    the package records terms and takes them with ``autodiff.take_grad``,
-    so no step writes a gradient out at full size."""
+    """A tensor has no ``grad``: a leaf's gradient leaves it only through
+    ``autodiff.take_grad``, so no step writes a gradient out at full size,
+    and the tests read one through ``conftest.dense_grad``."""
     assert grad_uses(path.read_text(encoding="utf-8")) == []

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from chains import batchnorm_chain, complex_chain, lowfer_chain, tensor_sum, tucker_chain
-from conftest import assert_gradients_match
+from conftest import assert_gradients_match, dense_grad
 
 from kgedistill.autodiff import Parameter, Tensor, backward, matmul, mul, transpose
 from kgedistill.config import ModelConfig
@@ -273,7 +273,7 @@ def test_node_matches_its_op_chain(case):
         out, updated = build(*params)
         weights = Tensor(np.linspace(-1.0, 2.0, out.data.size).reshape(out.shape))
         backward(tensor_sum(mul(out, weights)))
-        results.append([out.data, *(p.grad for p in params), *updated])
+        results.append([out.data, *(dense_grad(p) for p in params), *updated])
     for got, want in zip(*results):
         if case == "tucker":
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -12,7 +12,14 @@ import mpmath
 import numpy as np
 import pytest
 from chains import tensor_sum
-from conftest import assert_gradients_match, dense, resident_bytes, synthetic_triples, write_dataset
+from conftest import (
+    assert_gradients_match,
+    dense,
+    dense_grad,
+    resident_bytes,
+    synthetic_triples,
+    write_dataset,
+)
 from scipy.special import expit
 
 from kgedistill import autodiff, cli, models, training
@@ -68,7 +75,7 @@ def loss_and_grad(logits: np.ndarray, targets):
     p = Parameter(logits.copy())
     loss = bce_loss(p, targets)
     backward(loss)
-    return float(loss.data), p.grad
+    return float(loss.data), dense_grad(p)
 
 
 def dense_bce(logits: np.ndarray, targets: SparseTargets):
@@ -192,14 +199,15 @@ def adam_one_shot(p, g, m, v, lr, step):
 
 
 def test_blocked_adam_matches_one_shot_formula():
-    """Gradients written through ``grad``, pending pairs, both and neither,
+    """Gradients recorded as blocks, pending pairs, both and neither,
     against the formula on the gradient they add up to."""
     block = autodiff._SLICE_ELEMENTS
     rng = np.random.default_rng(9)
 
-    def dense(p):
-        p.grad[...] = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)
-        return p.grad.copy()
+    def scaled(p):
+        g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)
+        add_scaled(p, g, 1.0)
+        return g
 
     def pair(p):
         x = rng.normal(size=p.shape[0])
@@ -209,11 +217,11 @@ def test_blocked_adam_matches_one_shot_formula():
 
     # Each parameter's shape and what each step adds to its gradient, in order.
     cases = [
-        ((7,), [dense]), ((2 * block + 3,), [dense]), ((130, 257), [dense]),
-        ((block // 64, 64), [dense]), ((3, 1), [dense]),
+        ((7,), [scaled]), ((2 * block + 3,), [scaled]), ((130, 257), [scaled]),
+        ((block // 64, 64), [scaled]), ((3, 1), [scaled]),
         ((block // 64 + 5, 64), [pair]),  # several rows per slice
         ((3, 2 * block + 5), [pair, pair]),  # one row per slice
-        ((130, 257), [dense, pair]),
+        ((130, 257), [scaled, pair]),
         ((5, 9), []),
     ]
     params = [(f"p{i}", Parameter(rng.normal(size=shape))) for i, (shape, _) in enumerate(cases)]
@@ -232,14 +240,14 @@ def test_blocked_adam_matches_one_shot_formula():
             assert adam.moment1[name].tobytes() == m.tobytes(), name
             assert adam.moment2[name].tobytes() == v.tobytes(), name
     for name, p in params:
-        assert p.grad.tobytes() == bytes(p.grad.nbytes), name  # +0.0 everywhere
+        assert p._pending == (), name
 
 
 def test_adam_rejects_non_contiguous_parameter():
     p = Parameter(np.zeros((4, 4)))
     p.data = p.data.T
     with pytest.raises(ValueError):
-        p.grad = np.zeros((4, 4)).T
+        add_scaled(p, np.zeros((4, 4)).T, 1.0)
     with pytest.raises(ValueError):
         Adam([("p", p)]).step(0.1)
 
@@ -258,24 +266,6 @@ def test_zeroed_buffers_are_allocated_not_written():
     assert p._pending == ()
     add_outer(p, np.ones(4096), np.ones(2048))
     assert len(p._pending) == 1
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
-def test_reading_grad_between_steps_leaves_no_gradient_resident():
-    """A read of ``grad`` between steps, such as a gradient norm, writes the
-    gradient out once; the next step takes that array and drops it, so the
-    64 MB gradient does not stay resident."""
-    rng = np.random.default_rng(43)
-    p = Parameter(np.zeros((4096, 2048)))
-    adam = Adam([("p", p)])
-    add_outer(p, rng.normal(size=4096), rng.normal(size=2048))
-    adam.step(0.01)
-    before = resident_bytes()
-    add_outer(p, rng.normal(size=4096), rng.normal(size=2048))
-    assert np.abs(p.grad).max() > 0.0
-    adam.step(0.01)
-    grown = resident_bytes() - before
-    assert grown < 8 << 20, f"resident set grew by {grown / 2**20:.0f} MB"
 
 
 def _wide_store(directory, n_train: int):
@@ -379,7 +369,7 @@ def test_adam_is_bit_identical_for_any_worker_count(monkeypatch, workers, size):
         adam = Adam(params)
         for step, step_grads in enumerate(grads):
             for (_, p), g in zip(params, step_grads):
-                p.grad[...] = g
+                add_scaled(p, g, 1.0)
             adam.step(0.01 * 0.9**step)
         runs[count] = [
             (p.data.tobytes(), adam.moment1[name].tobytes(), adam.moment2[name].tobytes())
@@ -499,14 +489,14 @@ def _fused_run(z, table, targets, upstream=0.75):
     zp, tp = Parameter(z.copy()), Parameter(table.copy())
     loss = score_bce(zp, tp, targets)
     backward(loss * upstream)
-    return float(loss.data), zp.grad, tp.grad
+    return float(loss.data), dense_grad(zp), dense_grad(tp)
 
 
 def _chain_run(z, table, targets, upstream=0.75):
     zp, tp = Parameter(z.copy()), Parameter(table.copy())
     loss = bce_loss(matmul(zp, transpose(tp)), targets)
     backward(loss * upstream)
-    return float(loss.data), zp.grad, tp.grad
+    return float(loss.data), dense_grad(zp), dense_grad(tp)
 
 
 # The fused head computes in float32 and the chain in float64. On the cases
@@ -523,8 +513,8 @@ class TestScoreBce:
     @pytest.mark.parametrize("block", [40, 1 << 17])
     def test_matches_the_unfused_chain(self, monkeypatch, epsilon, block):
         # 40-element blocks of 3 columns: 101 blocks in 8 groups of 13. The
-        # head adds into the table's grad itself, so it refuses a table that
-        # is an op's output.
+        # head records the table's gradient on it itself, so it refuses a
+        # table that is an op's output.
         monkeypatch.setattr(models, "_SCORE_BLOCK_ELEMENTS", block)
         z, table, targets = _score_case(np.random.default_rng(43), epsilon=epsilon)
         value, dz, dtable = _fused_run(z, table, targets)
@@ -566,10 +556,10 @@ class TestScoreBce:
         z, table, targets = _score_case(np.random.default_rng(53))
         prior = np.random.default_rng(59).normal(size=table.shape)
         zp, tp = Parameter(z), Parameter(table)
-        tp.grad[...] = prior
+        add_scaled(tp, prior, 1.0)
         backward(score_bce(zp, tp, targets))
         _, _, fresh = _fused_run(z, table, targets, upstream=1.0)
-        assert tp.grad.tobytes() == (prior + fresh).tobytes()
+        assert dense_grad(tp).tobytes() == (prior + fresh).tobytes()
 
     def test_without_gradients_gives_the_value_only(self):
         z, table, targets = _score_case(np.random.default_rng(61))
@@ -638,10 +628,10 @@ def test_score_bce_is_bit_identical_for_any_worker_count(monkeypatch, workers, n
     for count in (1, 2, 3):
         workers(count)
         zp, tp = Parameter(z.copy()), Parameter(table.copy())
-        tp.grad[...] = prior
+        add_scaled(tp, prior, 1.0)
         loss = score_bce(zp, tp, targets)
         backward(loss * 0.75)
-        runs[count] = (float(loss.data), zp.grad.tobytes(), tp.grad.tobytes())
+        runs[count] = (float(loss.data), dense_grad(zp).tobytes(), dense_grad(tp).tobytes())
         assert (autodiff._pool is None) == (count == 1)
     assert runs[2] == runs[1]
     assert runs[3] == runs[1]
@@ -694,7 +684,7 @@ def test_score_head_holds_no_float32_copy_of_the_table(monkeypatch, workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.isfinite(tp.grad).all()
+    assert np.isfinite(dense_grad(tp)).all()
     assert peak < 0.6 * table.nbytes, f"peak {peak} B against a {table.nbytes} B table"
 
 
@@ -706,7 +696,8 @@ def _memorization_trainer(directory) -> Trainer:
 
 
 def _all_gradients_zero(trainer: Trainer) -> bool:
-    return all(p.grad.tobytes() == bytes(p.grad.nbytes) for _, p in trainer.adam.named_params)
+    grads = (dense_grad(p) for _, p in trainer.adam.named_params)
+    return all(g.tobytes() == bytes(g.nbytes) for g in grads)
 
 
 def test_trainer_gradients_are_zero_after_an_epoch_and_an_abort(monkeypatch, memorization_dataset_dir):
@@ -715,7 +706,7 @@ def test_trainer_gradients_are_zero_after_an_epoch_and_an_abort(monkeypatch, mem
     real_step = Adam.step
 
     def record_step(self, lr):
-        stepped.append(any(p.grad.any() for _, p in self.named_params))
+        stepped.append(any(dense_grad(p).any() for _, p in self.named_params))
         real_step(self, lr)
 
     monkeypatch.setattr(Adam, "step", record_step)
@@ -839,9 +830,9 @@ def backward_sum_then_add(loss: Tensor) -> None:
     """Reference backward pass: same traversal as ``backward``, but every
     contribution to a node is summed first and then added to the leaf.
 
-    A VJP that adds into its leaf parent's ``grad`` itself gets a zeroed
-    stand-in for that ``grad`` while it runs; what it added there is its
-    contribution."""
+    A VJP that records pending terms on its leaf parent itself runs with
+    the parent's terms set aside; the terms it recorded, summed onto zeros,
+    are its contribution."""
     topo, visited, stack = [], set(), [(loss, False)]
     while stack:
         node, processed = stack.pop()
@@ -859,19 +850,19 @@ def backward_sum_then_add(loss: Tensor) -> None:
         if g is None:
             continue
         if not node._parents:
-            node.grad += g
+            add_scaled(node, np.ascontiguousarray(g), 1.0)
             continue
         for parent, vjp in zip(node._parents, node._vjps):
             if parent._parents:
                 c = vjp(g)
             else:
-                held, parent.grad = parent.grad, np.zeros_like(parent.grad)
+                held, parent._pending = parent._pending, ()
                 try:
                     c = vjp(g)
                     if c is None:
-                        c = parent.grad
+                        c = dense_grad(parent)
                 finally:
-                    parent.grad = held
+                    parent._pending = held
             grads[id(parent)] = grads[id(parent)] + c if id(parent) in grads else c
 
 
@@ -905,8 +896,8 @@ def test_leaf_direct_accumulation_is_bit_identical():
     backward(loss1)
     t2, o2, loss2 = build()
     backward_sum_then_add(loss2)
-    assert t1.grad.tobytes() == t2.grad.tobytes()
-    assert o1.grad.tobytes() == o2.grad.tobytes()
+    assert dense_grad(t1).tobytes() == dense_grad(t2).tobytes()
+    assert dense_grad(o1).tobytes() == dense_grad(o2).tobytes()
 
 
 def test_identity_vjp_feeding_two_interior_parents():
@@ -917,7 +908,7 @@ def test_identity_vjp_feeding_two_interior_parents():
     d = (a + a) + (b + b)
     backward(tensor_sum(d * d))
     # d = 10p, so the loss is 100 p^2
-    np.testing.assert_array_equal(p.grad, 200.0 * p.data)
+    np.testing.assert_array_equal(dense_grad(p), 200.0 * p.data)
 
 
 def test_a_contribution_handed_to_two_parents_is_held_unchanged():
@@ -952,7 +943,7 @@ def test_gather_rows_adds_into_a_leaf_holding_a_gradient():
     rng = np.random.default_rng(29)
     table = Parameter(rng.normal(size=(7, 5)))
     prior = rng.normal(size=(7, 5))
-    table.grad[...] = prior
+    add_scaled(table, prior, 1.0)
     ids = np.array([4, 0, 4, 2, 4, 0])
     weights = rng.normal(size=(len(ids), 5))
     backward(tensor_sum(mul(gather_rows(table, ids), Tensor(weights))))
@@ -961,9 +952,10 @@ def test_gather_rows_adds_into_a_leaf_holding_a_gradient():
     # A few ulp of the magnitudes summed into each entry.
     magnitude = np.abs(prior)
     np.add.at(magnitude, ids, np.abs(weights))
-    assert (np.abs(table.grad - (prior + old)) <= 4 * np.finfo(float).eps * magnitude).all()
+    grad = dense_grad(table)
+    assert (np.abs(grad - (prior + old)) <= 4 * np.finfo(float).eps * magnitude).all()
     untouched = np.setdiff1d(np.arange(7), ids)
-    assert table.grad[untouched].tobytes() == prior[untouched].tobytes()
+    assert grad[untouched].tobytes() == prior[untouched].tobytes()
 
 
 @pytest.mark.parametrize("slice_elements", [4, autodiff._SLICE_ELEMENTS])
@@ -975,12 +967,12 @@ def test_rank_one_matmul_adds_into_a_leaf_holding_a_gradient(monkeypatch, slice_
     row = Parameter(rng.normal(size=(1, 9)))
     table = Parameter(rng.normal(size=(9, 6)))
     prior = rng.normal(size=(9, 6))
-    table.grad[...] = prior
+    add_scaled(table, prior, 1.0)
     weights = rng.normal(size=(1, 6))
     backward(tensor_sum(mul(pair_product(row * 2.0, table), Tensor(weights))))
     old = prior + (2.0 * row.data).T @ weights
-    np.testing.assert_allclose(table.grad, old, rtol=4 * np.finfo(float).eps, atol=0.0)
-    np.testing.assert_allclose(row.grad, 2.0 * (weights @ table.data.T), rtol=1e-15)
+    np.testing.assert_allclose(dense_grad(table), old, rtol=4 * np.finfo(float).eps, atol=0.0)
+    np.testing.assert_allclose(dense_grad(row), 2.0 * (weights @ table.data.T), rtol=1e-15)
 
 
 def test_rank_one_matmul_update_is_bit_identical_for_any_worker_count(monkeypatch, workers):
@@ -995,9 +987,9 @@ def test_rank_one_matmul_update_is_bit_identical_for_any_worker_count(monkeypatc
     for count in (1, 2, 3):
         workers(count)
         row, table = Parameter(row_init.copy()), Parameter(table_init.copy())
-        table.grad[...] = prior
+        add_scaled(table, prior, 1.0)
         backward(tensor_sum(mul(pair_product(row, table), Tensor(weights))))
-        runs[count] = table.grad.tobytes()
+        runs[count] = dense_grad(table).tobytes()
         assert (autodiff._pool is None) == (count == 1)
     assert runs[2] == runs[1]
     assert runs[3] == runs[1]
@@ -1037,10 +1029,9 @@ def test_pending_terms_are_taken_with_the_bits_of_reading_grad(
     monkeypatch, workers, slice_elements, first, prior
 ):
     """Every kind of pending term, each kind first in turn, recorded on a
-    gradient with or without a prior written through ``grad``: ``take_grad``
-    hands over, a slice at a time on 1 to 3 workers, the bytes that reading
-    ``grad`` gives, and those are the terms added onto the prior in arrival
-    order."""
+    gradient with or without a prior block: ``take_grad`` hands over, a
+    slice at a time on 1 to 3 workers, the bytes of the terms added onto
+    the prior (or onto zeros) in arrival order, and leaves no terms."""
     monkeypatch.setattr(autodiff, "_SLICE_ELEMENTS", slice_elements)
     n_rows, width = 41, 3  # 7-element slices hold 2 rows: 21 slices
     rng = np.random.default_rng(67)
@@ -1051,7 +1042,7 @@ def test_pending_terms_are_taken_with_the_bits_of_reading_grad(
     def recorded() -> Parameter:
         t = Parameter(np.zeros((n_rows, width)))
         if prior:
-            t.grad[...] = start
+            add_scaled(t, start, 1.0)
         for record, _ in pending:
             record(t)
         return t
@@ -1059,8 +1050,6 @@ def test_pending_terms_are_taken_with_the_bits_of_reading_grad(
     want = start.copy()
     for _, add in pending:
         add(want)
-    read = recorded().grad
-    assert read.tobytes() == want.tobytes()
     for count in (1, 2, 3):
         workers(count)
         t, taken = recorded(), np.full((n_rows, width), np.nan)
@@ -1069,8 +1058,8 @@ def test_pending_terms_are_taken_with_the_bits_of_reading_grad(
             taken[lo:hi] = g
 
         autodiff.take_grad(t, work, 1)
-        assert taken.tobytes() == read.tobytes(), count
-        assert t.grad.tobytes() == bytes(t.grad.nbytes)  # left at +0.0
+        assert taken.tobytes() == want.tobytes(), count
+        assert t._pending == ()
 
 
 def test_a_lone_scaled_block_is_taken_as_if_added_onto_zeros():
@@ -1080,6 +1069,27 @@ def test_a_lone_scaled_block_is_taken_as_if_added_onto_zeros():
     taken = []
     autodiff.take_grad(t, lambda lo, hi, g, scratch: taken.append(g.copy()), 1)
     assert np.concatenate(taken).tobytes() == np.array([[0.0, 0.75], [1.0, 0.0]]).tobytes()
+
+
+@pytest.mark.parametrize("zero_block_first", [False, True])
+def test_a_pair_written_first_keeps_the_sign_of_a_zero(zero_block_first):
+    """``take_grad`` writes a pair recorded first, so its -0.0 product at
+    [0, 0] is handed over as -0.0; after a zero block at scale 1 the pair is
+    added onto +0.0 and reads +0.0. ``dense_grad`` adds onto zeros, so it
+    reads +0.0 either way."""
+    def recorded() -> Parameter:
+        t = Parameter(np.zeros((2, 2)))
+        if zero_block_first:
+            add_scaled(t, np.zeros((2, 2)), 1.0)
+        add_outer(t, np.array([-1.0, 1.0]), np.array([0.0, 2.0]))
+        return t
+
+    taken = []
+    autodiff.take_grad(recorded(), lambda lo, hi, g, scratch: taken.append(g.copy()), 1)
+    summed = np.array([[0.0, -2.0], [0.0, 2.0]])
+    want = np.array([[0.0 if zero_block_first else -0.0, -2.0], [0.0, 2.0]])
+    assert np.concatenate(taken).tobytes() == want.tobytes()
+    assert dense_grad(recorded()).tobytes() == summed.tobytes()
 
 
 def test_rank_one_matmul_into_an_interior_node_matches_finite_differences():
@@ -1117,7 +1127,7 @@ def test_distillation_backward_builds_no_full_size_gradient():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.abs(block.w_expand.grad).max() > 0.0
+    assert np.abs(dense_grad(block.w_expand)).max() > 0.0
     assert peak < block.w_expand.data.nbytes / 2
 
 
